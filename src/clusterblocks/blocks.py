@@ -9,6 +9,7 @@ threshold never reaches the functionals themselves.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,8 +31,8 @@ class BlockConfig:
     def __post_init__(self):
         if self.r < 2:
             raise ConfigError("block size r must be >= 2")
-        if self.u <= 0:
-            raise ConfigError("threshold u must be positive")
+        if not (math.isfinite(self.u) and self.u > 0):
+            raise ConfigError("threshold u must be positive and finite")
         if not 0.0 < self.w < 1.0:
             raise ConfigError("w must lie strictly between 0 and 1")
 
@@ -60,8 +61,8 @@ def window_values_at(scaled: np.ndarray, pos: np.ndarray, starts: np.ndarray,
     """
     starts = np.asarray(starts, dtype=np.int64)
     if h.pattern_value is not None:
-        lo = np.searchsorted(pos, starts, side="left")
-        hi = np.searchsorted(pos, starts + r - 1, side="right")
+        lo = pos.searchsorted(starts, side="left")
+        hi = pos.searchsorted(starts + (r - 1), side="right")
         counts = hi - lo
         if pos.size:
             first = pos[np.minimum(lo, pos.size - 1)]
@@ -77,15 +78,63 @@ def window_values_at(scaled: np.ndarray, pos: np.ndarray, starts: np.ndarray,
     return out
 
 
+def window_segments(pos: np.ndarray, r: int, lo: int, hi: int):
+    """Runs of window starts in [lo, hi] whose windows see the same exceedances.
+
+    The window started at s covers [s, s+r-1], so its exceedance set only
+    changes where some position p enters (s = p-r+1) or leaves (s = p+1):
+    at most 2k + 1 runs for k exceedances.  Returns the first start of each
+    run and the run lengths.
+    """
+    cuts = np.concatenate(([lo, hi + 1], pos - (r - 1), pos + 1))
+    np.maximum(cuts, lo, out=cuts)
+    np.minimum(cuts, hi + 1, out=cuts)
+    cuts.sort()
+    lengths = cuts[1:] - cuts[:-1]
+    keep = lengths > 0
+    return cuts[:-1][keep], lengths[keep]
+
+
+def window_sum(scaled: np.ndarray, pos: np.ndarray, r: int, h: ClusterFunctional,
+               lo: int, hi: int) -> float:
+    """Sum of H over the windows started at lo..hi, in O(k) evaluations.
+
+    By hypotheses (ii)/(iii) H is constant on each run of
+    `window_segments`, so it is evaluated at the first start of each run.
+    The result equals the dense reduction of the per-start values bit for
+    bit: integral values are weighted by their run lengths, which is exact
+    below 2**53; anything else is expanded back to the per-start vector and
+    reduced in the same order.
+    """
+    starts, lengths = window_segments(pos, r, lo, hi)
+    values = window_values_at(scaled, pos, starts, r, h)
+    if (values.size and (values == values.round()).all()
+            and np.abs(values).max() * (hi - lo + 1) < 2.0 ** 53):
+        return float((values * lengths).sum())
+    return float(np.repeat(values, lengths).sum())
+
+
+def active_block_values(scaled: np.ndarray, pos: np.ndarray, r: int, m: int,
+                        h: ClusterFunctional) -> np.ndarray:
+    """Per-block H values for blocks 1..m, evaluated on blocks that exceed.
+
+    Blocks without an exceedance are 0 by hypothesis (ii) and are never
+    visited, so this costs O(k) evaluations plus an O(m) fill.
+    """
+    out = np.zeros(m)
+    j = np.unique((pos - 1) // r)
+    j = j[j < m]
+    out[j] = window_values_at(scaled, pos, j * r + 1, r, h)
+    return out
+
+
 def block_values(series: MagnitudeSeries, cfg: BlockConfig, h: ClusterFunctional) -> np.ndarray:
     """Per-block H values H(u^-1 X_{(j-1)r+1..jr}), j = 1..m."""
     m, _ = truncated_length(len(series), cfg.r)
     if m < 1:
         raise ConfigError("series shorter than one block")
     scaled = _scaled(series, cfg)
-    pos = _positions(scaled)
-    starts = np.arange(m, dtype=np.int64) * cfg.r + 1
-    return window_values_at(scaled, pos, starts, cfg.r, h)
+    return active_block_values(scaled, _positions(scaled), cfg.r, m, h)
 
 
 def sliding_values(series: MagnitudeSeries, cfg: BlockConfig, h: ClusterFunctional) -> np.ndarray:
@@ -122,16 +171,17 @@ def sliding_stat(series: MagnitudeSeries, cfg: BlockConfig, h: ClusterFunctional
     truncated length.
     """
     n = len(series)
+    scaled = _scaled(series, cfg)
+    pos = _positions(scaled)
     if cfg.interior_only:
         m, _ = truncated_length(n, cfg.r)
         if m < 3:
             raise ConfigError("interior variant needs at least 3 blocks")
-        scaled = _scaled(series, cfg)
-        pos = _positions(scaled)
-        starts = np.arange(cfg.r + 1, (m - 1) * cfg.r + 1, dtype=np.int64)
-        total = window_values_at(scaled, pos, starts, cfg.r, h).sum()
+        total = window_sum(scaled, pos, cfg.r, h, cfg.r + 1, (m - 1) * cfg.r)
         return float(total / (m * cfg.r * cfg.r * cfg.w))
-    total = sliding_values(series, cfg, h).sum()
+    if cfg.r > n:
+        raise ConfigError("block size exceeds series length")
+    total = window_sum(scaled, pos, cfg.r, h, 1, n - cfg.r + 1)
     return float(total / (n * cfg.r * cfg.w))
 
 

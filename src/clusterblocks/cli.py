@@ -17,8 +17,8 @@ from .blocks import BlockConfig
 from .errors import ClusterBlocksError, ConfigError, ModelError
 from .expansion import expansion_report
 from .functionals import get_functional, induced_functional
-from .harness import (ExperimentConfig, csv_text, expected_targets, persist,
-                      run_experiment, summarize)
+from .harness import (ExperimentConfig, csv_text, expected_targets,
+                      parse_finite, persist, run_experiment, summarize)
 from .limits import cluster_index_mc, limit_table
 from .models import (ModelSpec, gen_series, marginal_tail, parse_model,
                      read_series, threshold_for_w, write_series)
@@ -162,7 +162,10 @@ def _parse_grid(text: str) -> list:
         bits = part.split(":")
         if len(bits) != 3:
             raise ConfigError(f"grid point must be n:r_rule:w_rule, got {part!r}")
-        grid.append((int(float(bits[0])), bits[1], bits[2]))
+        n = parse_finite(bits[0], "grid point n")
+        if n < 1:
+            raise ConfigError(f"grid point n must be >= 1, got {bits[0]!r}")
+        grid.append((int(n), bits[1], bits[2]))
     return grid
 
 
@@ -174,7 +177,10 @@ def _cmd_rates(args) -> int:
         if cli is not None:
             return cli
         if name in conf:
-            return cast(conf[name])
+            try:
+                return cast(conf[name])
+            except ValueError:
+                raise UsageError(f"config key {name}: cannot parse {conf[name]!r}") from None
         return default
 
     model_txt = pick("model")
@@ -183,7 +189,11 @@ def _cmd_rates(args) -> int:
         raise UsageError("rates needs --model and --grid (flags or config file)")
     threads = pick("threads", int)
     if threads is None:
-        threads = int(os.environ.get("CLBLK_THREADS", "1"))
+        env = os.environ.get("CLBLK_THREADS", "1")
+        try:
+            threads = int(env)
+        except ValueError:
+            raise UsageError(f"CLBLK_THREADS must be an integer, got {env!r}") from None
     cfg = ExperimentConfig(
         model=parse_model(model_txt),
         functional=pick("functional", str, "indicator"),

@@ -18,6 +18,12 @@ block m still participates through the events and the SB_{m-1} windows.
 Every cluster statistic is computed along two independent routes: direct
 window summation (ground truth by definition) and the exceedance-time
 fast path.  Reports carry the maximal deviation between routes.
+
+Cost: one O(n) threshold scan (`block_bookkeeping`), then work in the
+exceedance positions only.  SB is summed over the at most 2k + 1 runs of
+window starts that see the same exceedances, DB over the active blocks,
+and the reference sums SB_j, DB_j are evaluated densely for the blocks an
+exceedance can reach, once per functional.
 """
 
 from __future__ import annotations
@@ -26,10 +32,11 @@ import hashlib
 import json
 import logging
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .blocks import BlockConfig, truncated_length, window_values_at
+from .blocks import BlockConfig, truncated_length, window_sum, window_values_at
 from .errors import ConfigError
 from .functionals import ClusterFunctional, eval_functional, induced_ic
 from .models import MagnitudeSeries
@@ -59,6 +66,7 @@ class BlockBookkeeping:
     first: np.ndarray        # 0 where the block is empty
     last: np.ndarray
     active: np.ndarray
+    sums: dict = field(default_factory=dict, repr=False, compare=False)  # reference_sums cache
 
     def times(self, j: int) -> np.ndarray:
         return self.pos[self.idx[j - 1]: self.idx[j]]
@@ -118,32 +126,61 @@ def sliding_block_sum(book: BlockBookkeeping, h: ClusterFunctional, j: int) -> f
     return float(window_values_at(book.scaled, book.pos, starts, book.r, h).sum())
 
 
-def disjoint_term(book: BlockBookkeeping, h: ClusterFunctional, j: int) -> float:
-    """DB_j = r * H(block j), evaluated on the raw block window."""
-    return book.r * eval_functional(h, book.block_window(j))
+class ReferenceSums(NamedTuple):
+    """Direct window sums at index j = 1..m-1 (index 0 unused).
+
+    `block` is the window evaluation the DB total reduces; `db` evaluates
+    the raw block with the evaluator, as the reference DB_j always has.
+    They agree except in the last bit where a pattern_value rounds
+    differently from its evaluator (numpy vs Python powers).
+    """
+
+    sb: np.ndarray       # SB_j, summed window by window
+    block: np.ndarray    # H(block j), the first window of SB_j
+    db: np.ndarray       # DB_j = r * H(block j)
 
 
-class _LazySums:
-    """Memoized SB_j / DB_j lookups shared by the remainder terms."""
+def reference_sums(book: BlockBookkeeping, h: ClusterFunctional) -> ReferenceSums:
+    """SB_j and DB_j for every block an exceedance reaches, once per functional.
 
-    def __init__(self, book: BlockBookkeeping, h: ClusterFunctional):
-        self.book = book
-        self.h = h
-        self._s: dict[int, float] = {}
-        self._d: dict[int, float] = {}
+    SB_j reads blocks j and j+1, so its windows are evaluated (in one
+    batched call, rows reduced like `sliding_block_sum`) only where one of
+    them is active; DB_j only on active blocks.  All other sums are 0 by
+    hypothesis (ii).  The IC/BC reference routes, `path_deviations` and the
+    remainder enumeration share the result through the bookkeeping.
+    """
+    # Keyed by id: evaluators need not be hashable.  The entry holds h,
+    # so the id cannot be reused while the entry exists.
+    entry = book.sums.get(id(h))
+    if entry is not None:
+        return entry[1]
+    r, m, a = book.r, book.m, book.active
+    j = np.flatnonzero(a[:-1] | a[1:]) + 1
+    starts = (((j - 1) * r + 1)[:, None] + np.arange(r)).ravel()
+    vals = window_values_at(book.scaled, book.pos, starts, r, h).reshape(j.size, r)
+    sb = np.zeros(m)
+    sb[j] = vals.sum(axis=1)
+    block = np.zeros(m)
+    block[j] = vals[:, 0]
+    db = np.zeros(m)
+    act = np.flatnonzero(a[:-1]) + 1
+    # eval_functional without its exceedance test: these blocks exceed
+    db[act] = [r * float(h.evaluator(book.block_window(k))) for k in act.tolist()]
+    sums = ReferenceSums(sb, block, db)
+    book.sums[id(h)] = (h, sums)
+    return sums
 
-    def s(self, j: int) -> float:
-        if j not in self._s:
-            self._s[j] = sliding_block_sum(self.book, self.h, j)
-        return self._s[j]
 
-    def d(self, j: int) -> float:
-        if j not in self._d:
-            self._d[j] = disjoint_term(self.book, self.h, j)
-        return self._d[j]
+def raw_sums(book: BlockBookkeeping, h: ClusterFunctional) -> tuple[float, float]:
+    """(SB, DB) over blocks 1..m-1, equal bit for bit to the dense reductions.
 
-    def t(self, j: int) -> float:
-        return self.s(j) - self.d(j)
+    SB is summed over the runs of `window_segments`, DB over the active
+    blocks' values (zero elsewhere), both in O(k) evaluations.
+    """
+    r, m = book.r, book.m
+    sb = window_sum(book.scaled, book.pos, r, h, 1, (m - 1) * r)
+    db = float(r * reference_sums(book, h).block[1:].sum())
+    return sb, db
 
 
 # -- internal clusters --------------------------------------------------------
@@ -175,6 +212,11 @@ def _padded_reference_ic(block_window: np.ndarray, h: ClusterFunctional, r: int)
     return sb - r * eval_functional(h, block_window)
 
 
+def _ic_reference(book: BlockBookkeeping, h: ClusterFunctional, j: int) -> float:
+    ref = reference_sums(book, h)
+    return float(ref.sb[j - 1] + ref.sb[j] - ref.db[j])
+
+
 def internal_cluster_stat(book: BlockBookkeeping, h: ClusterFunctional,
                           mode: str = "standard", path: str = "fast"):
     """Internal clusters statistic and its per-block values.
@@ -193,9 +235,7 @@ def internal_cluster_stat(book: BlockBookkeeping, h: ClusterFunctional,
             if mode == "piecewise":
                 per_block[j] = _padded_reference_ic(book.block_window(j), h, book.r)
             else:
-                per_block[j] = (sliding_block_sum(book, h, j - 1)
-                                + sliding_block_sum(book, h, j)
-                                - disjoint_term(book, h, j))
+                per_block[j] = _ic_reference(book, h, j)
         else:
             raise ConfigError(f"unknown path {path!r}")
     return float(sum(per_block.values())), per_block
@@ -239,8 +279,8 @@ def _bc1_value(book: BlockBookkeeping, h: ClusterFunctional, j: int, path: str) 
 
 
 def _bc2_reference(book: BlockBookkeeping, h: ClusterFunctional, j: int) -> float:
-    return (sliding_block_sum(book, h, j - 1) + sliding_block_sum(book, h, j)
-            + sliding_block_sum(book, h, j + 1)
+    s = reference_sums(book, h).sb
+    return (float(s[j - 1] + s[j] + s[j + 1])
             - book.r * eval_functional(h, book.merged_window(j)))
 
 
@@ -291,9 +331,7 @@ def path_deviations(book: BlockBookkeeping, h: ClusterFunctional) -> tuple[float
     for j in internal_event_blocks(book, "standard"):
         j = int(j)
         fast = induced_ic(h, book.block_window(j))
-        ref = (sliding_block_sum(book, h, j - 1) + sliding_block_sum(book, h, j)
-               - disjoint_term(book, h, j))
-        ic_dev = max(ic_dev, abs(fast - ref))
+        ic_dev = max(ic_dev, abs(fast - _ic_reference(book, h, j)))
     bc_dev = 0.0
     for j in boundary_event_blocks(book):
         j = int(j)
@@ -315,39 +353,41 @@ def remainder_stat(book: BlockBookkeeping, h: ClusterFunctional,
     r_op is the operational remainder (sb - db) - ic - bc.  The other
     three re-derive the remainder from its event enumeration by direct
     window sums: sample-boundary single blocks (r_ic), sample-boundary
-    pairs (r_bc) and runs of three or more active blocks (r_nc).
+    pairs (r_bc) and runs of three or more active blocks (r_nc).  Events
+    are found by masks over the active blocks and their terms are added
+    in ascending j.
     """
-    sums = _LazySums(book, h)
+    s, _, d = reference_sums(book, h)
+    t = s - d
     a = book.active
     m = book.m
     r_op = (sb - db) - ic - bc
 
     r_ic = 0.0
     if a[0] and not a[1]:
-        r_ic += sums.t(1)
+        r_ic += float(t[1])
     if a[m - 1] and not a[m - 2]:
-        r_ic += sums.s(m - 1)
+        r_ic += float(s[m - 1])
 
     r_bc = 0.0
     if a[0] and a[1]:
-        r_bc += sums.t(1)
+        r_bc += float(t[1])
         if not a[2]:
-            r_bc += sums.t(2)
+            r_bc += float(t[2])
     if a[m - 2] and a[m - 1]:
         if not a[m - 3]:
-            r_bc += sums.s(m - 2)
-        r_bc += sums.t(m - 1)
+            r_bc += float(s[m - 2])
+        r_bc += float(t[m - 1])
 
+    # j in 2..m-2 with blocks j, j+1 active and the run continuing on at
+    # least one side: run start S_{j-1} + T_j, run end T_j + T_{j+1},
+    # inside T_j.  Neither side continuing is a boundary cluster.
+    j = np.flatnonzero(a[1:m - 2] & a[2:m - 1]) + 2
+    before, after = a[j - 2], a[j + 1]
+    terms = t[j] + np.where(before, np.where(after, 0.0, t[j + 1]), s[j - 1])
     r_nc = 0.0
-    for j in range(2, m - 1):          # 1-based j in 2..m-2
-        aj0, aj1, aj2, aj3 = a[j - 2], a[j - 1], a[j], a[j + 1]
-        if aj1 and aj2:
-            if not aj0 and aj3:
-                r_nc += sums.s(j - 1) + sums.t(j)
-            elif aj0 and not aj3:
-                r_nc += sums.t(j) + sums.t(j + 1)
-            elif aj0 and aj3:
-                r_nc += sums.t(j)
+    for term in terms[before | after].tolist():
+        r_nc += term
     return r_op, r_ic, r_bc, r_nc
 
 
@@ -414,10 +454,7 @@ def expansion_report(series: MagnitudeSeries, cfg: BlockConfig, h: ClusterFuncti
     book = block_bookkeeping(series, cfg)
     m, r, w = book.m, book.r, book.w
 
-    starts = np.arange(1, (m - 1) * r + 1, dtype=np.int64)
-    sb = float(window_values_at(book.scaled, book.pos, starts, r, h).sum())
-    block_starts = np.arange(m - 1, dtype=np.int64) * r + 1
-    db = float(r * window_values_at(book.scaled, book.pos, block_starts, r, h).sum())
+    sb, db = raw_sums(book, h)
 
     # The pathwise identity always uses the neighbour-excluded events; the
     # piecewise variant of IC is a rate target, not part of the identity.

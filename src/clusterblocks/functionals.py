@@ -11,6 +11,7 @@ variant.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -255,9 +256,13 @@ def get_functional(name: str) -> ClusterFunctional:
     if name in _REGISTRY:
         return _REGISTRY[name]
     if name.startswith("length^"):
-        g = float(name.split("^", 1)[1])
-        if g < 0:
-            raise FunctionalContractError("length exponent must be >= 0")
+        try:
+            g = float(name.split("^", 1)[1])
+        except ValueError:
+            g = float("nan")
+        if not (math.isfinite(g) and g >= 0):
+            raise FunctionalContractError(
+                f"length exponent must be a finite number >= 0, got {name!r}")
         h = ClusterFunctional(name=name, gamma=g, growth_constant=1.0,
                               evaluator=_length_pow(g),
                               pattern_value=_pat_length_pow(g),

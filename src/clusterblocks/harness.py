@@ -13,6 +13,7 @@ import concurrent.futures
 import hashlib
 import json
 import math
+import os
 import re
 import time
 from dataclasses import dataclass, field
@@ -20,9 +21,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .blocks import BlockConfig, window_values_at
+from .blocks import BlockConfig, active_block_values
 from .errors import ConfigError, PersistError
-from .expansion import block_bookkeeping, boundary_cluster_stat, internal_cluster_stat
+from .expansion import (block_bookkeeping, boundary_cluster_stat,
+                        internal_cluster_stat, raw_sums)
 from .functionals import get_functional
 from .limits import LimitTable
 from .models import ModelSpec, gen_series, threshold_for_w
@@ -34,6 +36,17 @@ _KNOWN_TARGETS = ("disjoint_stat", "sliding_stat", "ic_norm", "bc_norm",
                   "ecm", "scaled_gap")
 
 
+def parse_finite(text: str, what: str) -> float:
+    """float(text), with ConfigError for anything but a finite number."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise ConfigError(f"cannot parse {what}: {text!r} is not a finite number")
+    return value
+
+
 def parse_rule(rule: str):
     """Turn "n^p" or a numeric literal into a callable of n."""
     rule = str(rule).strip()
@@ -41,17 +54,14 @@ def parse_rule(rule: str):
     if m:
         p = float(m.group(1))
         return lambda n: float(n) ** p
-    try:
-        value = float(rule)
-    except ValueError as exc:
-        raise ConfigError(f"cannot parse grid rule {rule!r}") from exc
+    value = parse_finite(rule, "grid rule")
     return lambda n: value
 
 
 def parse_target(target: str) -> tuple[str, float | None]:
     m = re.fullmatch(r"(\w+)\(([^)]+)\)", target.strip())
     if m:
-        kind, arg = m.group(1), float(m.group(2))
+        kind, arg = m.group(1), parse_finite(m.group(2), f"target {target!r}")
     else:
         kind, arg = target.strip(), None
     if kind not in _KNOWN_TARGETS:
@@ -204,10 +214,7 @@ def _replicate_values(model: ModelSpec, point: GridPoint, functional: str,
         pair_rate = float((a[even] & a[even + 1]).mean()) if even.size else 0.0
     db = sb = None
     if kinds & {"disjoint_stat", "sliding_stat", "scaled_gap"}:
-        starts = np.arange(1, (m - 1) * r + 1, dtype=np.int64)
-        sb = float(window_values_at(book.scaled, book.pos, starts, r, h).sum())
-        bstarts = np.arange(m - 1, dtype=np.int64) * r + 1
-        db = float(r * window_values_at(book.scaled, book.pos, bstarts, r, h).sum())
+        sb, db = raw_sums(book, h)
 
     out = []
     for kind, arg in parsed:
@@ -226,8 +233,7 @@ def _replicate_values(model: ModelSpec, point: GridPoint, functional: str,
             moment = float((lengths ** arg * book.active).mean())
             out.append(moment / (r ** (arg + 2.0) * w ** 2))
         elif kind == "ecm":
-            bstarts_all = np.arange(m, dtype=np.int64) * r + 1
-            vals = window_values_at(book.scaled, book.pos, bstarts_all, r, h)
+            vals = active_block_values(book.scaled, book.pos, r, m, h)
             out.append(float(vals.mean()) / (r * w))
         elif kind == "disjoint_stat":
             out.append(db / (n_eff * r * w))
@@ -247,10 +253,11 @@ def run_experiment(cfg: ExperimentConfig) -> ConvergenceTable:
     """Run all replicates over the grid and aggregate per-target moments."""
     t0 = time.monotonic()
     points = cfg.resolve_grid()
+    workers = max(1, min(cfg.threads, len(points) * cfg.replicates, os.cpu_count() or 1))
     n_max = max(p.n for p in points)
-    if n_max * 8 * 4 * max(1, cfg.threads) > cfg.max_bytes:
+    if n_max * 8 * 4 * workers > cfg.max_bytes:
         raise ConfigError(
-            f"n={n_max} with {cfg.threads} workers exceeds the memory budget")
+            f"n={n_max} with {workers} workers exceeds the memory budget")
 
     jobs = []
     seeds_seen = {}
@@ -262,8 +269,8 @@ def run_experiment(cfg: ExperimentConfig) -> ConvergenceTable:
             seeds_seen[s] = (g, k)
             jobs.append((cfg.model, points[g], cfg.functional, cfg.targets, s))
 
-    if cfg.threads > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=cfg.threads) as pool:
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_worker, jobs, chunksize=8))
     else:
         results = [_worker(j) for j in jobs]

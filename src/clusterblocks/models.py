@@ -13,6 +13,7 @@ calibrated exactly instead of empirically.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 
@@ -21,6 +22,7 @@ import numpy as np
 from .errors import ModelError, PersistError
 
 _U64 = 0xFFFFFFFFFFFFFFFF
+_INF_BITS = 0x7FF0000000000000
 _MAGIC = b"CLBLKSER"
 
 
@@ -54,12 +56,12 @@ class ModelSpec:
             if self.block_size is not None and self.block_size < 1:
                 raise ModelError("block_size must be a positive integer")
             return
-        if self.alpha <= 0:
-            raise ModelError("tail index alpha must be > 0")
+        if not (np.isfinite(self.alpha) and self.alpha > 0):
+            raise ModelError("tail index alpha must be finite and > 0")
         if not self.coeffs or all(c == 0 for c in self.coeffs):
             raise ModelError("at least one coefficient must be positive")
-        if any(c < 0 for c in self.coeffs):
-            raise ModelError("coefficients must be nonnegative")
+        if not all(np.isfinite(c) and c >= 0 for c in self.coeffs):
+            raise ModelError("coefficients must be finite and nonnegative")
 
     # -- constructors ----------------------------------------------------
 
@@ -124,7 +126,11 @@ def parse_model(text: str) -> ModelSpec:
             raise ModelError(f"cannot parse piecewise model {text!r}")
         inner = parse_model(text[len("piecewise("):close])
         size_txt = text[close + 2:]
-        block_size = None if size_txt == "r" else int(size_txt)
+        try:
+            block_size = None if size_txt == "r" else int(size_txt)
+        except ValueError:
+            raise ModelError(f"piecewise block size must be an integer or 'r', "
+                             f"got {size_txt!r}") from None
         return ModelSpec.piecewise(inner, block_size)
     kind, _, args = text.partition(":")
     try:
@@ -158,8 +164,14 @@ class MagnitudeSeries:
         self.values = np.asarray(self.values, dtype=np.float64)
         if self.values.ndim != 1 or self.values.size == 0:
             raise ModelError("series must be a nonempty 1-d array")
-        if np.any(self.values < 0):
-            raise ModelError("magnitudes must be nonnegative")
+        # Finite nonnegative doubles are the bit patterns below that of
+        # +inf (a set sign bit or all exponent bits fall above), so one
+        # unsigned max clears the common case; -0.0 is let through below.
+        if self.values.view(np.uint64).max() >= _INF_BITS:
+            if not np.isfinite(self.values).all():
+                raise ModelError("magnitudes must be finite")
+            if (self.values < 0).any():
+                raise ModelError("magnitudes must be nonnegative")
 
     def __len__(self) -> int:
         return self.values.size
@@ -404,6 +416,8 @@ def read_series(path) -> MagnitudeSeries:
             if len(raw) != 8:
                 raise PersistError("truncated series file: missing length")
             (n,) = struct.unpack("<Q", raw)
+            if 8 * n > os.fstat(fh.fileno()).st_size - fh.tell():
+                raise PersistError(f"truncated series file: header claims {n} values")
             data = np.frombuffer(fh.read(8 * n), dtype="<f8")
             if data.size != n:
                 raise PersistError("truncated series file: missing values")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blocks import BlockConfig
-from .expansion import block_bookkeeping, expansion_report, path_deviations
+from .expansion import expansion_report
 from .functionals import get_functional
 from .harness import ConvergenceTable, TableRow, load, persist
 from .limits import mma1_constants
@@ -65,13 +65,11 @@ def check_identities(count: int = 60, seed: int = 20240) -> CheckResult:
                        f"max path deviation {worst_path:g}")
 
 
-def check_exhaustive_masks(r: int = 3, blocks: int = 4,
-                           full_reports: bool = True) -> CheckResult:
+def check_exhaustive_masks(r: int = 3, blocks: int = 4) -> CheckResult:
     """Every exceedance placement over `blocks` blocks of size r.
 
-    With full_reports the whole decomposition (identity plus remainder
-    enumeration) is recomputed per mask; otherwise only the two-route
-    event agreement is checked, which is much lighter.
+    The whole decomposition (identity, remainder enumeration and the
+    two-route agreement) is recomputed per mask and functional.
     """
     n = r * blocks
     hs = [get_functional(nm) for nm in ("indicator", "length", "count")]
@@ -80,19 +78,12 @@ def check_exhaustive_masks(r: int = 3, blocks: int = 4,
     for mask in range(1, 2 ** n):
         values = np.where([(mask >> i) & 1 for i in range(n)], 2.0, 0.5)
         series = MagnitudeSeries(values=values)
-        if full_reports:
-            for h in hs:
-                rep = expansion_report(series, cfg, h)
-                if (rep.residual_identity != 0.0 or rep.residual_paper != 0.0
-                        or rep.ic_path_deviation != 0.0
-                        or rep.bc_path_deviation != 0.0):
-                    bad += 1
-        else:
-            book = block_bookkeeping(series, cfg)
-            for h in hs:
-                ic_dev, bc_dev = path_deviations(book, h)
-                if ic_dev != 0.0 or bc_dev != 0.0:
-                    bad += 1
+        for h in hs:
+            rep = expansion_report(series, cfg, h)
+            if (rep.residual_identity != 0.0 or rep.residual_paper != 0.0
+                    or rep.ic_path_deviation != 0.0
+                    or rep.bc_path_deviation != 0.0):
+                bad += 1
     return CheckResult("exhaustive mask enumeration", bad == 0,
                        f"{2 ** n - 1} masks x {len(hs)} functionals, {bad} failures")
 

@@ -2,14 +2,19 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from clusterblocks import (BlockConfig, ConfigError, MagnitudeSeries,
-                           ModelSpec, block_values, disjoint_stat,
+from clusterblocks import (BlockConfig, ClusterFunctional, ConfigError,
+                           MagnitudeSeries, ModelSpec, block_bookkeeping,
+                           block_values, disjoint_stat,
                            empirical_cluster_measure, gen_series,
                            get_functional, sliding_stat, sliding_values,
                            threshold_for_w)
+from clusterblocks.blocks import (active_block_values, window_sum,
+                                  window_values_at)
+from clusterblocks.expansion import raw_sums
+from clusterblocks.functionals import validate_functional
 
 WORKED = MagnitudeSeries(values=np.array([0.5, 2.0, 0.3, 0.4, 1.5, 0.2]))
 CFG = BlockConfig(r=2, u=1.0, w=0.1)
@@ -149,3 +154,52 @@ def test_disjoint_sliding_same_mean():
     dj, sl = np.array(dj), np.array(sl)
     pooled_se = math.sqrt(dj.var(ddof=1) / 200 + sl.var(ddof=1) / 200)
     assert abs(dj.mean() - sl.mean()) <= 3 * pooled_se
+
+
+def _log_sum(w):
+    return float(np.log(w[w > 1.0]).sum())
+
+
+# Reads magnitudes, not only exceedance times, and has no pattern_value.
+LOG_SUM = ClusterFunctional(name="log_sum", gamma=1.0, growth_constant=1.0,
+                            evaluator=_log_sum)
+SEGMENT_FUNCTIONALS = [get_functional(name) for name in
+                       ("indicator", "length", "count", "length^0.5")] + [LOG_SUM]
+
+
+def test_log_sum_meets_the_contract():
+    validate_functional(LOG_SUM)
+
+
+@given(st.lists(st.one_of(st.floats(min_value=0.0, max_value=3.0), st.just(0.5)),
+                min_size=2, max_size=80),
+       st.integers(min_value=2, max_value=9))
+@example([0.5] * 30, 4)
+@example([0.2, 0.9, 1.0, 0.5, 0.3, 0.7], 2)
+@settings(max_examples=200, deadline=None)
+def test_segment_totals_equal_dense_reduction(values, r):
+    # the O(k) segment and active-block totals equal the dense per-start
+    # reductions bit for bit, including the full n-r+1 sliding range and
+    # series without exceedances
+    n = len(values)
+    if n < r:
+        return
+    series = MagnitudeSeries(values=np.asarray(values))
+    cfg = BlockConfig(r=r, u=1.0, w=0.3)
+    scaled = series.values
+    pos = np.flatnonzero(scaled > 1.0) + 1
+    m = n // r
+    for h in SEGMENT_FUNCTIONALS:
+        dense = float(window_values_at(scaled, pos, np.arange(1, n - r + 2), r, h).sum())
+        assert window_sum(scaled, pos, r, h, 1, n - r + 1) == dense
+        assert sliding_stat(series, cfg, h) == float(dense / (n * r * cfg.w))
+        dense_blocks = window_values_at(scaled, pos, np.arange(m) * r + 1, r, h)
+        assert np.array_equal(active_block_values(scaled, pos, r, m, h), dense_blocks)
+        if m >= 3:
+            book = block_bookkeeping(series, cfg)
+            starts = np.arange(1, (m - 1) * r + 1)
+            block_starts = np.arange(m - 1) * r + 1
+            sb, db = raw_sums(book, h)
+            assert sb == float(window_values_at(book.scaled, book.pos, starts, r, h).sum())
+            assert db == float(r * window_values_at(book.scaled, book.pos,
+                                                    block_starts, r, h).sum())

@@ -183,6 +183,44 @@ def test_memory_guard_error_category(capsys):
     assert err.startswith("error:config:")
 
 
+RATES = ["rates", "--model", "mma1:1,1,1", "--grid", "2000:n^0.2:n^-0.55",
+         "--replicates", "2", "--targets", "ic_norm"]
+
+
+@pytest.mark.parametrize("argv, env, code, category", [
+    (["rates", "--model", "mma1:1,1,1", "--grid", "abc:n^0.15:n^-0.6"], None, 1, "config"),
+    (RATES[:-1] + ["clm_large(x)"], None, 1, "config"),
+    (["limits", "--c0", "1", "--c1", "1", "--alpha", "1", "--functional", "length^abc"],
+     None, 1, "functional"),
+    (["rates", "--model", "piecewise(mma1:1,1,1):x", "--grid", "2000:n^0.2:n^-0.55"],
+     None, 1, "model"),
+    (RATES, "abc", 2, "usage"),
+])
+def test_parse_errors_fail_closed(capsys, monkeypatch, argv, env, code, category):
+    if env is not None:
+        monkeypatch.setenv("CLBLK_THREADS", env)
+    got, out, err = run(capsys, *argv)
+    assert got == code
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"error:{category}:")
+    assert "Traceback" not in err
+
+
+def test_decompose_rejects_non_finite_input(capsys, tmp_path):
+    path = tmp_path / "series.txt"
+    path.write_text("0.5\n2.0\nnan\n0.3\n1.5\n0.2\n")
+    code, out, err = run(capsys, "decompose", "--series", str(path), "--r", "2",
+                         "--u", "1", "--w", "0.1")
+    assert (code, out) == (1, "")
+    assert err.startswith("error:model:") and len(err.splitlines()) == 1
+    path.write_text("0.5\n2.0\n0.4\n0.3\n1.5\n0.2\n")
+    code, out, err = run(capsys, "decompose", "--series", str(path), "--r", "2",
+                         "--u", "inf", "--w", "0.1")
+    assert (code, out) == (1, "")
+    assert err.startswith("error:config:") and len(err.splitlines()) == 1
+
+
 def test_help_lists_flags(capsys):
     with pytest.raises(SystemExit):
         main(["decompose", "--help"])

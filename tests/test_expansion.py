@@ -3,8 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from clusterblocks import (BlockConfig, ConfigError, MagnitudeSeries,
-                           ModelSpec, block_bookkeeping,
+from clusterblocks import (BlockConfig, ClusterFunctional, ConfigError,
+                           MagnitudeSeries, ModelSpec, block_bookkeeping,
                            boundary_cluster_stat, exceedance_pattern,
                            expansion_report, gen_series, get_functional,
                            internal_cluster_stat, remainder_stat,
@@ -14,6 +14,16 @@ from clusterblocks.expansion import path_deviations, sliding_block_sum
 IND = get_functional("indicator")
 LEN = get_functional("length")
 CNT = get_functional("count")
+
+
+def _log_sum(w):
+    return float(np.log(w[w > 1.0]).sum())
+
+
+# Reads magnitudes and has no pattern_value, so every window sum goes
+# through the evaluator.
+LOG_SUM = ClusterFunctional(name="log_sum", gamma=1.0, growth_constant=1.0,
+                            evaluator=_log_sum)
 
 
 def series_from(values):
@@ -150,12 +160,33 @@ def test_remainder_operational_identity():
     for _ in range(30):
         s = series_from(rng.uniform(0, 1.4, size=100))
         book = block_bookkeeping(s, cfg)
-        for h in (IND, LEN, CNT):
+        for h in (IND, LEN, CNT, LOG_SUM):
             rep = expansion_report(s, cfg, h)
             r_op, r_ic, r_bc, r_nc = remainder_stat(
                 book, h, rep.sb, rep.db, rep.ic, rep.bc)
             assert r_op == rep.r_op
-            assert r_op == r_ic + r_bc + r_nc
+            assert (r_ic, r_bc, r_nc) == (rep.r_ic, rep.r_bc, rep.r_nc)
+            if h.integer_valued:
+                assert r_op == r_ic + r_bc + r_nc
+            else:
+                # float sums in two orders: the library's own tolerance
+                scale = max(1.0, abs(rep.sb - rep.db), abs(rep.ic), abs(rep.bc))
+                assert abs(r_op - (r_ic + r_bc + r_nc)) <= 1e-9 * scale
+
+
+def test_report_accepts_unhashable_evaluator():
+    class LogSum:
+        __hash__ = None             # like any class defining __eq__ alone
+
+        def __call__(self, w):
+            return _log_sum(w)
+
+    h = ClusterFunctional(name="log_sum", gamma=1.0, growth_constant=1.0,
+                          evaluator=LogSum())
+    s = place(60, [15, 25, 27, 35, 52])
+    cfg = BlockConfig(r=10, u=1.0, w=0.01)
+    assert (expansion_report(s, cfg, h).to_dict()
+            == expansion_report(s, cfg, LOG_SUM).to_dict())
 
 
 def test_report_residuals_zero_on_seeded_instances():

@@ -1,3 +1,6 @@
+import concurrent.futures
+import os
+
 import numpy as np
 import pytest
 
@@ -60,6 +63,40 @@ def test_experiment_is_deterministic_and_thread_invariant():
     t3 = run_experiment(small_config(threads=2))
     for a, b in zip(t1.rows, t3.rows):
         assert a.__dict__ == b.__dict__
+
+
+def test_worker_pool_is_capped(monkeypatch):
+    sizes = []
+
+    class InProcessPool:
+        """ProcessPoolExecutor stand-in: records its size, maps in-process."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs, chunksize=1):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    one = run_experiment(small_config(replicates=3, threads=1))
+    three = run_experiment(small_config(replicates=3, threads=3))
+    # 2 grid points x 3 replicates = 6 jobs; 4 cpus
+    run_experiment(small_config(replicates=3, threads=10 ** 6))
+    run_experiment(small_config(replicates=1, threads=10 ** 6))
+    assert sizes == [3, 4, 2]
+    assert csv_text(one) == csv_text(three)
+    # the memory budget counts the capped pool, not the requested one
+    budget = 4000 * 8 * 4 * 4
+    run_experiment(small_config(replicates=3, threads=10 ** 6, max_bytes=budget))
+    with pytest.raises(ConfigError):
+        run_experiment(small_config(replicates=3, threads=10 ** 6, max_bytes=budget - 1))
 
 
 def test_seed_changes_output():

@@ -1,12 +1,13 @@
 import math
+import struct
 
 import numpy as np
 import pytest
 
-from clusterblocks import (MagnitudeSeries, ModelError, ModelSpec, ZSampler,
-                           gen_series, marginal_tail, mma1_constants,
-                           parse_model, read_series, sample_tail_and_z,
-                           threshold_for_w, write_series)
+from clusterblocks import (MagnitudeSeries, ModelError, ModelSpec,
+                           PersistError, ZSampler, gen_series, marginal_tail,
+                           mma1_constants, parse_model, read_series,
+                           sample_tail_and_z, threshold_for_w, write_series)
 
 
 def test_iid_pareto_support():
@@ -167,6 +168,21 @@ def test_series_validation():
         MagnitudeSeries(values=np.array([]))
     with pytest.raises(ModelError):
         MagnitudeSeries(values=np.array([1.0, -0.5]))
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ModelError):
+            MagnitudeSeries(values=np.array([1.0, bad, 0.5]))
+
+
+def test_series_header_longer_than_file(tmp_path):
+    path = tmp_path / "huge.bin"
+    path.write_bytes(b"CLBLKSER" + struct.pack("<Q", 2 ** 62))
+    with pytest.raises(PersistError):
+        read_series(path)
+    # a header one value past the data is caught the same way
+    s = gen_series(ModelSpec.iid_pareto(1.0), 4, seed=1)
+    path.write_bytes(b"CLBLKSER" + struct.pack("<Q", 5) + s.values.tobytes())
+    with pytest.raises(PersistError):
+        read_series(path)
 
 
 def test_parse_model_roundtrip():
