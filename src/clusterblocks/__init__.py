@@ -26,6 +26,6 @@ from .harness import (ConvergenceTable, ExperimentConfig, VerdictReport,
                       summarize)
 from .limits import (LimitTable, anticlustering_sum, cluster_index_mc,
                      limit_table, mma1_constants)
-from .models import (MagnitudeSeries, ModelSpec, TailPath, ZSampler,
-                     gen_series, marginal_tail, parse_model, read_series,
-                     sample_tail_and_z, threshold_for_w, write_series)
+from .models import (MagnitudeSeries, ModelSpec, ZSampler, gen_series,
+                     marginal_tail, parse_model, read_series, threshold_for_w,
+                     write_series)

@@ -17,7 +17,7 @@ from .blocks import BlockConfig
 from .errors import ClusterBlocksError, ConfigError, ModelError
 from .expansion import expansion_report
 from .functionals import get_functional, induced_functional
-from .harness import (ExperimentConfig, csv_text, expected_targets,
+from .harness import (ExperimentConfig, check_band, csv_text, expected_targets,
                       parse_finite, persist, run_experiment, summarize)
 from .limits import cluster_index_mc, limit_table
 from .models import (ModelSpec, gen_series, marginal_tail, parse_model,
@@ -203,10 +203,11 @@ def _cmd_rates(args) -> int:
         targets=tuple(t.strip() for t in pick("targets", str, "ic_norm").split(",")),
         threads=threads,
     )
-    table = run_experiment(cfg)
+    band = check_band(pick("band", float, 0.15))
     lt = limit_table(cfg.model, get_functional(cfg.functional), seed=cfg.seed)
-    verdict = summarize(table, expected_targets(lt, cfg.targets),
-                        rel_band=pick("band", float, 0.15))
+    expected = expected_targets(lt, cfg.targets)
+    table = run_experiment(cfg)
+    verdict = summarize(table, expected, rel_band=band)
     if args.out:
         persist(table, f"{args.out}.csv", "csv")
         persist(table, f"{args.out}.json", "json")

@@ -71,9 +71,6 @@ class BlockBookkeeping:
     def times(self, j: int) -> np.ndarray:
         return self.pos[self.idx[j - 1]: self.idx[j]]
 
-    def merged_times(self, j: int) -> np.ndarray:
-        return self.pos[self.idx[j - 1]: self.idx[j + 1]]
-
     def block_window(self, j: int) -> np.ndarray:
         return self.scaled[(j - 1) * self.r: j * self.r]
 

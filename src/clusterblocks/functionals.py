@@ -144,8 +144,8 @@ def induced_functional(h: ClusterFunctional, kind: str, p: float | None = None) 
             evaluator=lambda w: induced_bc(h, w, "signed"),
             integer_valued=h.integer_valued)
     if kind == "bc_p":
-        if p is None:
-            raise FunctionalContractError("bc_p needs an exponent p")
+        if p is None or not (math.isfinite(p) and p > 0):
+            raise FunctionalContractError(f"bc_p needs a finite exponent p > 0, got {p!r}")
         return ClusterFunctional(
             name=f"bc_{p:g}({h.name})", gamma=p * h.gamma + 1.0,
             growth_constant=(3.0 * h.growth_constant) ** p,

@@ -17,6 +17,7 @@ import os
 import re
 import time
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -30,10 +31,6 @@ from .limits import LimitTable
 from .models import ModelSpec, gen_series, threshold_for_w
 
 CSV_HEADER = "model,alpha,c0,c1,n,r,w,replicates,target,mean,sd,se"
-
-_KNOWN_TARGETS = ("disjoint_stat", "sliding_stat", "ic_norm", "bc_norm",
-                  "ic_large_norm", "pa1a2_small", "pa1a2_large", "clm_large",
-                  "ecm", "scaled_gap")
 
 
 def parse_finite(text: str, what: str) -> float:
@@ -58,17 +55,98 @@ def parse_rule(rule: str):
     return lambda n: value
 
 
+# -- rate targets --------------------------------------------------------------
+
+
+def _ic_total(book, h, spec):
+    mode = "piecewise" if spec.kind == "piecewise" else "standard"
+    return internal_cluster_stat(book, h, mode=mode, path="fast")[0]
+
+
+def _bc_total(book, h, spec):
+    return boundary_cluster_stat(book, h, path="fast").total
+
+
+def _pair_rate(book, h, spec):
+    a = book.active
+    even = np.arange(2, book.m, 2) - 1          # 0-based left block of pairs (j, j+1), j even
+    return float((a[even] & a[even + 1]).mean()) if even.size else 0.0
+
+
+def _raw_sums(book, h, spec):
+    return raw_sums(book, h)                    # (SB, DB)
+
+
+def _quantity(q, book, h, g):
+    return q
+
+
+def _length_moment(_, book, h, g):
+    lengths = np.where(book.active, book.last - book.first + 1, 0).astype(float)
+    return float((lengths ** g * book.active).mean())
+
+
+def _mean_block_value(_, book, h, g):
+    return float(active_block_values(book.scaled, book.pos, book.r, book.m, h).mean())
+
+
+def _indicator_theta(lt, g):
+    if lt.functional != "indicator":
+        raise ConfigError(f"limit theta is pinned to the indicator, not {lt.functional!r}")
+    return lt.theta
+
+
+@dataclass(frozen=True)
+class Target:
+    """A rate target: statistic(needs(book, h, spec), book, h, g) divided by
+    scale(n_eff, r, w, g) estimates limit(LimitTable, g).  A replicate
+    computes each shared quantity `needs` once, and only if a requested
+    target needs it.  exponent: the name takes a finite g >= 0, as "name(g)"."""
+
+    needs: Callable | None
+    statistic: Callable
+    scale: Callable
+    limit: Callable
+    exponent: bool = False
+
+
+TARGETS = {
+    "disjoint_stat": Target(_raw_sums, lambda s, b, h, g: s[1], lambda n, r, w, g: n * r * w,
+                            _indicator_theta),
+    "sliding_stat": Target(_raw_sums, lambda s, b, h, g: s[0], lambda n, r, w, g: n * r * w,
+                           _indicator_theta),
+    "scaled_gap": Target(_raw_sums, lambda s, b, h, g: b.r * (s[1] - s[0]),
+                         lambda n, r, w, g: n * r * w, lambda lt, g: -(lt.nu_ic + lt.nu_bc)),
+    "ic_norm": Target(_ic_total, _quantity, lambda n, r, w, g: n * w,
+                      lambda lt, g: lt.nu_ic),
+    "bc_norm": Target(_bc_total, _quantity, lambda n, r, w, g: n * w,
+                      lambda lt, g: lt.nu_bc),
+    "ic_large_norm": Target(_ic_total, _quantity, lambda n, r, w, g: n * r ** 2 * w ** 2,
+                            lambda lt, g: lt.ic_large_constant),
+    "pa1a2_small": Target(_pair_rate, _quantity, lambda n, r, w, g: w,
+                          lambda lt, g: lt.small_block_pa1a2),
+    "pa1a2_large": Target(_pair_rate, _quantity, lambda n, r, w, g: r ** 2 * w ** 2,
+                          lambda lt, g: lt.large_block_pa1a2),
+    "clm_large": Target(None, _length_moment, lambda n, r, w, g: r ** (g + 2.0) * w ** 2,
+                        lambda lt, g: lt.theta ** 2 / ((g + 1.0) * (g + 2.0)),
+                        exponent=True),
+    "ecm": Target(None, _mean_block_value, lambda n, r, w, g: r * w, _indicator_theta),
+}
+
+
 def parse_target(target: str) -> tuple[str, float | None]:
-    m = re.fullmatch(r"(\w+)\(([^)]+)\)", target.strip())
-    if m:
-        kind, arg = m.group(1), parse_finite(m.group(2), f"target {target!r}")
-    else:
-        kind, arg = target.strip(), None
-    if kind not in _KNOWN_TARGETS:
-        raise ConfigError(f"unknown target {target!r}")
-    if kind == "clm_large" and arg is None:
-        raise ConfigError("clm_large needs an exponent, e.g. clm_large(1)")
-    return kind, arg
+    """Split "name" or "name(g)" into (name, g), checked against TARGETS."""
+    m = re.fullmatch(r"(\w+)(?:\(([^)]*)\))?", target.strip())
+    name, arg = m.groups() if m else (target, None)
+    if name not in TARGETS or TARGETS[name].exponent != (arg is not None):
+        forms = ", ".join(f"{k}(g)" if t.exponent else k for k, t in TARGETS.items())
+        raise ConfigError(f"unknown target {target!r}; the targets are {forms}")
+    if arg is None:
+        return name, None
+    g = parse_finite(arg, f"target {target!r}")
+    if g < 0:
+        raise ConfigError(f"{name} exponent must be >= 0, got {target!r}")
+    return name, g
 
 
 @dataclass(frozen=True)
@@ -105,14 +183,25 @@ class ExperimentConfig:
         points = []
         for n, r_rule, w_rule in self.grid:
             n = int(n)
-            r = math.ceil(parse_rule(r_rule)(n) - 1e-12)
-            w = parse_rule(w_rule)(n)
+            try:
+                r = math.ceil(parse_rule(r_rule)(n) - 1e-12)
+                w = parse_rule(w_rule)(n)
+            except OverflowError:
+                raise ConfigError(f"rules {r_rule!r}, {w_rule!r} overflow at n={n}") from None
             if r < 2:
                 raise ConfigError(f"rule {r_rule!r} gives r={r} < 2 at n={n}")
             if not 0.0 < w < 1.0:
                 raise ConfigError(f"rule {w_rule!r} gives w={w} outside (0,1) at n={n}")
             if r > n // 4:
                 raise ConfigError(f"r={r} leaves fewer than 4 blocks at n={n}")
+            for t in self.targets:         # no replicate may divide by 0 or overflow
+                name, g = parse_target(t)
+                try:
+                    scale = TARGETS[name].scale((n // r) * r, r, w, g)
+                except OverflowError:
+                    scale = math.inf
+                if not (math.isfinite(scale) and scale > 0):
+                    raise ConfigError(f"target {t!r} has normalisation {scale!r} at n={n}")
             u = threshold_for_w(self.model, w)
             points.append(GridPoint(n=n, r=r, w=float(w), u=float(u)))
         return points
@@ -195,53 +284,10 @@ def _replicate_values(model: ModelSpec, point: GridPoint, functional: str,
     series = gen_series(spec, n, seed)
     cfg = BlockConfig(r=point.r, u=point.u, w=point.w)
     book = block_bookkeeping(series, cfg)
-    m, r, w = book.m, book.r, book.w
-    n_eff = book.n_eff
-    parsed = [parse_target(t) for t in targets]
-    kinds = {k for k, _ in parsed}
-
-    ic_total = None
-    if kinds & {"ic_norm", "ic_large_norm"}:
-        mode = "piecewise" if spec.kind == "piecewise" else "standard"
-        ic_total, _ = internal_cluster_stat(book, h, mode=mode, path="fast")
-    bc_total = None
-    if "bc_norm" in kinds:
-        bc_total = boundary_cluster_stat(book, h, path="fast").total
-    pair_rate = None
-    if kinds & {"pa1a2_small", "pa1a2_large"}:
-        a = book.active
-        even = np.arange(2, m, 2) - 1          # 0-based left block of pairs (j, j+1), j even
-        pair_rate = float((a[even] & a[even + 1]).mean()) if even.size else 0.0
-    db = sb = None
-    if kinds & {"disjoint_stat", "sliding_stat", "scaled_gap"}:
-        sb, db = raw_sums(book, h)
-
-    out = []
-    for kind, arg in parsed:
-        if kind == "ic_norm":
-            out.append(ic_total / (n_eff * w))
-        elif kind == "bc_norm":
-            out.append(bc_total / (n_eff * w))
-        elif kind == "ic_large_norm":
-            out.append(ic_total / (n_eff * r ** 2 * w ** 2))
-        elif kind == "pa1a2_small":
-            out.append(pair_rate / w)
-        elif kind == "pa1a2_large":
-            out.append(pair_rate / (r ** 2 * w ** 2))
-        elif kind == "clm_large":
-            lengths = np.where(book.active, book.last - book.first + 1, 0).astype(float)
-            moment = float((lengths ** arg * book.active).mean())
-            out.append(moment / (r ** (arg + 2.0) * w ** 2))
-        elif kind == "ecm":
-            vals = active_block_values(book.scaled, book.pos, r, m, h)
-            out.append(float(vals.mean()) / (r * w))
-        elif kind == "disjoint_stat":
-            out.append(db / (n_eff * r * w))
-        elif kind == "sliding_stat":
-            out.append(sb / (n_eff * r * w))
-        elif kind == "scaled_gap":
-            out.append(r * (db - sb) / (n_eff * r * w))
-    return out
+    parsed = [(TARGETS[name], g) for name, g in map(parse_target, targets)]
+    shared = {q: q(book, h, spec) for q in dict.fromkeys(t.needs for t, _ in parsed) if q}
+    return [t.statistic(shared.get(t.needs), book, h, g) / t.scale(book.n_eff, book.r, book.w, g)
+            for t, g in parsed]
 
 
 def _worker(args):
@@ -312,6 +358,13 @@ class VerdictReport:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
+def check_band(rel_band: float) -> float:
+    """rel_band itself, with ConfigError unless it is finite and > 0."""
+    if not (math.isfinite(rel_band) and rel_band > 0):
+        raise ConfigError(f"relative band must be finite and > 0, got {rel_band!r}")
+    return rel_band
+
+
 def summarize(table: ConvergenceTable, expected: dict, rel_band: float = 0.15) -> VerdictReport:
     """Per-target verdict at the final grid point.
 
@@ -320,6 +373,7 @@ def summarize(table: ConvergenceTable, expected: dict, rel_band: float = 0.15) -
     monotonically shrinking along the grid.  Targets with expected value 0
     use the 3 SE band alone.
     """
+    check_band(rel_band)
     if not table.rows:
         raise ConfigError("empty table")
     rows = {}
@@ -348,32 +402,7 @@ def summarize(table: ConvergenceTable, expected: dict, rel_band: float = 0.15) -
 
 def expected_targets(lt: LimitTable, targets) -> dict:
     """Map target names to their limit constants for the verdict step."""
-    out = {}
-    for t in targets:
-        kind, arg = parse_target(t)
-        if kind == "ic_norm":
-            out[t] = lt.nu_ic
-        elif kind == "bc_norm":
-            out[t] = lt.nu_bc
-        elif kind == "pa1a2_small":
-            out[t] = lt.small_block_pa1a2
-        elif kind == "pa1a2_large":
-            out[t] = lt.large_block_pa1a2
-        elif kind == "clm_large":
-            out[t] = lt.theta ** 2 / ((arg + 1.0) * (arg + 2.0))
-        elif kind == "ic_large_norm":
-            out[t] = lt.ic_large_constant
-        elif kind == "ecm":
-            if lt.functional != "indicator":
-                raise ConfigError("ecm expectation is pinned for the indicator only")
-            out[t] = lt.theta
-        elif kind == "scaled_gap":
-            out[t] = -(lt.nu_ic + lt.nu_bc)
-        elif kind in ("disjoint_stat", "sliding_stat"):
-            if lt.functional != "indicator":
-                raise ConfigError("block statistic expectation pinned for the indicator only")
-            out[t] = lt.theta
-    return out
+    return {t: TARGETS[name].limit(lt, g) for t in targets for name, g in [parse_target(t)]}
 
 
 # -- persistence ---------------------------------------------------------------

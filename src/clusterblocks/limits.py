@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ModelError
+from .errors import ConfigError, ModelError
 from .functionals import ClusterFunctional
 from .models import ModelSpec, ZSampler, marginal_tail
 
@@ -100,12 +100,20 @@ def limit_table(spec: ModelSpec, h: ClusterFunctional, gamma: float = 1.0,
                 samples: int = 20000, seed: int = 0) -> LimitTable:
     """Fill the limit constants, using Monte Carlo only where no closed
     form is available for the given functional."""
+    g = float(gamma)
+    if not (np.isfinite(g) and g >= 0):
+        raise ConfigError(f"gamma must be finite and >= 0, got {gamma!r}")
     base = spec.base
     if base.kind not in ("mma1", "iid"):
         raise ModelError("limit tables are available for MMA(1)-type models only")
     c = list(base.coeffs) + [0.0] * (2 - len(base.coeffs))
     c0, c1, alpha = c[0], c[1], base.alpha
     theta, p_y1 = mma1_constants(c0, c1, alpha)
+    moment = theta ** 2 / ((g + 1.0) * (g + 2.0))
+    try:
+        joint = (2.0 ** (g + 2.0) - 1.0) / ((g + 1.0) * (g + 2.0)) * theta ** 2
+    except OverflowError:
+        raise ConfigError(f"gamma={g:g} overflows the joint length moment") from None
 
     if h.name == "indicator":
         nu_ic, nu_bc = p_y1, -p_y1          # theta * E[L(Z)-1] and its negative
@@ -120,9 +128,6 @@ def limit_table(spec: ModelSpec, h: ClusterFunctional, gamma: float = 1.0,
         nu_bc, se_bc = cluster_index_mc(induced_functional(h, "bc"), spec, samples,
                                         seed + 1)
 
-    g = float(gamma)
-    moment = theta ** 2 / ((g + 1.0) * (g + 2.0))
-    joint = (2.0 ** (g + 2.0) - 1.0) / ((g + 1.0) * (g + 2.0)) * theta ** 2
     return LimitTable(
         c0=c0, c1=c1, alpha=alpha, functional=h.name, gamma=g,
         theta=theta, p_y1=p_y1,

@@ -292,26 +292,6 @@ def threshold_for_w(spec: ModelSpec, w: float) -> float:
 # -- tail process and the conditioned process Z ---------------------------
 
 
-@dataclass(frozen=True)
-class TailPath:
-    """One draw of the MMA(1) tail process: (Y_-1, Y_0, Y_1), zero beyond."""
-
-    y_minus1: float
-    y_0: float
-    y_1: float
-
-    def __post_init__(self):
-        if not self.y_0 > 1.0:
-            raise ModelError("tail path must have y_0 > 1")
-        if self.y_minus1 > 0 and self.y_1 > 0:
-            raise ModelError("at most one of y_minus1, y_1 can be nonzero")
-
-    def window(self) -> np.ndarray:
-        """Coordinates from time 0 on; earlier coordinates never exceed 1
-        for an accepted Z draw and are irrelevant to cluster functionals."""
-        return np.array([self.y_0, self.y_1])
-
-
 @dataclass
 class ZBookkeeping:
     draws: int = 0
@@ -352,17 +332,6 @@ class ZSampler:
         self.book.draws += k
         return ym1, y0, y1
 
-    def sample_y(self) -> TailPath:
-        ym1, y0, y1 = self._draw(1)
-        return TailPath(float(ym1[0]), float(y0[0]), float(y1[0]))
-
-    def sample_z(self) -> TailPath:
-        while True:
-            ym1, y0, y1 = self._draw(1)
-            if ym1[0] <= 1.0:
-                self.book.accepted += 1
-                return TailPath(float(ym1[0]), float(y0[0]), float(y1[0]))
-
     def sample_z_many(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         """Vectorized rejection: arrays (z_0, z_1) of k accepted draws."""
         z0 = np.empty(0)
@@ -380,14 +349,6 @@ class ZSampler:
     def acceptance_hint(self) -> float:
         cm = max(self.c0, self.c1) ** self.alpha
         return cm / (self.c0 ** self.alpha + self.c1 ** self.alpha)
-
-
-def sample_tail_and_z(spec: ModelSpec, seed: int) -> tuple[TailPath, TailPath, ZBookkeeping]:
-    """One tail-process draw, one accepted Z draw, and the rejection counts."""
-    sampler = ZSampler(spec, seed)
-    y = sampler.sample_y()
-    z = sampler.sample_z()
-    return y, z, sampler.book
 
 
 # -- series files ----------------------------------------------------------

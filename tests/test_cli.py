@@ -1,6 +1,13 @@
+import contextlib
+import io
 import json
+import os
+import re
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clusterblocks import read_series
 from clusterblocks.cli import main
@@ -185,6 +192,11 @@ def test_memory_guard_error_category(capsys):
 
 RATES = ["rates", "--model", "mma1:1,1,1", "--grid", "2000:n^0.2:n^-0.55",
          "--replicates", "2", "--targets", "ic_norm"]
+LIMITS = ["limits", "--c0", "1", "--c1", "1", "--alpha", "1"]
+
+
+def no_replicate(*args):
+    raise AssertionError("a replicate ran before the input was rejected")
 
 
 @pytest.mark.parametrize("argv, env, code, category", [
@@ -195,16 +207,38 @@ RATES = ["rates", "--model", "mma1:1,1,1", "--grid", "2000:n^0.2:n^-0.55",
     (["rates", "--model", "piecewise(mma1:1,1,1):x", "--grid", "2000:n^0.2:n^-0.55"],
      None, 1, "model"),
     (RATES, "abc", 2, "usage"),
+    (RATES[:-1] + ["clm_large(-1)"], None, 1, "config"),
+    (RATES[:-1] + ["clm_large(-1.5)"], None, 1, "config"),
+    (RATES[:-1] + ["clm_large(2000)"], None, 1, "config"),
+    (RATES[:-1] + ["ic_norm(3)"], None, 1, "config"),
+    (RATES + ["--band", "nan"], None, 1, "config"),
+    (["rates", "--model", "mma1:1,1,1", "--grid", "2000:n^400:n^-0.55"], None, 1, "config"),
+    (LIMITS + ["--gamma", "-1"], None, 1, "config"),
+    (LIMITS + ["--gamma", "2000"], None, 1, "config"),
+    (LIMITS + ["--gamma", "nan"], None, 1, "config"),
+    (LIMITS + ["--p", "nan"], None, 1, "functional"),
 ])
 def test_parse_errors_fail_closed(capsys, monkeypatch, argv, env, code, category):
     if env is not None:
         monkeypatch.setenv("CLBLK_THREADS", env)
+    monkeypatch.setattr("clusterblocks.harness._worker", no_replicate)
     got, out, err = run(capsys, *argv)
     assert got == code
     assert out == ""
     assert len(err.splitlines()) == 1
     assert err.startswith(f"error:{category}:")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("extra, category", [
+    (["--functional", "count", "--targets", "ic_norm,ecm"], "config"),   # limit pinned
+    (["--model", "mmaq:1,0.5,1"], "model"),                            # no limit table
+])
+def test_rates_resolves_expected_before_replicates(capsys, monkeypatch, extra, category):
+    monkeypatch.setattr("clusterblocks.cli.run_experiment", no_replicate)
+    code, out, err = run(capsys, *RATES, *extra)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error:{category}:") and len(err.splitlines()) == 1
 
 
 def test_decompose_rejects_non_finite_input(capsys, tmp_path):
@@ -227,3 +261,89 @@ def test_help_lists_flags(capsys):
     out = capsys.readouterr().out
     for flag in ("--series", "--model", "--r", "--u", "--w", "--functional"):
         assert flag in out
+
+
+# -- argv fuzz -----------------------------------------------------------------
+# A valid argv with up to two flags set to inputs that must fail closed.  Sizes
+# stay small (n <= 5000, <= 3 replicates, <= 1000 Z samples, one worker) and
+# rates avoids functionals whose limits need Monte Carlo.
+
+BAD = ["nan", "inf", "-1", "0", "1e400", "abc", ""]
+TARGET_NAMES = ["ic_norm", "bc_norm", "ic_large_norm", "pa1a2_small", "pa1a2_large",
+                "clm_large(1)", "ecm", "scaled_gap", "disjoint_stat", "sliding_stat"]
+BAD_TARGETS = ["clm_large(-1)", "clm_large(2000)", "ic_norm(3)"] + BAD
+BAD_FUNCTIONALS = ["length^-1", "abc", ""]
+
+# flag -> (valid values, None meaning the flag is left out; bad values)
+VERBS = {
+    "decompose": {
+        "--model": (["mma1:1,1,1", "iid:1", "mma1:1,2,1.5"], ["abc", "", None]),
+        "--n": (["600", "5000"], BAD + [None]),
+        "--seed": ([None, "3"], BAD),
+        "--r": (["2", "10"], BAD + [None]),
+        "--u": ([None, "3", "20"], BAD),
+        "--w": (["0.05", None], BAD),
+        "--functional": ([None, "length", "count", "length^1.5"], BAD_FUNCTIONALS),
+    },
+    "rates": {
+        "--model": (["mma1:1,1,1", "iid:1", "piecewise(mma1:1,1,1):r"],
+                    ["mmaq:1,0.5,1", "abc", "", None]),
+        "--functional": ([None, "indicator", "count"], BAD_FUNCTIONALS),
+        "--replicates": (["1", "3"], BAD),
+        "--seed": ([None, "11"], BAD),
+        "--band": ([None, "0.9"], BAD),
+        "--threads": ([None, "1"], BAD),
+        "--format": ([None, "json"], ["abc"]),
+    },
+    "limits": {
+        "--c0": (["1", "2"], BAD + [None]),
+        "--c1": (["1", "0"], BAD + [None]),
+        "--alpha": (["1", "2"], BAD + [None]),
+        "--functional": ([None, "length", "count", "length^1.5"], BAD_FUNCTIONALS),
+        "--gamma": ([None, "0.5"], BAD + ["2000"]),
+        "--p": ([None, "1", "2"], BAD),
+        "--samples": (["1000"], BAD),        # never the 20000-sample default
+        "--seed": ([None, "0"], BAD),
+        "--format": ([None, "json", "csv"], ["abc"]),
+    },
+}
+
+
+@st.composite
+def cli_argv(draw):
+    verb = draw(st.sampled_from(sorted(VERBS)))
+    flags = VERBS[verb]
+    extra = ["--grid", "--targets"] if verb == "rates" else []
+    broken = draw(st.sets(st.sampled_from(sorted(flags) + extra), max_size=2))
+    argv = [verb]
+    for flag, (valid, bad) in flags.items():
+        value = draw(st.sampled_from(bad if flag in broken else valid))
+        if value is not None:
+            argv += [flag, value]
+    if verb == "rates":
+        parts = [["2000", "5000"], ["n^0.2", "4"], ["n^-0.55", "0.05"]]
+        if "--grid" in broken:
+            parts[draw(st.integers(0, 2))] = BAD + ["n^400"]
+        point = st.tuples(*map(st.sampled_from, parts)).map(":".join)
+        argv += ["--grid", ";".join(draw(st.lists(point, min_size=1, max_size=2)))]
+        names = TARGET_NAMES + (BAD_TARGETS if "--targets" in broken else [])
+        argv += ["--targets", ",".join(draw(st.lists(st.sampled_from(names),
+                                                     min_size=1, max_size=3)))]
+    return argv
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(argv=cli_argv())
+def test_cli_argv_fuzz(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        os.environ.pop("CLBLK_THREADS", None)
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if "error:" in err:
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert out == ""
+    assert not re.search(r"\bnan\b", out, re.IGNORECASE)

@@ -35,10 +35,14 @@ def test_parse_rule():
 def test_parse_target():
     assert parse_target("ic_norm") == ("ic_norm", None)
     assert parse_target("clm_large(1.5)") == ("clm_large", 1.5)
-    with pytest.raises(ConfigError):
-        parse_target("clm_large")
-    with pytest.raises(ConfigError):
-        parse_target("nonsense")
+    assert parse_target("clm_large(0)") == ("clm_large", 0.0)
+    for bad in ("clm_large", "nonsense", "ic_norm(3)", "ic_norm()", "clm_large()",
+                "clm_large(-1)", "clm_large(-1.5)", "clm_large(nan)", "clm_large(1e400)"):
+        with pytest.raises(ConfigError):
+            parse_target(bad)
+    # finite and >= 0, but r ** (g + 2) overflows: rejected with the grid
+    with pytest.raises(ConfigError, match="normalisation"):
+        small_config(targets=("clm_large(2000)",)).resolve_grid()
 
 
 def test_config_validation():

@@ -7,7 +7,7 @@ import pytest
 from clusterblocks import (MagnitudeSeries, ModelError, ModelSpec,
                            PersistError, ZSampler, gen_series, marginal_tail,
                            mma1_constants, parse_model, read_series,
-                           sample_tail_and_z, threshold_for_w, write_series)
+                           threshold_for_w, write_series)
 
 
 def test_iid_pareto_support():
@@ -130,11 +130,15 @@ def test_mmaq_lag_beyond_order_independent():
 
 
 def test_tail_sampler_bernoulli_structure():
-    y, z, book = sample_tail_and_z(ModelSpec.mma1(1.0, 2.0, 1.0), seed=3)
-    assert y.y_0 > 1.0
-    assert not (y.y_minus1 > 0 and y.y_1 > 0)
-    assert z.y_minus1 <= 1.0
-    assert book.draws >= book.accepted >= 1
+    c0, c1, k = 1.0, 2.0, 500
+    sampler = ZSampler(ModelSpec.mma1(c0, c1, 1.0), seed=3)
+    z0, z1 = sampler.sample_z_many(k)
+    assert z0.size == z1.size == k
+    assert np.all(z0 > 1.0)
+    # Z_1 = B (c1/c0) Z_0: both branches of the Bernoulli occur
+    assert np.all((z1 == 0.0) | (z1 == (c1 / c0) * z0))
+    assert (z1 == 0.0).any() and (z1 > 0.0).any()
+    assert sampler.book.draws >= sampler.book.accepted >= k
 
 
 def test_z_acceptance_rate_is_theta():
