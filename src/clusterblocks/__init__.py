@@ -10,7 +10,7 @@ Carlo harness.
 __version__ = "0.1.0"
 
 from .blocks import (BlockConfig, block_values, disjoint_stat,
-                     empirical_cluster_measure, sliding_stat, sliding_values)
+                     empirical_cluster_measure, sliding_stat)
 from .errors import (ClusterBlocksError, ConfigError, FunctionalContractError,
                      ModelError, PersistError)
 from .expansion import (BlockBookkeeping, DecompositionReport,

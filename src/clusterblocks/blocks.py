@@ -137,17 +137,6 @@ def block_values(series: MagnitudeSeries, cfg: BlockConfig, h: ClusterFunctional
     return active_block_values(scaled, _positions(scaled), cfg.r, m, h)
 
 
-def sliding_values(series: MagnitudeSeries, cfg: BlockConfig, h: ClusterFunctional) -> np.ndarray:
-    """Per-start H values over all n-r+1 windows (brute-force reference)."""
-    n = len(series)
-    if cfg.r > n:
-        raise ConfigError("block size exceeds series length")
-    scaled = _scaled(series, cfg)
-    pos = _positions(scaled)
-    starts = np.arange(1, n - cfg.r + 2, dtype=np.int64)
-    return window_values_at(scaled, pos, starts, cfg.r, h)
-
-
 def disjoint_stat(series: MagnitudeSeries, cfg: BlockConfig, h: ClusterFunctional) -> float:
     """Normalized disjoint-blocks statistic, (1/(n_eff w)) sum_j H(block_j).
 

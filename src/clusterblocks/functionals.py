@@ -59,7 +59,8 @@ class ClusterFunctional:
     and must treat only relative positions as meaningful.  pattern_value,
     when set, recomputes the same value from (exceedance count, cluster
     length) alone and unlocks the vectorized block/window paths; it must
-    accept scalars or numpy arrays.
+    accept scalars or numpy arrays.  induced_from is the base functional of
+    an induced IC/BC form.
     """
 
     name: str
@@ -68,9 +69,23 @@ class ClusterFunctional:
     evaluator: Callable[[np.ndarray], float]
     pattern_value: Callable | None = None
     integer_valued: bool = False
+    induced_from: ClusterFunctional | None = None
 
     def __call__(self, window) -> float:
         return eval_functional(self, window)
+
+    @property
+    def exceedance_only(self) -> bool:
+        """Whether H reads a window only through its exceedance mask.
+
+        Pattern-backed functionals do by contract (their value is a
+        function of count and length), and induced forms inherit the
+        property from their base: they only cut the window at exceedance
+        times and evaluate the base on the pieces.
+        """
+        if self.induced_from is not None:
+            return self.induced_from.exceedance_only
+        return self.pattern_value is not None
 
 
 def eval_functional(h: ClusterFunctional, window) -> float:
@@ -120,8 +135,17 @@ def induced_bc(h: ClusterFunctional, window, p="signed") -> float:
     for i in range(1, pat.length):
         cut = pat.t_min + i          # first 1-based position of the right part
         term = total - eval_functional(h, w[: cut - 1]) - eval_functional(h, w[cut - 1:])
-        acc += term if p == "signed" else abs(term) ** p
+        acc += term if p == "signed" else _power(f"bc_{p:g}({h.name})", abs(term), p)
     return acc
+
+
+def _power(name: str, base: float, p: float) -> float:
+    """base ** p, failing closed where the float power overflows."""
+    try:
+        return base ** p
+    except OverflowError:
+        raise FunctionalContractError(
+            f"{name}: {base:g} ** {p:g} overflows a float") from None
 
 
 def induced_functional(h: ClusterFunctional, kind: str, p: float | None = None) -> ClusterFunctional:
@@ -136,21 +160,22 @@ def induced_functional(h: ClusterFunctional, kind: str, p: float | None = None) 
             name=f"ic({h.name})", gamma=h.gamma + 1.0,
             growth_constant=3.0 * h.growth_constant,
             evaluator=lambda w: induced_ic(h, w),
-            integer_valued=h.integer_valued)
+            integer_valued=h.integer_valued, induced_from=h)
     if kind == "bc":
         return ClusterFunctional(
             name=f"bc({h.name})", gamma=h.gamma + 1.0,
             growth_constant=3.0 * h.growth_constant,
             evaluator=lambda w: induced_bc(h, w, "signed"),
-            integer_valued=h.integer_valued)
+            integer_valued=h.integer_valued, induced_from=h)
     if kind == "bc_p":
         if p is None or not (math.isfinite(p) and p > 0):
             raise FunctionalContractError(f"bc_p needs a finite exponent p > 0, got {p!r}")
+        name = f"bc_{p:g}({h.name})"
         return ClusterFunctional(
-            name=f"bc_{p:g}({h.name})", gamma=p * h.gamma + 1.0,
-            growth_constant=(3.0 * h.growth_constant) ** p,
+            name=name, gamma=p * h.gamma + 1.0,
+            growth_constant=_power(f"{name} growth constant", 3.0 * h.growth_constant, p),
             evaluator=lambda w: induced_bc(h, w, p),
-            integer_valued=h.integer_valued and float(p).is_integer())
+            integer_valued=h.integer_valued and float(p).is_integer(), induced_from=h)
     raise FunctionalContractError(f"unknown induced kind {kind!r}")
 
 
@@ -174,7 +199,7 @@ def _count(w: np.ndarray) -> float:
 
 def _length_pow(g: float):
     def ev(w: np.ndarray) -> float:
-        return _length(w) ** g if np.any(w > 1.0) else 0.0
+        return _power(f"length^{g:g}", _length(w), g) if np.any(w > 1.0) else 0.0
     return ev
 
 
@@ -193,7 +218,12 @@ def _pat_count(n, length):
 def _pat_length_pow(g: float):
     def pv(n, length):
         length = np.asarray(length, dtype=float)
-        return np.where(np.asarray(n) > 0, length ** g, 0.0)
+        with np.errstate(over="ignore"):
+            out = np.where(np.asarray(n) > 0, length ** g, 0.0)
+        if not np.isfinite(out).all():
+            raise FunctionalContractError(
+                f"length^{g:g}: {length.max():g} ** {g:g} overflows a float")
+        return out
     return pv
 
 
@@ -213,8 +243,11 @@ def _probe_windows(rng: np.random.Generator, k: int = 64):
 def validate_functional(h: ClusterFunctional) -> None:
     """Probe hypotheses (ii) and (iii) on random windows.
 
-    Continuity with respect to the tail-process law is not machine
-    checkable and remains a caller obligation.
+    A functional with a pattern_value must also match it and, since
+    Monte Carlo groups Z windows by exceedance mask, keep its value when
+    the exceedances grow and the rest shrinks towards 0.  Continuity with
+    respect to the tail-process law is not machine checkable and remains
+    a caller obligation.
     """
     rng = np.random.default_rng(_PROBE_SEED)
     for w in _probe_windows(rng):
@@ -228,7 +261,7 @@ def validate_functional(h: ClusterFunctional) -> None:
             continue
         val = eval_functional(h, w)
         restricted = eval_functional(h, w[pat.t_min - 1: pat.t_max])
-        if not np.isclose(val, restricted, rtol=1e-12, atol=0.0):
+        if not math.isclose(val, restricted, rel_tol=1e-12):
             raise FunctionalContractError(
                 f"{h.name}: value changes under restriction to "
                 f"[T_min, T_max] ({val} vs {restricted})")
@@ -236,6 +269,17 @@ def validate_functional(h: ClusterFunctional) -> None:
         if val > bound * (1 + 1e-12):
             raise FunctionalContractError(
                 f"{h.name}: growth bound C*L^gamma violated ({val} > {bound})")
+        if h.pattern_value is not None:
+            pv = float(h.pattern_value(pat.count, pat.length))
+            if not math.isclose(val, pv, rel_tol=1e-12):
+                raise FunctionalContractError(
+                    f"{h.name}: pattern_value {pv} differs from the evaluator's {val}")
+        if h.exceedance_only:
+            moved = eval_functional(h, np.where(w > 1.0, 1.75 * w, 0.5 * w))
+            if moved != val:
+                raise FunctionalContractError(
+                    f"{h.name}: value changes with the magnitudes at a fixed "
+                    f"exceedance mask ({val} vs {moved})")
 
 
 def register_functional(name: str, evaluator, gamma: float, growth_constant: float,

@@ -10,13 +10,17 @@ by sampling the conditioned tail process Z.
 from __future__ import annotations
 
 import json
+import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ModelError
+from .errors import ConfigError, FunctionalContractError, ModelError
 from .functionals import ClusterFunctional
 from .models import ModelSpec, ZSampler, marginal_tail
+
+log = logging.getLogger("clusterblocks")
 
 
 def mma1_constants(c0: float, c1: float, alpha: float) -> tuple[float, float]:
@@ -37,6 +41,11 @@ def cluster_index_mc(h: ClusterFunctional, spec: ModelSpec, samples: int,
 
     Z windows are realized as (Z_0, Z_1) since Z_j = 0 for j >= 2 in
     MMA(1); theta enters exactly, the randomness is only in E[H(Z)].
+    H is evaluated once per distinct key and scattered back to every
+    sample, so the per-sample values, and with them the mean and standard
+    error, are those of a loop over all samples.  The key is the window's
+    exceedance mask when H reads nothing else (at most two masks occur),
+    else the window itself.
     """
     if samples < 1000:
         raise ModelError("need at least 1000 Monte Carlo samples")
@@ -47,11 +56,20 @@ def cluster_index_mc(h: ClusterFunctional, spec: ModelSpec, samples: int,
     theta, _ = mma1_constants(c[0], c[1], base.alpha)
     sampler = ZSampler(spec, seed)
     z0, z1 = sampler.sample_z_many(samples)
-    vals = np.empty(samples)
-    for i in range(samples):
-        vals[i] = h.evaluator(np.array((z0[i], z1[i])))
+    key = (np.stack((z0 > 1.0, z1 > 1.0), axis=1) if h.exceedance_only
+           else np.stack((z0, z1), axis=1))
+    _, first, inverse = np.unique(key, axis=0, return_index=True, return_inverse=True)
+    distinct = np.array([h.evaluator(np.array((z0[i], z1[i]))) for i in first.tolist()],
+                        dtype=float)
+    vals = distinct[inverse.reshape(-1)]       # numpy 2.0.0 returns a column
+    log.debug("cluster_index_mc %s: %d samples, %d Z draws, %d accepted, "
+              "%d evaluator calls", h.name, samples, sampler.book.draws,
+              sampler.book.accepted, first.size)
     mean = float(vals.mean())
     se = float(vals.std(ddof=1) / np.sqrt(samples))
+    if not (math.isfinite(mean) and math.isfinite(se)):
+        raise FunctionalContractError(
+            f"{h.name}: E[H(Z)] or its standard error is not a finite float")
     return theta * mean, theta * se
 
 

@@ -9,8 +9,7 @@ from clusterblocks import (BlockConfig, ClusterFunctional, ConfigError,
                            MagnitudeSeries, ModelSpec, block_bookkeeping,
                            block_values, disjoint_stat,
                            empirical_cluster_measure, gen_series,
-                           get_functional, sliding_stat, sliding_values,
-                           threshold_for_w)
+                           get_functional, sliding_stat, threshold_for_w)
 from clusterblocks.blocks import (active_block_values, window_sum,
                                   window_values_at)
 from clusterblocks.expansion import raw_sums
@@ -19,6 +18,14 @@ from clusterblocks.functionals import validate_functional
 WORKED = MagnitudeSeries(values=np.array([0.5, 2.0, 0.3, 0.4, 1.5, 0.2]))
 CFG = BlockConfig(r=2, u=1.0, w=0.1)
 IND = get_functional("indicator")
+
+
+def sliding_values(series, cfg, h):
+    """Per-start H values over all n-r+1 windows (dense reference)."""
+    scaled = series.values / cfg.u
+    pos = np.flatnonzero(scaled > 1.0) + 1
+    starts = np.arange(1, len(series) - cfg.r + 2, dtype=np.int64)
+    return window_values_at(scaled, pos, starts, cfg.r, h)
 
 
 def test_disjoint_worked_example():

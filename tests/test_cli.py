@@ -1,8 +1,10 @@
 import contextlib
 import io
 import json
+import logging
 import os
 import re
+import sys
 from unittest import mock
 
 import pytest
@@ -217,6 +219,12 @@ def no_replicate(*args):
     (LIMITS + ["--gamma", "2000"], None, 1, "config"),
     (LIMITS + ["--gamma", "nan"], None, 1, "config"),
     (LIMITS + ["--p", "nan"], None, 1, "functional"),
+    (["decompose", "--model", "mma1:1,1,1", "--n", "5000", "--r", "10", "--w", "0.05",
+      "--functional", "length^1100"], None, 1, "functional"),
+    (["rates", "--model", "mma1:1,1,1", "--grid", "2000:n^0.15:n^-0.6", "--replicates", "2",
+      "--functional", "length^2000", "--targets", "pa1a2_small"], None, 1, "functional"),
+    (LIMITS + ["--functional", "length", "--p", "2000", "--samples", "1000"],
+     None, 1, "functional"),
 ])
 def test_parse_errors_fail_closed(capsys, monkeypatch, argv, env, code, category):
     if env is not None:
@@ -228,6 +236,27 @@ def test_parse_errors_fail_closed(capsys, monkeypatch, argv, env, code, category
     assert len(err.splitlines()) == 1
     assert err.startswith(f"error:{category}:")
     assert "Traceback" not in err
+
+
+def test_limits_stdout_unaffected_by_debug_logging(capsys):
+    argv = LIMITS + ["--functional", "length", "--p", "2", "--samples", "2000"]
+    logger = logging.getLogger("clusterblocks")
+    level = logger.level
+    quiet = run(capsys, *argv)
+    handler = logging.StreamHandler(sys.stderr)
+    logger.addHandler(handler)
+    try:
+        logger.setLevel(logging.WARNING)
+        warning = run(capsys, *argv)
+        logger.setLevel(logging.DEBUG)
+        debug = run(capsys, *argv)
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
+    assert quiet == warning
+    assert debug[:2] == quiet[:2]
+    # one line each for the ic, bc and |bc|^2 estimates
+    assert debug[2].count("evaluator calls") == 3
 
 
 @pytest.mark.parametrize("extra, category", [
@@ -272,7 +301,7 @@ BAD = ["nan", "inf", "-1", "0", "1e400", "abc", ""]
 TARGET_NAMES = ["ic_norm", "bc_norm", "ic_large_norm", "pa1a2_small", "pa1a2_large",
                 "clm_large(1)", "ecm", "scaled_gap", "disjoint_stat", "sliding_stat"]
 BAD_TARGETS = ["clm_large(-1)", "clm_large(2000)", "ic_norm(3)"] + BAD
-BAD_FUNCTIONALS = ["length^-1", "abc", ""]
+BAD_FUNCTIONALS = ["length^-1", "length^1100", "length^2000", "abc", ""]
 
 # flag -> (valid values, None meaning the flag is left out; bad values)
 VERBS = {
@@ -301,7 +330,7 @@ VERBS = {
         "--alpha": (["1", "2"], BAD + [None]),
         "--functional": ([None, "length", "count", "length^1.5"], BAD_FUNCTIONALS),
         "--gamma": ([None, "0.5"], BAD + ["2000"]),
-        "--p": ([None, "1", "2"], BAD),
+        "--p": ([None, "1", "2"], BAD + ["2000"]),
         "--samples": (["1000"], BAD),        # never the 20000-sample default
         "--seed": ([None, "0"], BAD),
         "--format": ([None, "json", "csv"], ["abc"]),

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from clusterblocks import (FunctionalContractError, eval_functional,
                            exceedance_pattern, get_functional, induced_bc,
                            induced_functional, induced_ic,
                            register_functional)
+from clusterblocks.blocks import window_values_at
 from clusterblocks.functionals import _REGISTRY, validate_functional
 
 windows = st.lists(st.floats(min_value=0.0, max_value=3.0,
@@ -167,8 +170,47 @@ def test_register_valid_user_functional():
 
 
 def test_builtins_pass_validation():
-    for name in ("indicator", "length", "count", "length^2.5"):
+    for name in ("indicator", "length", "count", "length^0.5", "length^1.5", "length^2.5"):
         validate_functional(get_functional(name))
+
+
+def test_registry_probes_the_pattern_contract():
+    # declares a pattern_value and matches it on the probe windows (all
+    # below 2.5), but reads magnitudes above that
+    def top_length(w):
+        return _REGISTRY["length"].evaluator(w) * (2.0 if np.max(w) > 3.0 else 1.0)
+    with pytest.raises(FunctionalContractError, match="exceedance mask"):
+        register_functional("bad_mask", top_length, gamma=1.0, growth_constant=2.0,
+                            pattern_value=lambda n, length: np.asarray(length, dtype=float))
+    # pattern_value disagrees with the evaluator
+    with pytest.raises(FunctionalContractError, match="pattern_value"):
+        register_functional("bad_pattern", _REGISTRY["length"].evaluator, gamma=1.0,
+                            growth_constant=1.0,
+                            pattern_value=lambda n, length: np.asarray(n, dtype=float))
+    assert "bad_mask" not in _REGISTRY and "bad_pattern" not in _REGISTRY
+
+
+def test_overflowing_exponents_fail_closed():
+    h = get_functional("length^1100")
+    window = np.array([2.0, 0.5, 2.0])
+    with pytest.raises(FunctionalContractError, match="overflows"):
+        h.evaluator(window)                        # Python float power
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FunctionalContractError, match="overflows"):
+            h.pattern_value(np.array([0, 1, 2]), np.array([0, 1, 3]))  # numpy power
+        pos = np.array([1, 3])
+        with pytest.raises(FunctionalContractError, match="overflows"):
+            window_values_at(window, pos, np.array([1]), 3, h)
+    assert h.evaluator(np.array([2.0])) == 1.0
+    with pytest.raises(FunctionalContractError, match="growth constant"):
+        induced_functional(get_functional("length"), "bc_p", 2000)
+    # (3 C)^400 is finite, a cut term of 8 = 10 - 1 - 1 is not after **400
+    bc = induced_functional(get_functional("length"), "bc_p", 400)
+    wide = np.zeros(10)
+    wide[[0, 9]] = 2.0
+    with pytest.raises(FunctionalContractError, match="overflows"):
+        bc.evaluator(wide)
 
 
 def test_induced_wrapper():

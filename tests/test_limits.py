@@ -1,15 +1,49 @@
+import dataclasses
+import logging
 import math
 
 import numpy as np
 import pytest
 
-from clusterblocks import (ModelError, ModelSpec, anticlustering_sum,
-                           cluster_index_mc, get_functional,
-                           induced_functional, limit_table, marginal_tail,
-                           mma1_constants, threshold_for_w)
+from clusterblocks import (ClusterFunctional, ModelError, ModelSpec,
+                           ZSampler, anticlustering_sum, cluster_index_mc,
+                           get_functional, induced_functional, limit_table,
+                           marginal_tail, mma1_constants, threshold_for_w)
 from clusterblocks.limits import expected_l_z_minus_one, joint_exceedance
 
 IND = get_functional("indicator")
+
+
+def _logmax(w):
+    top = float(np.max(w))
+    return min(1.0, math.log(top)) if top > 1.0 else 0.0
+
+
+# Reads magnitudes, so Monte Carlo must key it by the raw Z window.
+LOGMAX = ClusterFunctional(name="logmax", gamma=0.0, growth_constant=1.0,
+                           evaluator=_logmax)
+BUILTINS = ("indicator", "length", "count", "length^0.5", "length^1.5")
+MODELS = (ModelSpec.mma1(1.0, 1.0, 1.0), ModelSpec.mma1(1.0, 2.0, 1.0),
+          ModelSpec.mma1(2.0, 0.5, 1.5), ModelSpec.mma1(1.0, 0.0, 1.0),
+          ModelSpec.mma1(0.7, 1.3, 0.8))
+
+
+def _forms(h):
+    return (h, induced_functional(h, "ic"), induced_functional(h, "bc"),
+            induced_functional(h, "bc_p", 2.0), induced_functional(h, "bc_p", 0.5))
+
+
+def _loop_reference(h, spec, samples, seed):
+    """cluster_index_mc as one evaluator call per sample."""
+    c = list(spec.base.coeffs) + [0.0]
+    theta, _ = mma1_constants(c[0], c[1], spec.base.alpha)
+    z0, z1 = ZSampler(spec, seed).sample_z_many(samples)
+    vals = np.empty(samples)
+    for i in range(samples):
+        vals[i] = h.evaluator(np.array((z0[i], z1[i])))
+    mean = float(vals.mean())
+    se = float(vals.std(ddof=1) / np.sqrt(samples))
+    return theta * mean, theta * se
 
 
 def test_mma1_constants_examples():
@@ -176,3 +210,35 @@ def test_limit_table_json():
     data = json.loads(lt.to_json())
     assert data["theta"] == pytest.approx(2 / 3)
     assert data["gamma"] == 2.0
+
+
+def test_exceedance_only_property():
+    for name in BUILTINS:
+        assert all(f.exceedance_only for f in _forms(get_functional(name)))
+    assert not any(f.exceedance_only for f in _forms(LOGMAX))
+
+
+@pytest.mark.parametrize("spec", MODELS, ids=lambda s: s.format())
+def test_grouped_mc_equals_per_sample_loop(spec):
+    for k, h in enumerate([get_functional(n) for n in BUILTINS] + [LOGMAX]):
+        for j, form in enumerate(_forms(h)):
+            seed = 100 * k + j
+            got = cluster_index_mc(form, spec, 1000, seed)
+            assert got == _loop_reference(form, spec, 1000, seed), form.name
+
+
+def test_one_evaluator_call_per_mask(caplog):
+    calls = []
+    length = get_functional("length")
+    counted = dataclasses.replace(
+        length, evaluator=lambda w: calls.append(1) or length.evaluator(w))
+    spec = ModelSpec.mma1(1.0, 2.0, 1.0)
+    with caplog.at_level(logging.DEBUG, logger="clusterblocks"):
+        est = cluster_index_mc(induced_functional(counted, "ic"), spec, 5000, 4)
+    # masks (1, 0) and (1, 1); ic evaluates the base on the whole window
+    # and on both pieces of a two-exceedance window
+    assert len(calls) == 3
+    assert est == cluster_index_mc(induced_functional(length, "ic"), spec, 5000, 4)
+    [record] = [r for r in caplog.records if r.name == "clusterblocks"]
+    assert "5000 samples" in record.getMessage()
+    assert "2 evaluator calls" in record.getMessage()
