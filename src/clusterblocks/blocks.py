@@ -104,12 +104,13 @@ def window_sum(scaled: np.ndarray, pos: np.ndarray, r: int, h: ClusterFunctional
     The result equals the dense reduction of the per-start values bit for
     bit: integral values are weighted by their run lengths, which is exact
     below 2**53; anything else is expanded back to the per-start vector and
-    reduced in the same order.
+    reduced in the same order.  The guard multiplies Python floats, which
+    give inf without a numpy overflow warning.
     """
     starts, lengths = window_segments(pos, r, lo, hi)
     values = window_values_at(scaled, pos, starts, r, h)
     if (values.size and (values == values.round()).all()
-            and np.abs(values).max() * (hi - lo + 1) < 2.0 ** 53):
+            and float(np.abs(values).max()) * (hi - lo + 1) < 2.0 ** 53):
         return float((values * lengths).sum())
     return float(np.repeat(values, lengths).sum())
 

@@ -9,6 +9,7 @@ or verification failure (and runtime errors), 2 usage errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -34,7 +35,9 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The parser, built once per process; parse_args keeps no state in it."""
     p = _Parser(prog="clusterblocks", description=__doc__)
     sub = p.add_subparsers(dest="verb", required=True)
 

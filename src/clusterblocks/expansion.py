@@ -15,15 +15,18 @@ the sample-boundary and >=3-consecutive-block remainder events.  The sums
 run to m-1 because windows started in block m would leave the sample;
 block m still participates through the events and the SB_{m-1} windows.
 
-Every cluster statistic is computed along two independent routes: direct
-window summation (ground truth by definition) and the exceedance-time
-fast path.  Reports carry the maximal deviation between routes.
+Every cluster statistic is computed along two independent routes: the
+exceedance-time fast path, which `internal_cluster_stat` and
+`boundary_cluster_stat` take, and direct window summation (ground truth
+by definition), which runs only in `path_deviations`, once per event.
+Reports carry the maximal deviation between routes.
 
 Cost: one O(n) threshold scan (`block_bookkeeping`), then work in the
 exceedance positions only.  SB is summed over the at most 2k + 1 runs of
 window starts that see the same exceedances, DB over the active blocks,
 and the reference sums SB_j, DB_j are evaluated densely for the blocks an
-exceedance can reach, once per functional.
+exceedance can reach, once per functional.  `decompose` reads everything
+from one bookkeeping, so several functionals can share one scan.
 """
 
 from __future__ import annotations
@@ -31,13 +34,14 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
 from .blocks import BlockConfig, truncated_length, window_sum, window_values_at
-from .errors import ConfigError
+from .errors import ConfigError, FunctionalContractError
 from .functionals import ClusterFunctional, eval_functional, induced_ic
 from .models import MagnitudeSeries
 
@@ -115,14 +119,6 @@ def block_bookkeeping(series: MagnitudeSeries, cfg: BlockConfig) -> BlockBookkee
 # -- elementary sums ---------------------------------------------------------
 
 
-def sliding_block_sum(book: BlockBookkeeping, h: ClusterFunctional, j: int) -> float:
-    """SB_j: direct sum of H over the r windows starting inside block j."""
-    if not 1 <= j <= book.m - 1:
-        raise ConfigError("sliding sums exist for blocks 1..m-1 only")
-    starts = np.arange((j - 1) * book.r + 1, j * book.r + 1, dtype=np.int64)
-    return float(window_values_at(book.scaled, book.pos, starts, book.r, h).sum())
-
-
 class ReferenceSums(NamedTuple):
     """Direct window sums at index j = 1..m-1 (index 0 unused).
 
@@ -141,7 +137,7 @@ def reference_sums(book: BlockBookkeeping, h: ClusterFunctional) -> ReferenceSum
     """SB_j and DB_j for every block an exceedance reaches, once per functional.
 
     SB_j reads blocks j and j+1, so its windows are evaluated (in one
-    batched call, rows reduced like `sliding_block_sum`) only where one of
+    batched call, each row summed over its r windows) only where one of
     them is active; DB_j only on active blocks.  All other sums are 0 by
     hypothesis (ii).  The IC/BC reference routes, `path_deviations` and the
     remainder enumeration share the result through the bookkeeping.
@@ -195,46 +191,21 @@ def internal_event_blocks(book: BlockBookkeeping, mode: str = "standard") -> np.
     return np.flatnonzero(fire) + 2
 
 
-def _padded_reference_ic(block_window: np.ndarray, h: ClusterFunctional, r: int) -> float:
-    """SB_1 + SB_2 - DB_2 of the block embedded between two empty blocks.
-
-    The piecewise mode keeps blocks with active neighbours, where the
-    in-sample window sums no longer isolate the block; padding recreates
-    the isolating event without touching the fast path.
-    """
-    padded = np.concatenate([np.zeros(r), block_window, np.zeros(r)])
-    pos = np.flatnonzero(padded > 1.0).astype(np.int64) + 1
-    starts = np.arange(1, 2 * r + 1, dtype=np.int64)
-    sb = float(window_values_at(padded, pos, starts, r, h).sum())
-    return sb - r * eval_functional(h, block_window)
-
-
 def _ic_reference(book: BlockBookkeeping, h: ClusterFunctional, j: int) -> float:
     ref = reference_sums(book, h)
     return float(ref.sb[j - 1] + ref.sb[j] - ref.db[j])
 
 
 def internal_cluster_stat(book: BlockBookkeeping, h: ClusterFunctional,
-                          mode: str = "standard", path: str = "fast"):
+                          mode: str = "standard"):
     """Internal clusters statistic and its per-block values.
 
-    Fast path: the induced internal-cluster functional of the block.
-    Reference path: SB_{j-1} + SB_j - DB_j by direct window summation; in
-    piecewise mode (no neighbour-exclusion indicators) the reference sums
-    are taken over the block padded with empty neighbours.
+    Each event block contributes the induced internal-cluster functional
+    of the block; `path_deviations` checks it against the direct sums
+    SB_{j-1} + SB_j - DB_j.
     """
-    per_block: dict[int, float] = {}
-    for j in internal_event_blocks(book, mode):
-        j = int(j)
-        if path == "fast":
-            per_block[j] = induced_ic(h, book.block_window(j))
-        elif path == "reference":
-            if mode == "piecewise":
-                per_block[j] = _padded_reference_ic(book.block_window(j), h, book.r)
-            else:
-                per_block[j] = _ic_reference(book, h, j)
-        else:
-            raise ConfigError(f"unknown path {path!r}")
+    per_block = {j: induced_ic(h, book.block_window(j))
+                 for j in internal_event_blocks(book, mode).tolist()}
     return float(sum(per_block.values())), per_block
 
 
@@ -263,16 +234,10 @@ def boundary_event_blocks(book: BlockBookkeeping) -> np.ndarray:
     return np.flatnonzero(fire) + 2
 
 
-def _bc1_value(book: BlockBookkeeping, h: ClusterFunctional, j: int, path: str) -> float:
-    if path == "fast":
-        total = eval_functional(h, book.merged_cluster_window(j))
-        left = eval_functional(h, book.cluster_window(j))
-        right = eval_functional(h, book.cluster_window(j + 1))
-    else:
-        total = eval_functional(h, book.merged_window(j))
-        left = eval_functional(h, book.block_window(j))
-        right = eval_functional(h, book.block_window(j + 1))
-    return book.r * (total - left - right)
+def _bc1(book: BlockBookkeeping, h: ClusterFunctional, merged, left, right) -> float:
+    """r * (H(merged) - H(left) - H(right)) for a pair's windows."""
+    return book.r * (eval_functional(h, merged) - eval_functional(h, left)
+                     - eval_functional(h, right))
 
 
 def _bc2_reference(book: BlockBookkeeping, h: ClusterFunctional, j: int) -> float:
@@ -281,63 +246,59 @@ def _bc2_reference(book: BlockBookkeeping, h: ClusterFunctional, j: int) -> floa
             - book.r * eval_functional(h, book.merged_window(j)))
 
 
-def _bc2_fast(book: BlockBookkeeping, h: ClusterFunctional, j: int) -> float:
-    # Valid on {L_{j,j+1} < r} only: the merged-time gap expansion, which
-    # coincides with the induced internal-cluster form of the merged pair.
-    return induced_ic(h, book.merged_window(j))
-
-
-def boundary_cluster_stat(book: BlockBookkeeping, h: ClusterFunctional,
-                          path: str = "fast") -> BoundaryParts:
+def boundary_cluster_stat(book: BlockBookkeeping, h: ClusterFunctional) -> BoundaryParts:
     """Boundary clusters statistic split into its block-merge part (bc1)
     and window-sum part (bc2), the latter further split by whether the
     joint cluster length stays below r ("tilde") or not ("overline").
 
-    The overline part is always computed by direct summation; the merged
-    gap formula is only stated on {L_{j,j+1} < r}.
+    bc1 reads the pair's cluster windows.  bc2 on {L_{j,j+1} < r} is the
+    merged-time gap expansion, which coincides with the induced
+    internal-cluster form of the merged pair; the overline part is
+    computed by direct summation, since the gap formula is only stated
+    below r.
     """
-    if path not in ("fast", "reference"):
-        raise ConfigError(f"unknown path {path!r}")
     parts = BoundaryParts(0.0, 0.0, 0.0)
-    for j in boundary_event_blocks(book):
-        j = int(j)
-        bc1_j = _bc1_value(book, h, j, path)
+    for j in boundary_event_blocks(book).tolist():
+        bc1_j = _bc1(book, h, book.merged_cluster_window(j), book.cluster_window(j),
+                     book.cluster_window(j + 1))
         joint = book.joint_length(j)
         short = joint < book.r
-        if short and path == "fast":
-            bc2_j = _bc2_fast(book, h, j)
-        else:
-            bc2_j = _bc2_reference(book, h, j)
         parts.bc1 += bc1_j
         if short:
+            bc2_j = induced_ic(h, book.merged_window(j))
             parts.bc2_tilde += bc2_j
         else:
+            bc2_j = _bc2_reference(book, h, j)
             parts.bc2_overline += bc2_j
         parts.per_pair.append({"j": j, "bc1": bc1_j, "bc2": bc2_j,
                                "joint_length": joint, "short": short})
     return parts
 
 
-def path_deviations(book: BlockBookkeeping, h: ClusterFunctional) -> tuple[float, float]:
-    """Max |fast - reference| over internal and boundary event instances.
+def path_deviations(book: BlockBookkeeping, h: ClusterFunctional,
+                    per_ic: dict, per_pair: list) -> tuple[float, float]:
+    """(max |delta ic|, max |delta bc1| + |delta bc2|) of the fast values
+    against the reference route.
 
-    Cheap form of the two-route cross-check: only event blocks are
-    evaluated, nothing else of the decomposition is assembled.
+    The reference route runs here only, once per event: SB_{j-1} + SB_j -
+    DB_j for an internal block (standard mode), bc1 on the whole blocks
+    instead of the cluster windows and, on short pairs, bc2 by direct
+    summation.  A long pair's bc2 is a direct sum on both routes.  per_ic
+    and per_pair are the per-event values of `internal_cluster_stat` and
+    `boundary_cluster_stat`.
     """
-    ic_dev = 0.0
-    for j in internal_event_blocks(book, "standard"):
-        j = int(j)
-        fast = induced_ic(h, book.block_window(j))
-        ic_dev = max(ic_dev, abs(fast - _ic_reference(book, h, j)))
-    bc_dev = 0.0
-    for j in boundary_event_blocks(book):
-        j = int(j)
-        bc_dev = max(bc_dev, abs(_bc1_value(book, h, j, "fast")
-                                 - _bc1_value(book, h, j, "reference")))
-        if book.joint_length(j) < book.r:
-            bc_dev = max(bc_dev, abs(_bc2_fast(book, h, j)
-                                     - _bc2_reference(book, h, j)))
-    return ic_dev, bc_dev
+    ic_dev = max((abs(v - _ic_reference(book, h, j)) for j, v in per_ic.items()),
+                 default=0.0)
+
+    def bc_dev(pair: dict) -> float:
+        j = pair["j"]
+        dev = abs(pair["bc1"] - _bc1(book, h, book.merged_window(j),
+                                     book.block_window(j), book.block_window(j + 1)))
+        if pair["short"]:
+            dev += abs(pair["bc2"] - _bc2_reference(book, h, j))
+        return dev
+
+    return ic_dev, max(map(bc_dev, per_pair), default=0.0)
 
 
 # -- remainder ----------------------------------------------------------------
@@ -434,61 +395,64 @@ class DecompositionReport:
         return json.dumps(self.to_dict(verbose), indent=2, sort_keys=True)
 
 
-def _tolerance(h: ClusterFunctional, scale: float) -> float:
-    return 0.0 if h.integer_valued else 1e-9 * max(1.0, abs(scale))
-
-
-def expansion_report(series: MagnitudeSeries, cfg: BlockConfig, h: ClusterFunctional,
-                     w_source: str = "supplied", verbose: bool = False,
-                     counterexample_dir=None) -> DecompositionReport:
-    """Compute the full decomposition with both routes and all residuals.
+def decompose(book: BlockBookkeeping, h: ClusterFunctional, w_source: str = "supplied",
+              verbose: bool = False) -> DecompositionReport:
+    """The full decomposition of one bookkeeping, with both routes and all
+    residuals.
 
     residual_identity is zero by construction; residual_paper compares the
     operational remainder against the event-enumerated one and is expected
-    to vanish.  A violation is reported and optionally dumped as a
-    counterexample artifact, never patched over.
+    to vanish.  Sums of finite values may still overflow a float; such a
+    report raises FunctionalContractError instead of carrying inf or nan.
     """
-    book = block_bookkeeping(series, cfg)
-    m, r, w = book.m, book.r, book.w
-
-    sb, db = raw_sums(book, h)
-
-    # The pathwise identity always uses the neighbour-excluded events; the
-    # piecewise variant of IC is a rate target, not part of the identity.
-    ic_fast, per_ic = internal_cluster_stat(book, h, mode="standard", path="fast")
-    ic_ref, per_ic_ref = internal_cluster_stat(book, h, mode="standard", path="reference")
-    ic_dev = max((abs(per_ic[j] - per_ic_ref[j]) for j in per_ic), default=0.0)
-
-    bc_fast = boundary_cluster_stat(book, h, path="fast")
-    bc_ref = boundary_cluster_stat(book, h, path="reference")
-    bc_dev = max((abs(p["bc1"] - q["bc1"]) + abs(p["bc2"] - q["bc2"])
-                  for p, q in zip(bc_fast.per_pair, bc_ref.per_pair)), default=0.0)
-
-    ic = ic_fast
-    bc = bc_fast.total
-    r_op, r_ic, r_bc, r_nc = remainder_stat(book, h, sb, db, ic, bc)
+    m, r, w, n_eff = book.m, book.r, book.w, book.n_eff
+    with np.errstate(over="ignore", invalid="ignore"):
+        sb, db = raw_sums(book, h)
+        # The pathwise identity always uses the neighbour-excluded events;
+        # the piecewise variant of IC is a rate target, not part of it.
+        ic, per_ic = internal_cluster_stat(book, h)
+        bc_parts = boundary_cluster_stat(book, h)
+        ic_dev, bc_dev = path_deviations(book, h, per_ic, bc_parts.per_pair)
+        bc = bc_parts.total
+        r_op, r_ic, r_bc, r_nc = remainder_stat(book, h, sb, db, ic, bc)
     residual_identity = (sb - db) - ic - bc - r_op
     residual_paper = r_op - (r_ic + r_bc + r_nc)
 
-    n_eff = book.n_eff
     disjoint = db / (n_eff * r * w)
     sliding = sb / (n_eff * r * w)
     report = DecompositionReport(
-        n=len(series), n_eff=n_eff, discarded=book.discarded, m=m, r=r,
-        u=cfg.u, w=w, w_source=w_source, functional=h.name,
-        db=db, sb=sb, ic=ic, bc1=bc_fast.bc1, bc2_tilde=bc_fast.bc2_tilde,
-        bc2_overline=bc_fast.bc2_overline, bc=bc,
+        n=n_eff + book.discarded, n_eff=n_eff, discarded=book.discarded, m=m, r=r,
+        u=book.u, w=w, w_source=w_source, functional=h.name,
+        db=db, sb=sb, ic=ic, bc1=bc_parts.bc1, bc2_tilde=bc_parts.bc2_tilde,
+        bc2_overline=bc_parts.bc2_overline, bc=bc,
         r_op=r_op, r_ic=r_ic, r_bc=r_bc, r_nc=r_nc,
         residual_identity=residual_identity, residual_paper=residual_paper,
         ic_path_deviation=ic_dev, bc_path_deviation=bc_dev,
         disjoint_stat=disjoint, sliding_stat=sliding,
         ic_norm=ic / (n_eff * w), bc_norm=bc / (n_eff * w),
         gap_scaled=r * (disjoint - sliding),
-        per_block={"ic": per_ic, "pairs": bc_fast.per_pair} if verbose else None,
+        per_block={"ic": per_ic, "pairs": bc_parts.per_pair} if verbose else None,
     )
+    bad = [k for k, v in vars(report).items() if isinstance(v, float) and not math.isfinite(v)]
+    if bad:
+        raise FunctionalContractError(
+            f"{h.name}: sums of finite values overflow a float ({', '.join(bad)})")
+    return report
 
-    tol = _tolerance(h, max(abs(sb - db), abs(ic), abs(bc)))
-    if abs(residual_paper) > tol:
+
+def expansion_report(series: MagnitudeSeries, cfg: BlockConfig, h: ClusterFunctional,
+                     w_source: str = "supplied", verbose: bool = False,
+                     counterexample_dir=None) -> DecompositionReport:
+    """`decompose` on the series' bookkeeping, plus the counterexample check.
+
+    A residual_paper beyond the tolerance (0 for integer-valued H, else
+    relative 1e-9) is reported and optionally dumped as a counterexample
+    artifact with the series, never patched over.
+    """
+    report = decompose(block_bookkeeping(series, cfg), h, w_source, verbose)
+    scale = max(abs(report.sb - report.db), abs(report.ic), abs(report.bc))
+    tol = 0.0 if h.integer_valued else 1e-9 * max(1.0, scale)
+    if abs(report.residual_paper) > tol:
         _record_counterexample(report, series, counterexample_dir)
     return report
 

@@ -60,11 +60,11 @@ def parse_rule(rule: str):
 
 def _ic_total(book, h, spec):
     mode = "piecewise" if spec.kind == "piecewise" else "standard"
-    return internal_cluster_stat(book, h, mode=mode, path="fast")[0]
+    return internal_cluster_stat(book, h, mode=mode)[0]
 
 
 def _bc_total(book, h, spec):
-    return boundary_cluster_stat(book, h, path="fast").total
+    return boundary_cluster_stat(book, h).total
 
 
 def _pair_rate(book, h, spec):

@@ -49,11 +49,7 @@ def cluster_index_mc(h: ClusterFunctional, spec: ModelSpec, samples: int,
     """
     if samples < 1000:
         raise ModelError("need at least 1000 Monte Carlo samples")
-    base = spec.base
-    if base.kind not in ("mma1", "iid"):
-        raise ModelError("cluster_index_mc supports MMA(1)-type models only")
-    c = list(base.coeffs) + [0.0] * (2 - len(base.coeffs))
-    theta, _ = mma1_constants(c[0], c[1], base.alpha)
+    theta, _ = mma1_constants(*spec.mma1_coeffs(), spec.base.alpha)
     sampler = ZSampler(spec, seed)
     z0, z1 = sampler.sample_z_many(samples)
     key = (np.stack((z0 > 1.0, z1 > 1.0), axis=1) if h.exceedance_only
@@ -65,8 +61,9 @@ def cluster_index_mc(h: ClusterFunctional, spec: ModelSpec, samples: int,
     log.debug("cluster_index_mc %s: %d samples, %d Z draws, %d accepted, "
               "%d evaluator calls", h.name, samples, sampler.book.draws,
               sampler.book.accepted, first.size)
-    mean = float(vals.mean())
-    se = float(vals.std(ddof=1) / np.sqrt(samples))
+    with np.errstate(over="ignore", invalid="ignore"):     # checked below
+        mean = float(vals.mean())
+        se = float(vals.std(ddof=1) / np.sqrt(samples))
     if not (math.isfinite(mean) and math.isfinite(se)):
         raise FunctionalContractError(
             f"{h.name}: E[H(Z)] or its standard error is not a finite float")
@@ -121,11 +118,8 @@ def limit_table(spec: ModelSpec, h: ClusterFunctional, gamma: float = 1.0,
     g = float(gamma)
     if not (np.isfinite(g) and g >= 0):
         raise ConfigError(f"gamma must be finite and >= 0, got {gamma!r}")
-    base = spec.base
-    if base.kind not in ("mma1", "iid"):
-        raise ModelError("limit tables are available for MMA(1)-type models only")
-    c = list(base.coeffs) + [0.0] * (2 - len(base.coeffs))
-    c0, c1, alpha = c[0], c[1], base.alpha
+    c0, c1 = spec.mma1_coeffs()
+    alpha = spec.base.alpha
     theta, p_y1 = mma1_constants(c0, c1, alpha)
     moment = theta ** 2 / ((g + 1.0) * (g + 2.0))
     try:

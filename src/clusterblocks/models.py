@@ -94,6 +94,18 @@ class ModelSpec:
         """Dependence order q: lags beyond q are independent."""
         return len(self.base.coeffs) - 1
 
+    def mma1_coeffs(self) -> tuple[float, float]:
+        """(c0, c1) of an MMA(1)-type base model, iid read as c1 = 0.
+
+        The tail-process sampler and the limit constants exist for these
+        models only; any other raises ModelError.
+        """
+        base = self.base
+        if base.kind not in ("mma1", "iid"):
+            raise ModelError(f"{base.kind} model: the tail process and limit constants "
+                             f"are available for MMA(1)-type models only")
+        return (*base.coeffs, 0.0)[:2]
+
     def with_block_size(self, block_size: int) -> "ModelSpec":
         if self.kind != "piecewise":
             return self
@@ -311,14 +323,8 @@ class ZSampler:
     """
 
     def __init__(self, spec: ModelSpec, seed: int):
-        base = spec.base
-        if base.kind not in ("mma1", "iid"):
-            raise ModelError("tail sampling is only available for MMA(1)-type models")
-        c = list(base.coeffs) + [0.0] * (2 - len(base.coeffs))
-        self.c0, self.c1 = c[0], c[1]
-        if self.c0 == 0 and self.c1 == 0:
-            raise ModelError("both coefficients are zero")
-        self.alpha = base.alpha
+        self.c0, self.c1 = spec.mma1_coeffs()
+        self.alpha = spec.base.alpha
         s = self.c0 ** self.alpha + self.c1 ** self.alpha
         self.p_b = self.c0 ** self.alpha / s
         self.rng = np.random.default_rng(np.random.SeedSequence(_mask_seed(seed)))

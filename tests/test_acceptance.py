@@ -17,8 +17,8 @@ from clusterblocks import (BlockConfig, ExperimentConfig, MagnitudeSeries,
                            load, mma1_constants, persist, read_series,
                            run_experiment, summarize, threshold_for_w,
                            write_series)
-from clusterblocks.expansion import (block_bookkeeping, internal_cluster_stat,
-                                     path_deviations)
+from clusterblocks.expansion import (block_bookkeeping, boundary_cluster_stat,
+                                     internal_cluster_stat, path_deviations)
 from clusterblocks.functionals import validate_functional
 from clusterblocks.harness import csv_text
 from clusterblocks.verify import _identity_instances
@@ -76,7 +76,9 @@ def test_criterion_2_case_analysis_equivalence(identity_runs):
         values = np.where([(mask >> i) & 1 for i in range(16)], 2.0, 0.5)
         book = block_bookkeeping(MagnitudeSeries(values=values), cfg)
         for h in hs:
-            ic_dev, bc_dev = path_deviations(book, h)
+            _, per_ic = internal_cluster_stat(book, h)
+            ic_dev, bc_dev = path_deviations(book, h, per_ic,
+                                             boundary_cluster_stat(book, h).per_pair)
             if ic_dev != 0.0 or bc_dev != 0.0:
                 bad_masks += 1
     enum_elapsed = time.monotonic() - t0
@@ -192,7 +194,7 @@ def enumerated_large_block_law(r: int, p: float) -> dict:
         pair += weight * float(book.active[1] and book.active[2])
         lengths = np.where(book.active, book.last - book.first + 1, 0)
         span += weight * float(lengths.mean())
-        ic += weight * internal_cluster_stat(book, IND, path="fast")[1].get(2, 0.0)
+        ic += weight * internal_cluster_stat(book, IND)[1].get(2, 0.0)
     return {"pa1a2_large": pair / (r * w) ** 2,
             "clm_large(1)": span / (r ** 3 * w ** 2),
             "ic_large_norm": ic / (3 * r ** 3 * w ** 2)}

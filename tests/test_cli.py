@@ -5,6 +5,7 @@ import logging
 import os
 import re
 import sys
+import warnings
 from unittest import mock
 
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clusterblocks import read_series
-from clusterblocks.cli import main
+from clusterblocks.cli import _build_parser, main
 
 
 def run(capsys, *argv):
@@ -225,17 +226,34 @@ def no_replicate(*args):
       "--functional", "length^2000", "--targets", "pa1a2_small"], None, 1, "functional"),
     (LIMITS + ["--functional", "length", "--p", "2000", "--samples", "1000"],
      None, 1, "functional"),
+    # finite values whose sums over windows and blocks, or over Z samples, overflow
+    (["decompose", "--model", "mma1:1,1,1", "--n", "100000", "--w", "0.001", "--r", "10",
+      "--functional", "length^1020"], None, 1, "functional"),
+    (LIMITS + ["--functional", "length^1023"], None, 1, "functional"),
 ])
 def test_parse_errors_fail_closed(capsys, monkeypatch, argv, env, code, category):
     if env is not None:
         monkeypatch.setenv("CLBLK_THREADS", env)
     monkeypatch.setattr("clusterblocks.harness._worker", no_replicate)
-    got, out, err = run(capsys, *argv)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)   # a numpy warning is a 2nd line
+        got, out, err = run(capsys, *argv)
     assert got == code
     assert out == ""
     assert len(err.splitlines()) == 1
     assert err.startswith(f"error:{category}:")
     assert "Traceback" not in err
+
+
+def test_parser_is_built_once_and_keeps_no_state(capsys):
+    argv = ["decompose", "--model", "mma1:1,1,1", "--n", "600", "--r", "6", "--w", "0.05"]
+    verbose = run(capsys, *argv, "--verbose-blocks")
+    plain = run(capsys, *argv)
+    assert verbose[0] == plain[0] == 0
+    data = json.loads(verbose[1])
+    assert data.pop("per_block")
+    assert json.loads(plain[1]) == data            # --verbose-blocks did not stick
+    assert _build_parser() is _build_parser()
 
 
 def test_limits_stdout_unaffected_by_debug_logging(capsys):

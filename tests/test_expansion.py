@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -7,9 +8,11 @@ from clusterblocks import (BlockConfig, ClusterFunctional, ConfigError,
                            MagnitudeSeries, ModelSpec, block_bookkeeping,
                            boundary_cluster_stat, exceedance_pattern,
                            expansion_report, gen_series, get_functional,
-                           internal_cluster_stat, remainder_stat,
-                           threshold_for_w)
-from clusterblocks.expansion import path_deviations, sliding_block_sum
+                           internal_cluster_stat, parse_model,
+                           remainder_stat, threshold_for_w)
+from clusterblocks.blocks import window_values_at
+from clusterblocks.expansion import path_deviations
+from clusterblocks.functionals import eval_functional
 
 IND = get_functional("indicator")
 LEN = get_functional("length")
@@ -24,6 +27,26 @@ def _log_sum(w):
 # through the evaluator.
 LOG_SUM = ClusterFunctional(name="log_sum", gamma=1.0, growth_constant=1.0,
                             evaluator=_log_sum)
+
+
+def sliding_block_sum(book, h, j):
+    """SB_j: direct sum of H over the r windows starting inside block j."""
+    starts = np.arange((j - 1) * book.r + 1, j * book.r + 1, dtype=np.int64)
+    return float(window_values_at(book.scaled, book.pos, starts, book.r, h).sum())
+
+
+def padded_reference_ic(block_window, h, r):
+    """SB_1 + SB_2 - DB_2 of the block embedded between two empty blocks.
+
+    The piecewise mode keeps blocks with active neighbours, where the
+    in-sample window sums no longer isolate the block; padding recreates
+    the isolating event without touching the fast path.
+    """
+    padded = np.concatenate([np.zeros(r), block_window, np.zeros(r)])
+    pos = np.flatnonzero(padded > 1.0).astype(np.int64) + 1
+    starts = np.arange(1, 2 * r + 1, dtype=np.int64)
+    sb = float(window_values_at(padded, pos, starts, r, h).sum())
+    return sb - r * eval_functional(h, block_window)
 
 
 def series_from(values):
@@ -96,9 +119,8 @@ def test_internal_cluster_piecewise_mode_drops_neighbour_indicators():
     assert internal_cluster_stat(book, IND, mode="standard")[0] == 0.0
     total, per = internal_cluster_stat(book, IND, mode="piecewise")
     assert per[2] == 3.0 and per[3] == 0.0
-    ref_total, ref_per = internal_cluster_stat(book, IND, mode="piecewise",
-                                               path="reference")
-    assert ref_per == per and ref_total == total
+    assert {j: padded_reference_ic(book.block_window(j), IND, book.r)
+            for j in per} == per
 
 
 def test_boundary_cluster_examples():
@@ -131,7 +153,8 @@ def test_boundary_long_joint_cluster_uses_direct_path():
     # indicator closed form valid for long clusters too:
     # (t3(N3)-t2(1)) - (gap - r)_+ = 11 - 1 = 10
     assert pair["bc2"] == 10.0
-    assert boundary_cluster_stat(book, IND, path="reference").total == parts.total
+    # the reference route (bc1 on whole blocks) agrees
+    assert path_deviations(book, IND, {}, parts.per_pair) == (0.0, 0.0)
 
 
 def test_remainder_examples():
@@ -282,16 +305,10 @@ def test_merged_pair_fast_path_forced_events():
         book = block_bookkeeping(MagnitudeSeries(values=values),
                                  BlockConfig(r=r, u=1.0, w=0.01))
         for h in hs:
-            parts_fast = boundary_cluster_stat(book, h, path="fast")
-            parts_ref = boundary_cluster_stat(book, h, path="reference")
-            [pf] = parts_fast.per_pair
-            [pr] = parts_ref.per_pair
-            assert pf["joint_length"] == pr["joint_length"]
-            if h.integer_valued:
-                assert pf["bc1"] == pr["bc1"] and pf["bc2"] == pr["bc2"]
-            else:
-                assert pf["bc1"] == pytest.approx(pr["bc1"], abs=1e-9)
-                assert pf["bc2"] == pytest.approx(pr["bc2"], abs=1e-9)
+            [pair] = boundary_cluster_stat(book, h).per_pair
+            # max |delta bc1| + |delta bc2| against the direct window sums
+            _, bc_dev = path_deviations(book, h, {}, [pair])
+            assert bc_dev == 0.0 if h.integer_valued else bc_dev <= 1e-9
             hits += 1
     assert hits == 800
 
@@ -303,7 +320,9 @@ def test_path_deviations_zero():
         s = series_from(rng.uniform(0, 1.5, size=90))
         book = block_bookkeeping(s, cfg)
         for h in (IND, LEN, CNT, get_functional("length^1.5")):
-            ic_dev, bc_dev = path_deviations(book, h)
+            _, per_ic = internal_cluster_stat(book, h)
+            ic_dev, bc_dev = path_deviations(book, h, per_ic,
+                                             boundary_cluster_stat(book, h).per_pair)
             assert ic_dev <= 1e-12 and bc_dev <= 1e-12
 
 
@@ -364,3 +383,30 @@ def test_scale_equivariance_of_report():
         assert rep.sb == base.sb and rep.db == base.db
         assert rep.ic == base.ic and rep.bc == base.bc
         assert rep.disjoint_stat == base.disjoint_stat
+
+
+# sha256 of the JSON that `decompose --verbose-blocks` prints, on one
+# seeded series per model (n = 2400, r = 8, w = 0.04, seed 2; internal
+# blocks, short and long boundary pairs and runs of three all occur).
+# The real-valued functionals pin per-block values and nonzero path
+# deviations to the last bit.
+GOLDEN_REPORTS = {
+    ("mma1:1,1,1", "indicator"): "44af8dfb6d3c13f7ef29de38dbccf5c1f86a6072a1599d7f51158af3aa28834d",
+    ("mma1:1,1,1", "length^1.5"): "06f184893aeaa612d20d0cd464c0daf0d120f14f9ac96f602c3bdeab91301563",
+    ("mma1:1,1,1", "log_sum"): "b02248c82b1647a7d0a758e299278bcb6b6861da3bfeab873843219dedd31510",
+    ("mma1:1,2,1.5", "indicator"): "ab537b6f0e537eabfb688f192f5625f963b20286b9383765aa856b30d02ce208",
+    ("mma1:1,2,1.5", "length^1.5"): "7ed11c901fc0a5d39dc82ada5f1321123bbf489d177cb8c16f8ef2a6a66d3fff",
+    ("mma1:1,2,1.5", "log_sum"): "52b95f484c4c40b248b75857cf181e40ba0931e7931ef5ec70d86ad413efe8a8",
+}
+
+
+@pytest.mark.parametrize("model,name", sorted(GOLDEN_REPORTS))
+def test_verbose_report_bytes_are_pinned(model, name):
+    spec = parse_model(model)
+    w = 0.04
+    cfg = BlockConfig(r=8, u=threshold_for_w(spec, w), w=w)
+    h = LOG_SUM if name == "log_sum" else get_functional(name)
+    rep = expansion_report(gen_series(spec, 2400, seed=2), cfg, h,
+                           w_source="exact", verbose=True)
+    text = rep.to_json(verbose=True) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_REPORTS[(model, name)]
