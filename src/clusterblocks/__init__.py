@@ -9,12 +9,12 @@ Carlo harness.
 
 __version__ = "0.1.0"
 
-from .blocks import (BlockConfig, block_values, disjoint_stat,
-                     empirical_cluster_measure, sliding_stat)
+from .blocks import (BlockBookkeeping, BlockConfig, block_bookkeeping,
+                     block_values, disjoint_stat, empirical_cluster_measure,
+                     sliding_stat)
 from .errors import (ClusterBlocksError, ConfigError, FunctionalContractError,
                      ModelError, PersistError)
-from .expansion import (BlockBookkeeping, DecompositionReport,
-                        block_bookkeeping, boundary_cluster_stat,
+from .expansion import (DecompositionReport, boundary_cluster_stat,
                         expansion_report, internal_cluster_stat,
                         remainder_stat)
 from .functionals import (ClusterFunctional, ExceedancePattern,

@@ -5,12 +5,16 @@ series is truncated to m*r for blockwise sums (the discarded tail length
 is exposed).  "Interior" variants restrict block sums to j = 2..m-1.  All
 functional evaluations happen on the threshold-scaled series, so the
 threshold never reaches the functionals themselves.
+
+`block_bookkeeping` is the package's one threshold scan: every statistic
+here, and the decomposition in `expansion`, reads the scaled series, the
+exceedance positions and the active blocks from it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -43,13 +47,71 @@ def truncated_length(n: int, r: int) -> tuple[int, int]:
     return m, n - m * r
 
 
-def _scaled(series: MagnitudeSeries, cfg: BlockConfig) -> np.ndarray:
-    return series.values / cfg.u
+@dataclass
+class BlockBookkeeping:
+    """Per-block exceedance data for a series cut into m blocks of size r.
+
+    `scaled` and `pos` cover the whole series, the discarded tail of fewer
+    than r values included, since the full sliding sum reads it; `idx`,
+    `counts`, `first`, `last` and `active` cover blocks 1..m only.  Block
+    indices j are 1-based.  Exceedance times are absolute 1-based series
+    positions; the conventions t_j(0) = (j-1)r and t_j(N_j+1) = jr are
+    implicit in the gap computations.
+    """
+
+    r: int
+    u: float
+    w: float
+    m: int
+    n_eff: int
+    discarded: int
+    scaled: np.ndarray
+    pos: np.ndarray          # all exceedance positions, 1-based
+    idx: np.ndarray          # pos[idx[j-1]:idx[j]] are block j's times
+    counts: np.ndarray
+    first: np.ndarray        # 0 where the block is empty
+    last: np.ndarray
+    active: np.ndarray
+    sums: dict = field(default_factory=dict, repr=False, compare=False)  # reference_sums cache
+
+    def times(self, j: int) -> np.ndarray:
+        return self.pos[self.idx[j - 1]: self.idx[j]]
+
+    def block_window(self, j: int) -> np.ndarray:
+        return self.scaled[(j - 1) * self.r: j * self.r]
+
+    def merged_window(self, j: int) -> np.ndarray:
+        return self.scaled[(j - 1) * self.r: (j + 1) * self.r]
+
+    def joint_length(self, j: int) -> int:
+        """L_{j,j+1} = t_{j+1}(N_{j+1}) - t_j(1) + 1; blocks must be active."""
+        return int(self.last[j]) - int(self.first[j - 1]) + 1
+
+    def cluster_window(self, j: int) -> np.ndarray:
+        """Scaled values from the first to the last exceedance of block j."""
+        return self.scaled[int(self.first[j - 1]) - 1: int(self.last[j - 1])]
+
+    def merged_cluster_window(self, j: int) -> np.ndarray:
+        return self.scaled[int(self.first[j - 1]) - 1: int(self.last[j])]
 
 
-def _positions(scaled: np.ndarray) -> np.ndarray:
-    """1-based exceedance positions of the scaled series."""
-    return np.flatnonzero(scaled > 1.0) + 1
+def block_bookkeeping(series: MagnitudeSeries, cfg: BlockConfig) -> BlockBookkeeping:
+    """Single pass over the series: counts, times and events per block."""
+    m, discarded = truncated_length(len(series), cfg.r)
+    scaled = series.values / cfg.u
+    pos = np.flatnonzero(scaled > 1.0).astype(np.int64) + 1
+    idx = np.searchsorted(pos, np.arange(m + 1, dtype=np.int64) * cfg.r + 1)
+    counts = np.diff(idx)
+    active = counts > 0
+    first = np.zeros(m, dtype=np.int64)
+    last = np.zeros(m, dtype=np.int64)
+    if pos.size:
+        first[active] = pos[idx[:-1][active]]
+        last[active] = pos[idx[1:][active] - 1]
+    return BlockBookkeeping(r=cfg.r, u=cfg.u, w=cfg.w, m=m, n_eff=m * cfg.r,
+                            discarded=discarded, scaled=scaled, pos=pos,
+                            idx=idx, counts=counts, first=first, last=last,
+                            active=active)
 
 
 def window_values_at(scaled: np.ndarray, pos: np.ndarray, starts: np.ndarray,
@@ -115,27 +177,24 @@ def window_sum(scaled: np.ndarray, pos: np.ndarray, r: int, h: ClusterFunctional
     return float(np.repeat(values, lengths).sum())
 
 
-def active_block_values(scaled: np.ndarray, pos: np.ndarray, r: int, m: int,
-                        h: ClusterFunctional) -> np.ndarray:
+def active_block_values(book: BlockBookkeeping, h: ClusterFunctional) -> np.ndarray:
     """Per-block H values for blocks 1..m, evaluated on blocks that exceed.
 
     Blocks without an exceedance are 0 by hypothesis (ii) and are never
     visited, so this costs O(k) evaluations plus an O(m) fill.
     """
-    out = np.zeros(m)
-    j = np.unique((pos - 1) // r)
-    j = j[j < m]
-    out[j] = window_values_at(scaled, pos, j * r + 1, r, h)
+    out = np.zeros(book.m)
+    j = np.flatnonzero(book.active)
+    out[j] = window_values_at(book.scaled, book.pos, j * book.r + 1, book.r, h)
     return out
 
 
 def block_values(series: MagnitudeSeries, cfg: BlockConfig, h: ClusterFunctional) -> np.ndarray:
     """Per-block H values H(u^-1 X_{(j-1)r+1..jr}), j = 1..m."""
-    m, _ = truncated_length(len(series), cfg.r)
-    if m < 1:
+    book = block_bookkeeping(series, cfg)
+    if book.m < 1:
         raise ConfigError("series shorter than one block")
-    scaled = _scaled(series, cfg)
-    return active_block_values(scaled, _positions(scaled), cfg.r, m, h)
+    return active_block_values(book, h)
 
 
 def disjoint_stat(series: MagnitudeSeries, cfg: BlockConfig, h: ClusterFunctional) -> float:
@@ -160,19 +219,17 @@ def sliding_stat(series: MagnitudeSeries, cfg: BlockConfig, h: ClusterFunctional
     variant: starts restricted to blocks j = 2..m-1, normalized by the
     truncated length.
     """
-    n = len(series)
-    scaled = _scaled(series, cfg)
-    pos = _positions(scaled)
+    book = block_bookkeeping(series, cfg)
+    n, m, r = len(series), book.m, cfg.r
     if cfg.interior_only:
-        m, _ = truncated_length(n, cfg.r)
         if m < 3:
             raise ConfigError("interior variant needs at least 3 blocks")
-        total = window_sum(scaled, pos, cfg.r, h, cfg.r + 1, (m - 1) * cfg.r)
-        return float(total / (m * cfg.r * cfg.r * cfg.w))
-    if cfg.r > n:
+        total = window_sum(book.scaled, book.pos, r, h, r + 1, (m - 1) * r)
+        return float(total / (m * r * r * cfg.w))
+    if r > n:
         raise ConfigError("block size exceeds series length")
-    total = window_sum(scaled, pos, cfg.r, h, 1, n - cfg.r + 1)
-    return float(total / (n * cfg.r * cfg.w))
+    total = window_sum(book.scaled, book.pos, r, h, 1, n - r + 1)
+    return float(total / (n * r * cfg.w))
 
 
 def empirical_cluster_measure(series: MagnitudeSeries, cfg: BlockConfig,

@@ -21,12 +21,15 @@ exceedance-time fast path, which `internal_cluster_stat` and
 by definition), which runs only in `path_deviations`, once per event.
 Reports carry the maximal deviation between routes.
 
-Cost: one O(n) threshold scan (`block_bookkeeping`), then work in the
-exceedance positions only.  SB is summed over the at most 2k + 1 runs of
-window starts that see the same exceedances, DB over the active blocks,
-and the reference sums SB_j, DB_j are evaluated densely for the blocks an
-exceedance can reach, once per functional.  `decompose` reads everything
-from one bookkeeping, so several functionals can share one scan.
+Cost: one O(n) threshold scan (`blocks.block_bookkeeping`, the same scan
+the `blocks` statistics read), then work in the exceedance positions
+only.  SB is summed over the at most 2k + 1 runs of window starts that
+see the same exceedances and DB over the active blocks' values; the raw
+sums share nothing with the reference sums SB_j, DB_j, which are
+evaluated densely for the blocks an exceedance can reach, once per
+functional, for the reference routes and the remainder only.
+`decompose` reads everything from one bookkeeping, so several
+functionals can share one scan.
 """
 
 from __future__ import annotations
@@ -40,7 +43,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .blocks import BlockConfig, truncated_length, window_sum, window_values_at
+from .blocks import (BlockBookkeeping, BlockConfig, active_block_values,
+                     block_bookkeeping, window_sum, window_values_at)
 from .errors import ConfigError, FunctionalContractError
 from .functionals import ClusterFunctional, eval_functional, induced_ic
 from .models import MagnitudeSeries
@@ -48,89 +52,14 @@ from .models import MagnitudeSeries
 log = logging.getLogger("clusterblocks")
 
 
-@dataclass
-class BlockBookkeeping:
-    """Per-block exceedance data for a series cut into m blocks of size r.
-
-    Block indices j are 1-based.  Exceedance times are absolute 1-based
-    series positions; the conventions t_j(0) = (j-1)r and t_j(N_j+1) = jr
-    are implicit in the gap computations.
-    """
-
-    r: int
-    u: float
-    w: float
-    m: int
-    n_eff: int
-    discarded: int
-    scaled: np.ndarray
-    pos: np.ndarray          # all exceedance positions, 1-based
-    idx: np.ndarray          # pos[idx[j-1]:idx[j]] are block j's times
-    counts: np.ndarray
-    first: np.ndarray        # 0 where the block is empty
-    last: np.ndarray
-    active: np.ndarray
-    sums: dict = field(default_factory=dict, repr=False, compare=False)  # reference_sums cache
-
-    def times(self, j: int) -> np.ndarray:
-        return self.pos[self.idx[j - 1]: self.idx[j]]
-
-    def block_window(self, j: int) -> np.ndarray:
-        return self.scaled[(j - 1) * self.r: j * self.r]
-
-    def merged_window(self, j: int) -> np.ndarray:
-        return self.scaled[(j - 1) * self.r: (j + 1) * self.r]
-
-    def joint_length(self, j: int) -> int:
-        """L_{j,j+1} = t_{j+1}(N_{j+1}) - t_j(1) + 1; blocks must be active."""
-        return int(self.last[j]) - int(self.first[j - 1]) + 1
-
-    def cluster_window(self, j: int) -> np.ndarray:
-        """Scaled values from the first to the last exceedance of block j."""
-        return self.scaled[int(self.first[j - 1]) - 1: int(self.last[j - 1])]
-
-    def merged_cluster_window(self, j: int) -> np.ndarray:
-        return self.scaled[int(self.first[j - 1]) - 1: int(self.last[j])]
-
-
-def block_bookkeeping(series: MagnitudeSeries, cfg: BlockConfig) -> BlockBookkeeping:
-    """Single pass over the series: counts, times and events per block."""
-    n = len(series)
-    m, discarded = truncated_length(n, cfg.r)
-    if m < 3:
-        raise ConfigError(f"need at least 3 blocks, got m={m}")
-    n_eff = m * cfg.r
-    scaled = series.values[:n_eff] / cfg.u
-    pos = np.flatnonzero(scaled > 1.0).astype(np.int64) + 1
-    idx = np.searchsorted(pos, np.arange(m + 1, dtype=np.int64) * cfg.r + 1)
-    counts = np.diff(idx)
-    active = counts > 0
-    first = np.zeros(m, dtype=np.int64)
-    last = np.zeros(m, dtype=np.int64)
-    if pos.size:
-        first[active] = pos[idx[:-1][active]]
-        last[active] = pos[idx[1:][active] - 1]
-    return BlockBookkeeping(r=cfg.r, u=cfg.u, w=cfg.w, m=m, n_eff=n_eff,
-                            discarded=discarded, scaled=scaled, pos=pos,
-                            idx=idx, counts=counts, first=first, last=last,
-                            active=active)
-
-
 # -- elementary sums ---------------------------------------------------------
 
 
 class ReferenceSums(NamedTuple):
-    """Direct window sums at index j = 1..m-1 (index 0 unused).
-
-    `block` is the window evaluation the DB total reduces; `db` evaluates
-    the raw block with the evaluator, as the reference DB_j always has.
-    They agree except in the last bit where a pattern_value rounds
-    differently from its evaluator (numpy vs Python powers).
-    """
+    """Direct window sums at index j = 1..m-1 (index 0 unused)."""
 
     sb: np.ndarray       # SB_j, summed window by window
-    block: np.ndarray    # H(block j), the first window of SB_j
-    db: np.ndarray       # DB_j = r * H(block j)
+    db: np.ndarray       # DB_j = r * H(block j), by the evaluator
 
 
 def reference_sums(book: BlockBookkeeping, h: ClusterFunctional) -> ReferenceSums:
@@ -139,8 +68,8 @@ def reference_sums(book: BlockBookkeeping, h: ClusterFunctional) -> ReferenceSum
     SB_j reads blocks j and j+1, so its windows are evaluated (in one
     batched call, each row summed over its r windows) only where one of
     them is active; DB_j only on active blocks.  All other sums are 0 by
-    hypothesis (ii).  The IC/BC reference routes, `path_deviations` and the
-    remainder enumeration share the result through the bookkeeping.
+    hypothesis (ii).  `path_deviations` and the remainder enumeration share
+    the result through the bookkeeping; `raw_sums` never reads it.
     """
     # Keyed by id: evaluators need not be hashable.  The entry holds h,
     # so the id cannot be reused while the entry exists.
@@ -153,13 +82,11 @@ def reference_sums(book: BlockBookkeeping, h: ClusterFunctional) -> ReferenceSum
     vals = window_values_at(book.scaled, book.pos, starts, r, h).reshape(j.size, r)
     sb = np.zeros(m)
     sb[j] = vals.sum(axis=1)
-    block = np.zeros(m)
-    block[j] = vals[:, 0]
     db = np.zeros(m)
     act = np.flatnonzero(a[:-1]) + 1
     # eval_functional without its exceedance test: these blocks exceed
     db[act] = [r * float(h.evaluator(book.block_window(k))) for k in act.tolist()]
-    sums = ReferenceSums(sb, block, db)
+    sums = ReferenceSums(sb, db)
     book.sums[id(h)] = (h, sums)
     return sums
 
@@ -168,11 +95,12 @@ def raw_sums(book: BlockBookkeeping, h: ClusterFunctional) -> tuple[float, float
     """(SB, DB) over blocks 1..m-1, equal bit for bit to the dense reductions.
 
     SB is summed over the runs of `window_segments`, DB over the active
-    blocks' values (zero elsewhere), both in O(k) evaluations.
+    blocks' values (zero elsewhere), both in O(k) evaluations.  Neither
+    reads `reference_sums`, which stays the independent check.
     """
     r, m = book.r, book.m
     sb = window_sum(book.scaled, book.pos, r, h, 1, (m - 1) * r)
-    db = float(r * reference_sums(book, h).block[1:].sum())
+    db = float(r * active_block_values(book, h)[:m - 1].sum())
     return sb, db
 
 
@@ -315,10 +243,12 @@ def remainder_stat(book: BlockBookkeeping, h: ClusterFunctional,
     are found by masks over the active blocks and their terms are added
     in ascending j.
     """
-    s, _, d = reference_sums(book, h)
+    m = book.m
+    if m < 3:
+        raise ConfigError(f"need at least 3 blocks, got m={m}")
+    s, d = reference_sums(book, h)
     t = s - d
     a = book.active
-    m = book.m
     r_op = (sb - db) - ic - bc
 
     r_ic = 0.0
@@ -406,6 +336,8 @@ def decompose(book: BlockBookkeeping, h: ClusterFunctional, w_source: str = "sup
     report raises FunctionalContractError instead of carrying inf or nan.
     """
     m, r, w, n_eff = book.m, book.r, book.w, book.n_eff
+    if m < 3:
+        raise ConfigError(f"need at least 3 blocks, got m={m}")
     with np.errstate(over="ignore", invalid="ignore"):
         sb, db = raw_sums(book, h)
         # The pathwise identity always uses the neighbour-excluded events;

@@ -22,10 +22,9 @@ from typing import Callable
 import numpy as np
 
 from . import __version__
-from .blocks import BlockConfig, active_block_values
-from .errors import ConfigError, PersistError
-from .expansion import (block_bookkeeping, boundary_cluster_stat,
-                        internal_cluster_stat, raw_sums)
+from .blocks import BlockConfig, active_block_values, block_bookkeeping
+from .errors import ConfigError, FunctionalContractError, PersistError
+from .expansion import boundary_cluster_stat, internal_cluster_stat, raw_sums
 from .functionals import get_functional
 from .limits import LimitTable
 from .models import ModelSpec, gen_series, threshold_for_w
@@ -87,7 +86,7 @@ def _length_moment(_, book, h, g):
 
 
 def _mean_block_value(_, book, h, g):
-    return float(active_block_values(book.scaled, book.pos, book.r, book.m, h).mean())
+    return float(active_block_values(book, h).mean())
 
 
 def _indicator_theta(lt, g):
@@ -285,9 +284,11 @@ def _replicate_values(model: ModelSpec, point: GridPoint, functional: str,
     cfg = BlockConfig(r=point.r, u=point.u, w=point.w)
     book = block_bookkeeping(series, cfg)
     parsed = [(TARGETS[name], g) for name, g in map(parse_target, targets)]
-    shared = {q: q(book, h, spec) for q in dict.fromkeys(t.needs for t, _ in parsed) if q}
-    return [t.statistic(shared.get(t.needs), book, h, g) / t.scale(book.n_eff, book.r, book.w, g)
-            for t, g in parsed]
+    # Sums of finite values may overflow; run_experiment rejects the rows.
+    with np.errstate(over="ignore", invalid="ignore"):
+        shared = {q: q(book, h, spec) for q in dict.fromkeys(t.needs for t, _ in parsed) if q}
+        return [t.statistic(shared.get(t.needs), book, h, g)
+                / t.scale(book.n_eff, book.r, book.w, g) for t, g in parsed]
 
 
 def _worker(args):
@@ -326,11 +327,16 @@ def run_experiment(cfg: ExperimentConfig) -> ConvergenceTable:
         block = np.array(results[g * cfg.replicates:(g + 1) * cfg.replicates])
         for t_idx, target in enumerate(cfg.targets):
             col = block[:, t_idx]
-            mean = float(col.mean())
-            sd = float(col.std(ddof=1)) if cfg.replicates > 1 else 0.0
+            with np.errstate(over="ignore", invalid="ignore"):
+                mean = float(col.mean())
+                sd = float(col.std(ddof=1)) if cfg.replicates > 1 else 0.0
+            se = sd / math.sqrt(cfg.replicates)
+            if not all(map(math.isfinite, (mean, sd, se))):
+                raise FunctionalContractError(
+                    f"{cfg.functional}: sums of finite values overflow a float "
+                    f"(target {target} at n={point.n})")
             rows.append(TableRow(grid_index=g, n=point.n, r=point.r, w=point.w,
-                                 target=target, mean=mean, sd=sd,
-                                 se=sd / math.sqrt(cfg.replicates),
+                                 target=target, mean=mean, sd=sd, se=se,
                                  replicates=cfg.replicates))
     label, alpha, c0, c1 = _model_columns(cfg.model)
     meta = {"config_hash": cfg.config_hash, "code_version": __version__,

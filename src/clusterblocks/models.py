@@ -201,28 +201,10 @@ def _pareto(rng: np.random.Generator, n: int, alpha: float) -> np.ndarray:
     return (1.0 - u) ** (-1.0 / alpha)
 
 
-def _gen_stationary(spec: ModelSpec, n: int, rng: np.random.Generator) -> np.ndarray:
-    q = len(spec.coeffs) - 1
-    xi = _pareto(rng, n + q, spec.alpha)
-    out = np.zeros(n)
-    for k, c in enumerate(spec.coeffs):
-        if c > 0:
-            np.maximum(out, c * xi[k:k + n], out=out)
-    return out
-
-
-def _gen_piecewise(spec: ModelSpec, n: int, rng: np.random.Generator) -> np.ndarray:
-    # One innovation row per block: rows are disjoint slices of a single
-    # stream, so blocks are independent, and row j only depends on (seed,
-    # j, block_size), so each block replays individually as the sample
-    # grows.  Re-seeding a generator per block gives the same contract at
-    # several hundred times the cost.
-    size = spec.block_size
-    q = len(spec.inner.coeffs) - 1
-    m = n // size
-    xi = _pareto(rng, m * (size + q), spec.inner.alpha).reshape(m, size + q)
-    out = np.zeros((m, size))
-    for k, c in enumerate(spec.inner.coeffs):
+def _moving_maxima(xi: np.ndarray, coeffs, size: int) -> np.ndarray:
+    """max_k c_k xi[:, k:k+size] over each row of a (rows, size + q) array."""
+    out = np.zeros((xi.shape[0], size))
+    for k, c in enumerate(coeffs):
         if c > 0:
             np.maximum(out, c * xi[:, k:k + size], out=out)
     return out.ravel()
@@ -238,15 +220,23 @@ def gen_series(spec: ModelSpec, n: int, seed: int) -> MagnitudeSeries:
         raise ModelError("series length must be >= 1")
     seed = _mask_seed(seed)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
+    size = n
     if spec.kind == "piecewise":
         size = spec.block_size
         if size is None:
             raise ModelError("piecewise block_size is unresolved")
         if n % size != 0:
             raise ModelError(f"n={n} is not a multiple of block_size={size}")
-        values = _gen_piecewise(spec, n, rng)
-    else:
-        values = _gen_stationary(spec, n, rng)
+    # One innovation row per block of a piecewise model: rows are disjoint
+    # slices of a single stream, so blocks are independent, and row j only
+    # depends on (seed, j, block_size), so each block replays individually
+    # as the sample grows.  Re-seeding a generator per block gives the same
+    # contract at several hundred times the cost.  A stationary series is
+    # the one row of n + q innovations.
+    base = spec.base
+    rows, width = n // size, size + len(base.coeffs) - 1
+    xi = _pareto(rng, rows * width, base.alpha).reshape(rows, width)
+    values = _moving_maxima(xi, base.coeffs, size)
     return MagnitudeSeries(values=values, model=spec, seed=seed)
 
 

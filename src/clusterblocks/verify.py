@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import BlockConfig
-from .expansion import block_bookkeeping, decompose, expansion_report
+from .blocks import BlockConfig, block_bookkeeping
+from .expansion import decompose, expansion_report
 from .functionals import get_functional
 from .harness import ConvergenceTable, TableRow, load, persist
 from .limits import mma1_constants

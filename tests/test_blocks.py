@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -9,7 +11,8 @@ from clusterblocks import (BlockConfig, ClusterFunctional, ConfigError,
                            MagnitudeSeries, ModelSpec, block_bookkeeping,
                            block_values, disjoint_stat,
                            empirical_cluster_measure, gen_series,
-                           get_functional, sliding_stat, threshold_for_w)
+                           get_functional, parse_model, sliding_stat,
+                           threshold_for_w)
 from clusterblocks.blocks import (active_block_values, window_sum,
                                   window_values_at)
 from clusterblocks.expansion import raw_sums
@@ -196,17 +199,56 @@ def test_segment_totals_equal_dense_reduction(values, r):
     scaled = series.values
     pos = np.flatnonzero(scaled > 1.0) + 1
     m = n // r
+    book = block_bookkeeping(series, cfg)
     for h in SEGMENT_FUNCTIONALS:
         dense = float(window_values_at(scaled, pos, np.arange(1, n - r + 2), r, h).sum())
         assert window_sum(scaled, pos, r, h, 1, n - r + 1) == dense
         assert sliding_stat(series, cfg, h) == float(dense / (n * r * cfg.w))
         dense_blocks = window_values_at(scaled, pos, np.arange(m) * r + 1, r, h)
-        assert np.array_equal(active_block_values(scaled, pos, r, m, h), dense_blocks)
+        assert np.array_equal(active_block_values(book, h), dense_blocks)
         if m >= 3:
-            book = block_bookkeeping(series, cfg)
             starts = np.arange(1, (m - 1) * r + 1)
             block_starts = np.arange(m - 1) * r + 1
             sb, db = raw_sums(book, h)
             assert sb == float(window_values_at(book.scaled, book.pos, starts, r, h).sum())
             assert db == float(r * window_values_at(book.scaled, book.pos,
                                                     block_starts, r, h).sum())
+
+
+GOLDEN_BLOCK_STATS = {
+    ("mma1:1,1,1", "indicator"): "686cfa4a3387a5d58ae22a05f49abde9a485d59decb4515316be9b48c1718718",
+    ("mma1:1,1,1", "length^1.5"): "7916363866b0d1fc83af09133e9cc7d4ac90e9ce9c0c17007fe6df86b0f0098a",
+    ("mma1:1,1,1", "log_sum"): "5fc708326c0d140151207ffdbb27f1fd5a705bcbd98370d3815dac8f03294efa",
+    ("mma1:1,2,1.5", "indicator"): "f9844cbccc071a1770c061dea2dfa4d6f56742362797a175f09c02bd4b03187f",
+    ("mma1:1,2,1.5", "length^1.5"): "f5bf85f6ae7b3d5f9da82a184723fbdc900958eaee572a055874ed3677c9ee50",
+    ("mma1:1,2,1.5", "log_sum"): "66f269046991e350b12db5530d8bbe83eb8d7d67e746573894b08784248efe13",
+}
+
+
+@pytest.mark.parametrize("model,name", sorted(GOLDEN_BLOCK_STATS))
+def test_block_statistics_bytes_are_pinned(model, name):
+    # n = 2403 leaves a 3-value tail after the 300 blocks of r = 8, which
+    # only the full sliding sum reads
+    spec = parse_model(model)
+    series = gen_series(spec, 2403, seed=5)
+    w = 0.04
+    h = LOG_SUM if name == "log_sum" else get_functional(name)
+    values = []
+    for interior in (False, True):
+        cfg = BlockConfig(r=8, u=threshold_for_w(spec, w), w=w, interior_only=interior)
+        values += [disjoint_stat(series, cfg, h), sliding_stat(series, cfg, h)]
+    values += [empirical_cluster_measure(series, cfg, h), *block_values(series, cfg, h).tolist()]
+    text = json.dumps(values)
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_BLOCK_STATS[(model, name)]
+
+
+def test_raw_sums_leave_the_reference_batch_unbuilt():
+    # SB and DB share nothing with the dense reference sums, which stay an
+    # independent check
+    spec = ModelSpec.mma1(1.0, 1.0, 1.0)
+    book = block_bookkeeping(gen_series(spec, 2403, seed=5),
+                             BlockConfig(r=8, u=threshold_for_w(spec, 0.04), w=0.04))
+    assert book.active.any()
+    for h in SEGMENT_FUNCTIONALS:
+        raw_sums(book, h)
+    assert book.sums == {}

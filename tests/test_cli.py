@@ -196,6 +196,10 @@ def test_memory_guard_error_category(capsys):
 RATES = ["rates", "--model", "mma1:1,1,1", "--grid", "2000:n^0.2:n^-0.55",
          "--replicates", "2", "--targets", "ic_norm"]
 LIMITS = ["limits", "--c0", "1", "--c1", "1", "--alpha", "1"]
+# block values 20^236 are finite, their sums over 20 000 windows are not
+OVERFLOWING_RATES = ["rates", "--model", "mma1:1,1,1", "--grid", "20000:20:0.05",
+                     "--replicates", "3", "--functional", "length^236",
+                     "--targets", "scaled_gap,ic_norm"]
 
 
 def no_replicate(*args):
@@ -230,11 +234,14 @@ def no_replicate(*args):
     (["decompose", "--model", "mma1:1,1,1", "--n", "100000", "--w", "0.001", "--r", "10",
       "--functional", "length^1020"], None, 1, "functional"),
     (LIMITS + ["--functional", "length^1023"], None, 1, "functional"),
+    (OVERFLOWING_RATES + ["--threads", "1"], None, 1, "functional"),
+    (OVERFLOWING_RATES + ["--threads", "2"], None, 1, "functional"),
 ])
 def test_parse_errors_fail_closed(capsys, monkeypatch, argv, env, code, category):
     if env is not None:
         monkeypatch.setenv("CLBLK_THREADS", env)
-    monkeypatch.setattr("clusterblocks.harness._worker", no_replicate)
+    if argv[:len(OVERFLOWING_RATES)] != OVERFLOWING_RATES:   # overflows in the replicates
+        monkeypatch.setattr("clusterblocks.harness._worker", no_replicate)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)   # a numpy warning is a 2nd line
         got, out, err = run(capsys, *argv)

@@ -79,8 +79,8 @@ def test_bookkeeping_saturated_and_empty():
     empty = series_from(np.full(12, 0.5))
     book = block_bookkeeping(empty, cfg)
     assert not book.active.any()
-    with pytest.raises(ConfigError):
-        block_bookkeeping(series_from(np.ones(5)), cfg)
+    with pytest.raises(ConfigError, match="need at least 3 blocks, got m=1"):
+        expansion_report(series_from(np.ones(5)), cfg, IND)
 
 
 def test_gap_convention_sums_to_r():
