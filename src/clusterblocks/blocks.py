@@ -83,25 +83,17 @@ class BlockBookkeeping:
     def merged_window(self, j: int) -> np.ndarray:
         return self.scaled[(j - 1) * self.r: (j + 1) * self.r]
 
-    def joint_length(self, j: int) -> int:
-        """L_{j,j+1} = t_{j+1}(N_{j+1}) - t_j(1) + 1; blocks must be active."""
-        return int(self.last[j]) - int(self.first[j - 1]) + 1
-
-    def cluster_window(self, j: int) -> np.ndarray:
-        """Scaled values from the first to the last exceedance of block j."""
-        return self.scaled[int(self.first[j - 1]) - 1: int(self.last[j - 1])]
-
-    def merged_cluster_window(self, j: int) -> np.ndarray:
-        return self.scaled[int(self.first[j - 1]) - 1: int(self.last[j])]
-
 
 def block_bookkeeping(series: MagnitudeSeries, cfg: BlockConfig) -> BlockBookkeeping:
     """Single pass over the series: counts, times and events per block."""
     m, discarded = truncated_length(len(series), cfg.r)
     scaled = series.values / cfg.u
     pos = np.flatnonzero(scaled > 1.0).astype(np.int64) + 1
-    idx = np.searchsorted(pos, np.arange(m + 1, dtype=np.int64) * cfg.r + 1)
-    counts = np.diff(idx)
+    # Counts per block in O(k + m); exceedances in the discarded tail fall
+    # in bin m, which is dropped.
+    counts = np.bincount((pos - 1) // cfg.r, minlength=m)[:m]
+    idx = np.zeros(m + 1, dtype=np.int64)
+    np.cumsum(counts, out=idx[1:])
     active = counts > 0
     first = np.zeros(m, dtype=np.int64)
     last = np.zeros(m, dtype=np.int64)

@@ -19,7 +19,10 @@ Every cluster statistic is computed along two independent routes: the
 exceedance-time fast path, which `internal_cluster_stat` and
 `boundary_cluster_stat` take, and direct window summation (ground truth
 by definition), which runs only in `path_deviations`, once per event.
-Reports carry the maximal deviation between routes.
+Reports carry the maximal deviation between routes.  The fast path reads
+nothing but the exceedance times: every IC and BC term is H on a piece
+t_a..t_b of one event's times, and H of a pattern-backed functional is
+evaluated once per distinct (count, length) of a piece.
 
 Cost: one O(n) threshold scan (`blocks.block_bookkeeping`, the same scan
 the `blocks` statistics read), then work in the exceedance positions
@@ -46,7 +49,7 @@ import numpy as np
 from .blocks import (BlockBookkeeping, BlockConfig, active_block_values,
                      block_bookkeeping, window_sum, window_values_at)
 from .errors import ConfigError, FunctionalContractError
-from .functionals import ClusterFunctional, eval_functional, induced_ic
+from .functionals import ClusterFunctional, eval_functional
 from .models import MagnitudeSeries
 
 log = logging.getLogger("clusterblocks")
@@ -91,17 +94,69 @@ def reference_sums(book: BlockBookkeeping, h: ClusterFunctional) -> ReferenceSum
     return sums
 
 
-def raw_sums(book: BlockBookkeeping, h: ClusterFunctional) -> tuple[float, float]:
+def raw_sums(book: BlockBookkeeping, h: ClusterFunctional,
+             vals: np.ndarray | None = None) -> tuple[float, float]:
     """(SB, DB) over blocks 1..m-1, equal bit for bit to the dense reductions.
 
     SB is summed over the runs of `window_segments`, DB over the active
-    blocks' values (zero elsewhere), both in O(k) evaluations.  Neither
-    reads `reference_sums`, which stays the independent check.
+    blocks' values (zero elsewhere), both in O(k) evaluations; `vals` are
+    those values, `active_block_values(book, h)`, where the caller already
+    holds them.  Neither reads `reference_sums`, which stays the
+    independent check.
     """
     r, m = book.r, book.m
+    if vals is None:
+        vals = active_block_values(book, h)
     sb = window_sum(book.scaled, book.pos, r, h, 1, (m - 1) * r)
-    db = float(r * active_block_values(book, h)[:m - 1].sum())
+    db = float(r * vals[:m - 1].sum())
     return sb, db
+
+
+# -- exceedance-time pieces ----------------------------------------------------
+
+
+class _Pieces:
+    """H on the pieces of one bookkeeping's exceedance times.
+
+    The piece (a, b) is the scaled series from the exceedance pos[a] to
+    pos[b] (0-based indices into `pos`, a <= b), which by hypothesis (iii)
+    H sees as it sees any window holding exactly those exceedances.  A
+    pattern-backed H is a function of the piece's (count, length), so it
+    is evaluated on the first piece of each key and read back for the
+    others; any other H is evaluated on every piece.
+    """
+
+    def __init__(self, book: BlockBookkeeping, h: ClusterFunctional):
+        self.pos = book.pos.tolist()
+        self.scaled = book.scaled
+        self.h = h
+        self.memo = {} if h.pattern_value is not None else None
+
+    def value(self, a: int, b: int) -> float:
+        pos = self.pos
+        if self.memo is None:
+            return eval_functional(self.h, self.scaled[pos[a] - 1: pos[b]])
+        key = (b - a + 1, pos[b] - pos[a] + 1)
+        v = self.memo.get(key)
+        if v is None:
+            v = self.memo[key] = eval_functional(self.h, self.scaled[pos[a] - 1: pos[b]])
+        return v
+
+    def ic_sum(self, a: int, b: int) -> float:
+        """The induced internal-cluster value of the times pos[a..b]:
+
+            sum_i (t_{i+1} - t_i) * (H(t_a..t_i) + H(t_{i+1}..t_b) - H(t_a..t_b)),
+
+        added in the order of `functionals.induced_ic`; 0 below two times.
+        """
+        if b <= a:
+            return 0.0
+        pos, value = self.pos, self.value
+        total = value(a, b)
+        acc = 0.0
+        for i in range(a, b):
+            acc += (pos[i + 1] - pos[i]) * (value(a, i) + value(i + 1, b) - total)
+        return acc
 
 
 # -- internal clusters --------------------------------------------------------
@@ -129,10 +184,12 @@ def internal_cluster_stat(book: BlockBookkeeping, h: ClusterFunctional,
     """Internal clusters statistic and its per-block values.
 
     Each event block contributes the induced internal-cluster functional
-    of the block; `path_deviations` checks it against the direct sums
+    of its exceedance times, read from the bookkeeping's positions alone;
+    `path_deviations` checks it against the direct sums
     SB_{j-1} + SB_j - DB_j.
     """
-    per_block = {j: induced_ic(h, book.block_window(j))
+    pieces, idx = _Pieces(book, h), book.idx
+    per_block = {j: pieces.ic_sum(int(idx[j - 1]), int(idx[j]) - 1)
                  for j in internal_event_blocks(book, mode).tolist()}
     return float(sum(per_block.values())), per_block
 
@@ -179,21 +236,25 @@ def boundary_cluster_stat(book: BlockBookkeeping, h: ClusterFunctional) -> Bound
     and window-sum part (bc2), the latter further split by whether the
     joint cluster length stays below r ("tilde") or not ("overline").
 
-    bc1 reads the pair's cluster windows.  bc2 on {L_{j,j+1} < r} is the
-    merged-time gap expansion, which coincides with the induced
-    internal-cluster form of the merged pair; the overline part is
-    computed by direct summation, since the gap formula is only stated
-    below r.
+    bc1 is r * (H(merged cluster) - H(cluster j) - H(cluster j+1)), read
+    from the pair's exceedance times split between the two blocks.  bc2 on
+    {L_{j,j+1} < r} is the merged-time gap expansion, which coincides with
+    the induced internal-cluster form of the pair's times; the overline
+    part is computed by direct summation, since the gap formula is only
+    stated below r.
     """
     parts = BoundaryParts(0.0, 0.0, 0.0)
+    pieces, idx = _Pieces(book, h), book.idx
     for j in boundary_event_blocks(book).tolist():
-        bc1_j = _bc1(book, h, book.merged_cluster_window(j), book.cluster_window(j),
-                     book.cluster_window(j + 1))
-        joint = book.joint_length(j)
+        # pos[a..split-1] are block j's times, pos[split..b] block j+1's
+        a, split, b = int(idx[j - 1]), int(idx[j]), int(idx[j + 1]) - 1
+        bc1_j = book.r * (pieces.value(a, b) - pieces.value(a, split - 1)
+                          - pieces.value(split, b))
+        joint = pieces.pos[b] - pieces.pos[a] + 1
         short = joint < book.r
         parts.bc1 += bc1_j
         if short:
-            bc2_j = induced_ic(h, book.merged_window(j))
+            bc2_j = pieces.ic_sum(a, b)
             parts.bc2_tilde += bc2_j
         else:
             bc2_j = _bc2_reference(book, h, j)

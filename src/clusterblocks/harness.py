@@ -72,8 +72,9 @@ def _pair_rate(book, h, spec):
     return float((a[even] & a[even + 1]).mean()) if even.size else 0.0
 
 
-def _raw_sums(book, h, spec):
-    return raw_sums(book, h)                    # (SB, DB)
+def _block_sums(book, h, spec):
+    vals = active_block_values(book, h)
+    return (*raw_sums(book, h, vals), vals)     # (SB, DB, active blocks' values)
 
 
 def _quantity(q, book, h, g):
@@ -83,10 +84,6 @@ def _quantity(q, book, h, g):
 def _length_moment(_, book, h, g):
     lengths = np.where(book.active, book.last - book.first + 1, 0).astype(float)
     return float((lengths ** g * book.active).mean())
-
-
-def _mean_block_value(_, book, h, g):
-    return float(active_block_values(book, h).mean())
 
 
 def _indicator_theta(lt, g):
@@ -110,11 +107,11 @@ class Target:
 
 
 TARGETS = {
-    "disjoint_stat": Target(_raw_sums, lambda s, b, h, g: s[1], lambda n, r, w, g: n * r * w,
+    "disjoint_stat": Target(_block_sums, lambda s, b, h, g: s[1], lambda n, r, w, g: n * r * w,
                             _indicator_theta),
-    "sliding_stat": Target(_raw_sums, lambda s, b, h, g: s[0], lambda n, r, w, g: n * r * w,
+    "sliding_stat": Target(_block_sums, lambda s, b, h, g: s[0], lambda n, r, w, g: n * r * w,
                            _indicator_theta),
-    "scaled_gap": Target(_raw_sums, lambda s, b, h, g: b.r * (s[1] - s[0]),
+    "scaled_gap": Target(_block_sums, lambda s, b, h, g: b.r * (s[1] - s[0]),
                          lambda n, r, w, g: n * r * w, lambda lt, g: -(lt.nu_ic + lt.nu_bc)),
     "ic_norm": Target(_ic_total, _quantity, lambda n, r, w, g: n * w,
                       lambda lt, g: lt.nu_ic),
@@ -129,7 +126,8 @@ TARGETS = {
     "clm_large": Target(None, _length_moment, lambda n, r, w, g: r ** (g + 2.0) * w ** 2,
                         lambda lt, g: lt.theta ** 2 / ((g + 1.0) * (g + 2.0)),
                         exponent=True),
-    "ecm": Target(None, _mean_block_value, lambda n, r, w, g: r * w, _indicator_theta),
+    "ecm": Target(_block_sums, lambda s, b, h, g: float(s[2].mean()), lambda n, r, w, g: r * w,
+                  _indicator_theta),
 }
 
 

@@ -202,11 +202,19 @@ def _pareto(rng: np.random.Generator, n: int, alpha: float) -> np.ndarray:
 
 
 def _moving_maxima(xi: np.ndarray, coeffs, size: int) -> np.ndarray:
-    """max_k c_k xi[:, k:k+size] over each row of a (rows, size + q) array."""
-    out = np.zeros((xi.shape[0], size))
+    """max_k c_k xi[:, k:k+size] over each row of a (rows, size + q) array.
+
+    Every term is > 0, so the maximum starts from the first positive
+    coefficient's term; a unit coefficient is not multiplied (1.0 * x == x).
+    """
+    out = None
     for k, c in enumerate(coeffs):
         if c > 0:
-            np.maximum(out, c * xi[:, k:k + size], out=out)
+            term = xi[:, k:k + size] if c == 1.0 else c * xi[:, k:k + size]
+            if out is None:
+                out = term.copy() if c == 1.0 else term      # out owns its memory
+            else:
+                np.maximum(out, term, out=out)
     return out.ravel()
 
 

@@ -252,3 +252,18 @@ def test_raw_sums_leave_the_reference_batch_unbuilt():
     for h in SEGMENT_FUNCTIONALS:
         raw_sums(book, h)
     assert book.sums == {}
+
+
+@pytest.mark.parametrize("n,r,positions", [
+    (23, 5, [2, 3, 9, 20, 21, 22, 23]),     # tail exceedances, n not a multiple of r
+    (20, 5, [1, 5, 6, 15, 20]),             # an exceedance at position m*r exactly
+    (17, 4, []),                            # no exceedance at all
+])
+def test_block_index_equals_searchsorted_over_block_edges(n, r, positions):
+    values = np.full(n, 0.5)
+    values[np.asarray(positions, dtype=int) - 1] = 2.0
+    book = block_bookkeeping(MagnitudeSeries(values=values), BlockConfig(r=r, u=1.0, w=0.1))
+    assert book.pos.tolist() == positions
+    edges = np.arange(book.m + 1, dtype=np.int64) * r + 1
+    assert book.idx.tolist() == np.searchsorted(book.pos, edges).tolist()
+    assert book.counts.sum() == sum(p <= book.m * r for p in positions)

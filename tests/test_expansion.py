@@ -11,8 +11,8 @@ from clusterblocks import (BlockConfig, ClusterFunctional, ConfigError,
                            internal_cluster_stat, parse_model,
                            remainder_stat, threshold_for_w)
 from clusterblocks.blocks import window_values_at
-from clusterblocks.expansion import path_deviations
-from clusterblocks.functionals import eval_functional
+from clusterblocks.expansion import _bc1, path_deviations
+from clusterblocks.functionals import eval_functional, induced_ic
 
 IND = get_functional("indicator")
 LEN = get_functional("length")
@@ -410,3 +410,93 @@ def test_verbose_report_bytes_are_pinned(model, name):
                            w_source="exact", verbose=True)
     text = rep.to_json(verbose=True) + "\n"
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_REPORTS[(model, name)]
+
+
+# -- exceedance-time route against the window route --------------------------
+
+TIME_ROUTE_FUNCTIONALS = [IND, LEN, CNT, get_functional("length^1.5"), LOG_SUM]
+
+
+def _random_book(rng, r, m, p):
+    """m blocks of size r, each value exceeding with probability p, plus a tail."""
+    n = m * r + int(rng.integers(0, r))
+    values = np.where(rng.random(n) < p, rng.uniform(1.01, 9.0, n), rng.uniform(0.0, 1.0, n))
+    return block_bookkeeping(series_from(values), BlockConfig(r=r, u=1.0, w=0.1))
+
+
+def test_exceedance_time_route_equals_window_route():
+    # every IC and BC event value equals induced_ic and _bc1 on the old
+    # windows (whole block, cluster windows, whole pair) bit for bit
+    rng = np.random.default_rng(808)
+    counts, kinds = set(), set()
+    for _ in range(150):
+        r = int(rng.integers(2, 10))
+        book = _random_book(rng, r, int(rng.integers(4, 14)),
+                            float(rng.choice([0.05, 0.2, 0.5, 0.9, 1.0])))
+        s = book.scaled
+        for h in TIME_ROUTE_FUNCTIONALS:
+            for mode in ("standard", "piecewise"):
+                _, per = internal_cluster_stat(book, h, mode)
+                for j, v in per.items():
+                    assert v == induced_ic(h, book.block_window(j))
+                    counts.add(int(book.counts[j - 1]))
+            for pair in boundary_cluster_stat(book, h).per_pair:
+                j = pair["j"]
+                first, last = book.first, book.last
+                assert pair["bc1"] == _bc1(book, h, s[first[j - 1] - 1: last[j]],
+                                           s[first[j - 1] - 1: last[j - 1]],
+                                           s[first[j] - 1: last[j]])
+                assert pair["joint_length"] == last[j] - first[j - 1] + 1
+                if pair["short"]:
+                    assert pair["bc2"] == induced_ic(h, book.merged_window(j))
+                kinds.add(pair["short"])
+    assert counts >= set(range(1, 10)) and kinds == {True, False}
+
+
+def test_exceedance_time_route_skips_window_scans(monkeypatch):
+    # a pattern-backed H is evaluated at most once per distinct (count,
+    # length) of the pieces, and no window is scanned for its exceedances
+    import clusterblocks.expansion as expansion
+    import clusterblocks.functionals as functionals
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("window rescan on the exceedance-time route")
+
+    calls = []
+
+    def counting(h, window):
+        calls.append(1)
+        return eval_functional(h, window)
+
+    monkeypatch.setattr(functionals, "exceedance_pattern", forbidden)
+    monkeypatch.setattr(functionals, "induced_ic", forbidden)
+    monkeypatch.setattr(expansion, "eval_functional", counting)
+
+    def piece_keys(t):
+        # (count, length) of the whole run, of every prefix and every suffix
+        keys = {(len(t), t[-1] - t[0] + 1)}
+        for i in range(1, len(t)):
+            keys |= {(i, t[i - 1] - t[0] + 1), (len(t) - i, t[-1] - t[i] + 1)}
+        return keys
+
+    rng = np.random.default_rng(5)
+    book = _random_book(rng, 9, 400, 0.08)
+    h = get_functional("length^1.5")
+    _, per = internal_cluster_stat(book, h, "piecewise")
+    keys = set().union(*(piece_keys(book.times(j).tolist()) for j in per))
+    assert len(per) > 150 and 0 < len(calls) <= len(keys)
+
+    calls.clear()
+    pairs = boundary_cluster_stat(book, h).per_pair
+    keys = set()
+    for p in pairs:
+        left, right = book.times(p["j"]).tolist(), book.times(p["j"] + 1).tolist()
+        t = left + right
+        # bc1 reads the pair and its two clusters whole; bc2 on a short pair
+        # is the IC sum of the pair's times
+        keys |= {(len(c), c[-1] - c[0] + 1) for c in (t, left, right)}
+        if p["short"]:
+            keys |= piece_keys(t)
+    long_pairs = sum(not p["short"] for p in pairs)
+    # a long pair's bc2 is the direct sum, which evaluates its merged window once
+    assert pairs and 0 < len(calls) <= len(keys) + long_pairs

@@ -247,3 +247,22 @@ def test_load_malformed_row(tmp_path):
 def test_config_hash_stable():
     assert small_config().config_hash == small_config().config_hash
     assert small_config().config_hash != small_config(seed=1).config_hash
+
+
+def test_block_values_are_evaluated_once_per_replicate(monkeypatch):
+    # DB and the ecm mean read one active_block_values call
+    import clusterblocks.blocks as blocks
+    import clusterblocks.expansion as expansion
+    import clusterblocks.harness as harness
+
+    calls = []
+
+    def counting(book, h):
+        calls.append(1)
+        return blocks.active_block_values(book, h)
+
+    monkeypatch.setattr(harness, "active_block_values", counting)
+    monkeypatch.setattr(expansion, "active_block_values", counting)
+    point = small_config().resolve_grid()[0]
+    harness._replicate_values(MMA1, point, "indicator", ("disjoint_stat", "ecm"), 7)
+    assert len(calls) == 1

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import struct
 
@@ -196,3 +197,35 @@ def test_parse_model_roundtrip():
         assert parse_model(spec.format()).format() == spec.format()
     with pytest.raises(ModelError):
         parse_model("arma:1,1")
+
+
+
+GOLDEN_SERIES = {
+    ("iid:1", 1): "3e14a742fe51ce5db669848d73632c61509ab190c0fca15ddc9c9a3e39f18ddc",
+    ("iid:1", 35): "da07fb2b5ce165f3b049ea6eda885e86a6087bbf1eb50d299a219799e2856267",
+    ("iid:1", 91): "6e249e7c08c49815f3fe1e52832b6a1bb80fe8f92e38fbf0642bb6478678c900",
+    ("iid:1", 100000): "7c85a527c334a0156cafd1d49c76d60c47dac80d734dc66e7d49b4db128e9237",
+    ("mma1:1,1,1", 1): "d486779067a80e2a3352d14c640ef733c2b638ad736be52bde0045f8667ce66e",
+    ("mma1:1,1,1", 35): "4f38b7cce188a4e3e56993fc26a5305e79dc729203f7e2091a13a5bde5d8a3ee",
+    ("mma1:1,1,1", 91): "faaa5ea5fdbc4d49553ae983120a537985ad72fc0c8874815a960b52abce97bc",
+    ("mma1:1,1,1", 100000): "8ab6590f09d6874ce38c6718d27fda8ac77fbcdba9d96ba39532dec864177193",
+    ("mma1:1,2,1.5", 1): "dd0e3968c94c2885c25f7c2b9d68d590488944cb7b251e8b85956fb1ccf9c247",
+    ("mma1:1,2,1.5", 35): "7b5550f4e3dfb9f0bd924c8c1e311627b7e9db2a84b52072f8d5ac4fb5efef2e",
+    ("mma1:1,2,1.5", 91): "9cbfe9c41f5ffcb5500f85cee007e5b877241d0f9eebdefc46e95cf8fe7150b2",
+    ("mma1:1,2,1.5", 100000): "ac7c1359d85bacad08ea531359a0583ac1aeea558ecfa10b166e1933264ab316",
+    ("mmaq:0.5,0,3,2", 1): "40f2817ff5d8254c55e50435a334e260f62ec94bfb983801b3ac4c1cf2858ddd",
+    ("mmaq:0.5,0,3,2", 35): "66c2e501f2b1132430b09db21a1e05102c5d20ef232de86fdccd06fc73589b34",
+    ("mmaq:0.5,0,3,2", 91): "156d3561805d1a93ea0371ddd8f89580c17496a60d25d50108e1230e662a72c5",
+    ("mmaq:0.5,0,3,2", 100000): "8c98356c9f92d51b5e5a9e0ced123114ffb39b0329b5226bd2f9f3d7e0c73dfd",
+    ("piecewise(mma1:1,1,1):7", 7): "927da67acfdea4dada4b96214122abb8d84829e163eada377ef29235ecadc616",
+    ("piecewise(mma1:1,1,1):7", 35): "dc1dc37c964324b9e03bc50d8d100e4e7b84de267287759ef80d350ac0a8ce4f",
+    ("piecewise(mma1:1,1,1):7", 91): "5260c29a3dc4e6b441b761c28c8795a5306f95955efaf0e843c6cf8e0dfddf07",
+    ("piecewise(mma1:1,1,1):7", 99995): "ff4ceb85299522f0a179a853b2a3315e1e12b643e729e8d05c2ffa69d0779840",
+}
+
+
+@pytest.mark.parametrize("model,n", sorted(GOLDEN_SERIES))
+def test_series_bytes_are_pinned(model, n):
+    # unit and zero coefficients, several innovation rows and n = 1
+    values = gen_series(parse_model(model), n, seed=12345).values
+    assert hashlib.sha256(values.tobytes()).hexdigest() == GOLDEN_SERIES[(model, n)]
