@@ -6,9 +6,13 @@ is exposed).  "Interior" variants restrict block sums to j = 2..m-1.  All
 functional evaluations happen on the threshold-scaled series, so the
 threshold never reaches the functionals themselves.
 
-`block_bookkeeping` is the package's one threshold scan: every statistic
-here, and the decomposition in `expansion`, reads the scaled series, the
-exceedance positions and the active blocks from it.
+A `BlockBookkeeping` holds everything the statistics here and the
+decomposition in `expansion` read: the scaled series, the exceedance
+positions and the active blocks.  It is built by one of two routes that
+share one constructor: `block_bookkeeping` scans a given series, and
+`model_bookkeeping` (what `rates` and `decompose --model` use) makes one
+O(n) pass over a model's uniform stream and computes X only on the blocks
+an exceedance can reach.
 """
 
 from __future__ import annotations
@@ -18,9 +22,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, ModelError
 from .functionals import ClusterFunctional
-from .models import MagnitudeSeries
+from .models import (MagnitudeSeries, ModelSpec, _moving_maxima,
+                     _pareto_from_uniforms, _rng, gen_series, series_layout)
 
 
 @dataclass(frozen=True)
@@ -57,6 +62,12 @@ class BlockBookkeeping:
     indices j are 1-based.  Exceedance times are absolute 1-based series
     positions; the conventions t_j(0) = (j-1)r and t_j(N_j+1) = jr are
     implicit in the gap computations.
+
+    `scaled` is exact (X/u) on every block that holds an exceedance and on
+    its neighbours, the partial tail block counted as a block; elsewhere
+    it may be 0.0 (`model_bookkeeping` never computes those values).
+    Every reader therefore reads only windows that hold an exceedance, or
+    tests `> 1` first and takes 0.
     """
 
     r: int
@@ -73,6 +84,7 @@ class BlockBookkeeping:
     last: np.ndarray
     active: np.ndarray
     sums: dict = field(default_factory=dict, repr=False, compare=False)  # reference_sums cache
+    events: dict = field(default_factory=dict, repr=False, compare=False)  # event blocks by kind
 
     def times(self, j: int) -> np.ndarray:
         return self.pos[self.idx[j - 1]: self.idx[j]]
@@ -84,11 +96,10 @@ class BlockBookkeeping:
         return self.scaled[(j - 1) * self.r: (j + 1) * self.r]
 
 
-def block_bookkeeping(series: MagnitudeSeries, cfg: BlockConfig) -> BlockBookkeeping:
-    """Single pass over the series: counts, times and events per block."""
-    m, discarded = truncated_length(len(series), cfg.r)
-    scaled = series.values / cfg.u
-    pos = np.flatnonzero(scaled > 1.0).astype(np.int64) + 1
+def _bookkeeping(cfg: BlockConfig, scaled: np.ndarray, pos: np.ndarray) -> BlockBookkeeping:
+    """Counts, times and events per block from the sorted 1-based exceedance
+    positions of a scaled series."""
+    m, discarded = truncated_length(scaled.size, cfg.r)
     # Counts per block in O(k + m); exceedances in the discarded tail fall
     # in bin m, which is dropped.
     counts = np.bincount((pos - 1) // cfg.r, minlength=m)[:m]
@@ -104,6 +115,106 @@ def block_bookkeeping(series: MagnitudeSeries, cfg: BlockConfig) -> BlockBookkee
                             discarded=discarded, scaled=scaled, pos=pos,
                             idx=idx, counts=counts, first=first, last=last,
                             active=active)
+
+
+def block_bookkeeping(series: MagnitudeSeries, cfg: BlockConfig) -> BlockBookkeeping:
+    """Single pass over the series: counts, times and events per block."""
+    scaled = series.values / cfg.u
+    return _bookkeeping(cfg, scaled, np.flatnonzero(scaled > 1.0).astype(np.int64) + 1)
+
+
+_CHUNK = 1 << 17        # uniforms drawn per step of model_bookkeeping
+_DELTA = 1e-9           # relative margin of its candidate cut
+
+
+def model_bookkeeping(spec: ModelSpec, n: int, seed: int, cfg: BlockConfig) -> BlockBookkeeping:
+    """`block_bookkeeping(gen_series(spec, n, seed), cfg)`, without the series.
+
+    The uniforms of `gen_series` are drawn from the same generator in
+    steps of whole blocks (`Generator.random` is chunk-invariant).  A
+    uniform U >= t, with
+
+        t = 1 - (c_max (1 + delta) / u)^alpha - 2^-50,   delta = 1e-9,
+
+    marks its innovation as a candidate.  Every block that a candidate
+    feeds, its neighbours and the partial tail block among them, is
+    "touched": only there are xi, X and X/u computed, exactly as
+    `gen_series` and `block_bookkeeping` compute them (the same Pareto
+    transform and `_moving_maxima` on rows of the q + 1 innovations of
+    each position), and `pos` is every touched position with X/u > 1.
+    `scaled` is those values in an n-length array of zeros (see
+    `BlockBookkeeping`).
+
+    Correctness: for U < t the true xi = (1 - U)^(-1/alpha) lies below
+    u / (c_max (1 + delta)), so every c_k xi / u < 1 / (1 + delta).  The
+    few ulp of rounding in the transform, the product and the division
+    stay far below delta.  The rounding of t itself is covered by delta
+    for large alpha and by the 2^-50 for small alpha (1 - U is exact for
+    the multiples of 2^-53 that `random` returns).  So no position the cut
+    skips can have X/u > 1.  When t <= 0 every uniform is a candidate:
+    correct, at dense cost.  A non-finite X can only come from a
+    candidate, so the check of `MagnitudeSeries` is made on the touched
+    values.
+
+    `gen_series` redraws a U = 0 draw only after all n + q uniforms (with
+    probability 2^-53 per draw); a step that holds one falls back to the
+    dense route.  That is the only fallback.
+    """
+    size, rows = series_layout(spec, n)
+    base = spec.base
+    q, r, u = spec.order, cfg.r, cfg.u
+    width = size + q
+    ratio = max(base.coeffs) * (1.0 + _DELTA) / u
+    t = 1.0 - ratio ** base.alpha - 2.0 ** -50 if ratio < 1.0 else -math.inf
+    nb = -(-n // r)                     # blocks, the partial tail block included
+    lags = np.arange(q + 1)
+
+    def innovation(j):                  # innovation of position j at lag 0
+        return j + q * (j // size)
+
+    def block_end(b):                   # one past block b's last innovation
+        return innovation(min((b + 1) * r, n) - 1) + q + 1
+
+    rng = _rng(seed)
+    scaled = np.zeros(n)
+    found = []
+    buf = np.empty(0)
+    lo = hi = 0                         # buf[:hi - lo] holds the uniforms lo .. hi - 1
+    step = max(1, _CHUNK // r)
+    for b0 in range(0, nb, step):
+        b1 = min(b0 + step, nb)         # this step owns blocks b0 .. b1 - 1
+        # Uniforms from the left neighbour's first to the right neighbour's
+        # last; drawn into one reused buffer (fresh arrays cost page faults).
+        keep, need = innovation(max(b0 - 1, 0) * r), block_end(min(b1, nb - 1))
+        kept = buf[keep - lo: hi - lo]
+        if need - keep > buf.size:
+            buf = np.empty(min(2 * (need - keep), rows * width))
+        buf[:kept.size] = kept
+        fresh = buf[hi - keep: need - keep]
+        rng.random(out=fresh)
+        if fresh.size and fresh.min() == 0.0:
+            return block_bookkeeping(gen_series(spec, n, seed), cfg)
+        lo, hi = keep, need
+        a = innovation(b0 * r)
+        cand = np.flatnonzero(buf[a - lo: block_end(b1 - 1) - lo] >= t) + a
+        if not cand.size:
+            continue
+        row, off = np.divmod(cand, width)
+        off = off[:, None] - lags       # candidate i feeds position row*size + off
+        fed = (row[:, None] * size + off)[(off >= 0) & (off < size)] // r
+        fed = fed[(fed >= b0) & (fed < b1)]
+        touched = np.unique(np.concatenate((fed - 1, fed, fed + 1)))
+        touched = touched[(touched >= 0) & (touched < nb)]
+        p = (touched[:, None] * r + np.arange(r)).ravel()
+        p = p[p < n]
+        xi = _pareto_from_uniforms(buf[innovation(p)[:, None] + lags - lo], base.alpha)
+        x = _moving_maxima(xi, base.coeffs, 1)
+        if not np.isfinite(x).all():
+            raise ModelError("magnitudes must be finite")
+        scaled[p] = x = x / u
+        found.append(p[(x > 1.0) & (p >= b0 * r) & (p < b1 * r)])
+    pos = np.concatenate(found) if found else np.empty(0, dtype=np.int64)
+    return _bookkeeping(cfg, scaled, pos.astype(np.int64) + 1)
 
 
 def window_values_at(scaled: np.ndarray, pos: np.ndarray, starts: np.ndarray,

@@ -22,7 +22,7 @@ from .harness import (ExperimentConfig, check_band, csv_text, expected_targets,
                       parse_finite, persist, run_experiment, summarize)
 from .limits import cluster_index_mc, limit_table
 from .models import (ModelSpec, gen_series, marginal_tail, parse_model,
-                     read_series, threshold_for_w, write_series)
+                     read_series, series_layout, threshold_for_w, write_series)
 from .verify import run_verification
 
 
@@ -111,7 +111,8 @@ def _cmd_decompose(args) -> int:
         if args.n is None:
             raise UsageError("--model needs --n")
         model = parse_model(args.model)
-        series = gen_series(model, args.n, args.seed)
+        series_layout(model, args.n)    # the generation errors come first
+        series = (model, args.n, args.seed)
     if args.u is None and args.w is None:
         raise UsageError("one of --u or --w is required")
     if args.u is not None and args.w is not None:

@@ -24,15 +24,17 @@ nothing but the exceedance times: every IC and BC term is H on a piece
 t_a..t_b of one event's times, and H of a pattern-backed functional is
 evaluated once per distinct (count, length) of a piece.
 
-Cost: one O(n) threshold scan (`blocks.block_bookkeeping`, the same scan
-the `blocks` statistics read), then work in the exceedance positions
-only.  SB is summed over the at most 2k + 1 runs of window starts that
-see the same exceedances and DB over the active blocks' values; the raw
-sums share nothing with the reference sums SB_j, DB_j, which are
-evaluated densely for the blocks an exceedance can reach, once per
-functional, for the reference routes and the remainder only.
-`decompose` reads everything from one bookkeeping, so several
-functionals can share one scan.
+Cost: one O(n) pass to build the bookkeeping (`blocks.model_bookkeeping`
+over a model's uniform stream, computing X only on the blocks an
+exceedance can reach, or `blocks.block_bookkeeping` over a given series),
+then work in the exceedance positions only.  SB is summed over the at
+most 2k + 1 runs of window starts that see the same exceedances and DB
+over the active blocks' values; the raw sums share nothing with the
+reference sums SB_j, DB_j, which are evaluated densely for the blocks an
+exceedance can reach, once per functional, for the reference routes and
+the remainder only.  `decompose` reads everything from one bookkeeping,
+so several functionals share one pass and one computation of the event
+blocks.
 """
 
 from __future__ import annotations
@@ -47,10 +49,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .blocks import (BlockBookkeeping, BlockConfig, active_block_values,
-                     block_bookkeeping, window_sum, window_values_at)
+                     block_bookkeeping, model_bookkeeping, window_sum,
+                     window_values_at)
 from .errors import ConfigError, FunctionalContractError
 from .functionals import ClusterFunctional, eval_functional
-from .models import MagnitudeSeries
+from .models import MagnitudeSeries, ModelSpec, gen_series
 
 log = logging.getLogger("clusterblocks")
 
@@ -162,16 +165,32 @@ class _Pieces:
 # -- internal clusters --------------------------------------------------------
 
 
+def _event_mask(a: np.ndarray, m: int, kind: str) -> np.ndarray:
+    """Over blocks 2, 3, ...: where an event of the kind holds."""
+    if kind == "piecewise":
+        return a[1:m - 1]
+    if kind == "standard":
+        return a[1:m - 1] & ~a[0:m - 2] & ~a[2:m]
+    return ~a[0:m - 3] & a[1:m - 2] & a[2:m - 1] & ~a[3:m]     # "boundary"
+
+
+def _event_blocks(book: BlockBookkeeping, kind: str) -> np.ndarray:
+    """The event blocks of one kind, computed once per bookkeeping.
+
+    They depend on `book.active` alone, so every functional decomposed on
+    the same bookkeeping reads the same array from `book.events`.
+    """
+    blocks = book.events.get(kind)
+    if blocks is None:
+        blocks = book.events[kind] = np.flatnonzero(_event_mask(book.active, book.m, kind)) + 2
+    return blocks
+
+
 def internal_event_blocks(book: BlockBookkeeping, mode: str = "standard") -> np.ndarray:
     """1-based blocks j in 2..m-1 where the internal-cluster event holds."""
-    a = book.active
-    m = book.m
-    if mode == "piecewise":
-        return np.flatnonzero(a[1:m - 1]) + 2
-    if mode != "standard":
+    if mode not in ("standard", "piecewise"):
         raise ConfigError(f"unknown internal-cluster mode {mode!r}")
-    fire = a[1:m - 1] & ~a[0:m - 2] & ~a[2:m]
-    return np.flatnonzero(fire) + 2
+    return _event_blocks(book, mode)
 
 
 def _ic_reference(book: BlockBookkeeping, h: ClusterFunctional, j: int) -> float:
@@ -211,12 +230,9 @@ class BoundaryParts:
 
 def boundary_event_blocks(book: BlockBookkeeping) -> np.ndarray:
     """1-based blocks j in 2..m-2 starting a boundary-cluster event."""
-    a = book.active
-    m = book.m
-    if m < 4:
+    if book.m < 4:
         return np.empty(0, dtype=np.int64)
-    fire = ~a[0:m - 3] & a[1:m - 2] & a[2:m - 1] & ~a[3:m]
-    return np.flatnonzero(fire) + 2
+    return _event_blocks(book, "boundary")
 
 
 def _bc1(book: BlockBookkeeping, h: ClusterFunctional, merged, left, right) -> float:
@@ -433,19 +449,28 @@ def decompose(book: BlockBookkeeping, h: ClusterFunctional, w_source: str = "sup
     return report
 
 
-def expansion_report(series: MagnitudeSeries, cfg: BlockConfig, h: ClusterFunctional,
-                     w_source: str = "supplied", verbose: bool = False,
+def expansion_report(series: MagnitudeSeries | tuple[ModelSpec, int, int], cfg: BlockConfig,
+                     h: ClusterFunctional, w_source: str = "supplied", verbose: bool = False,
                      counterexample_dir=None) -> DecompositionReport:
     """`decompose` on the series' bookkeeping, plus the counterexample check.
 
-    A residual_paper beyond the tolerance (0 for integer-valued H, else
-    relative 1e-9) is reported and optionally dumped as a counterexample
-    artifact with the series, never patched over.
+    `series` is a series or the (spec, n, seed) that `gen_series` would
+    generate it from; the latter is decomposed through `model_bookkeeping`
+    and generated densely only for a counterexample.  A residual_paper
+    beyond the tolerance (0 for integer-valued H, else relative 1e-9) is
+    reported and optionally dumped as a counterexample artifact with the
+    series, never patched over.
     """
-    report = decompose(block_bookkeeping(series, cfg), h, w_source, verbose)
+    if isinstance(series, MagnitudeSeries):
+        book = block_bookkeeping(series, cfg)
+    else:
+        book = model_bookkeeping(*series, cfg)
+    report = decompose(book, h, w_source, verbose)
     scale = max(abs(report.sb - report.db), abs(report.ic), abs(report.bc))
     tol = 0.0 if h.integer_valued else 1e-9 * max(1.0, scale)
     if abs(report.residual_paper) > tol:
+        if not isinstance(series, MagnitudeSeries):
+            series = gen_series(*series)
         _record_counterexample(report, series, counterexample_dir)
     return report
 

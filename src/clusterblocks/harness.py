@@ -22,12 +22,12 @@ from typing import Callable
 import numpy as np
 
 from . import __version__
-from .blocks import BlockConfig, active_block_values, block_bookkeeping
+from .blocks import BlockConfig, active_block_values, model_bookkeeping
 from .errors import ConfigError, FunctionalContractError, PersistError
 from .expansion import boundary_cluster_stat, internal_cluster_stat, raw_sums
 from .functionals import get_functional
 from .limits import LimitTable
-from .models import ModelSpec, gen_series, threshold_for_w
+from .models import ModelSpec, threshold_for_w
 
 CSV_HEADER = "model,alpha,c0,c1,n,r,w,replicates,target,mean,sd,se"
 
@@ -67,9 +67,9 @@ def _bc_total(book, h, spec):
 
 
 def _pair_rate(book, h, spec):
-    a = book.active
-    even = np.arange(2, book.m, 2) - 1          # 0-based left block of pairs (j, j+1), j even
-    return float((a[even] & a[even + 1]).mean()) if even.size else 0.0
+    a, m = book.active, book.m
+    pairs = a[1:m - 1:2] & a[2:m:2]             # blocks (j, j+1) for even 1-based j
+    return float(pairs.mean()) if pairs.size else 0.0
 
 
 def _block_sums(book, h, spec):
@@ -278,9 +278,7 @@ def _replicate_values(model: ModelSpec, point: GridPoint, functional: str,
     n = point.n
     if spec.kind == "piecewise":
         n = (n // point.r) * point.r       # block copies must tile the sample
-    series = gen_series(spec, n, seed)
-    cfg = BlockConfig(r=point.r, u=point.u, w=point.w)
-    book = block_bookkeeping(series, cfg)
+    book = model_bookkeeping(spec, n, seed, BlockConfig(r=point.r, u=point.u, w=point.w))
     parsed = [(TARGETS[name], g) for name, g in map(parse_target, targets)]
     # Sums of finite values may overflow; run_experiment rejects the rows.
     with np.errstate(over="ignore", invalid="ignore"):

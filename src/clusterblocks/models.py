@@ -9,6 +9,12 @@ case and general m-dependent MMA(q), plus a piecewise wrapper that
 concatenates independent copies of an inner model, one copy per block.
 Pareto innovations give closed-form marginals, so thresholds can be
 calibrated exactly instead of empirically.
+
+`gen_series` builds the whole series.  `blocks.model_bookkeeping` draws
+the same uniform stream and applies the same Pareto transform and moving
+maxima, but computes X only on the blocks an exceedance can reach;
+`rates` and `decompose --model` take that route, one O(n) pass over the
+uniforms.
 """
 
 from __future__ import annotations
@@ -189,6 +195,15 @@ class MagnitudeSeries:
         return self.values.size
 
 
+def _rng(seed: int) -> np.random.Generator:
+    return np.random.default_rng(np.random.SeedSequence(_mask_seed(seed)))
+
+
+def _pareto_from_uniforms(u: np.ndarray, alpha: float) -> np.ndarray:
+    """(1 - U)^(-1/alpha), elementwise: the one Pareto transform."""
+    return (1.0 - u) ** (-1.0 / alpha)
+
+
 def _pareto(rng: np.random.Generator, n: int, alpha: float) -> np.ndarray:
     # (1 - U)^(-1/alpha) with U in [0,1) lands on (1, inf) except for the
     # measure-zero U=0 corner, which is redrawn to keep the support open.
@@ -198,7 +213,7 @@ def _pareto(rng: np.random.Generator, n: int, alpha: float) -> np.ndarray:
         if not zero.any():
             break
         u[zero] = rng.random(int(zero.sum()))
-    return (1.0 - u) ** (-1.0 / alpha)
+    return _pareto_from_uniforms(u, alpha)
 
 
 def _moving_maxima(xi: np.ndarray, coeffs, size: int) -> np.ndarray:
@@ -218,34 +233,44 @@ def _moving_maxima(xi: np.ndarray, coeffs, size: int) -> np.ndarray:
     return out.ravel()
 
 
+def series_layout(spec: ModelSpec, n: int) -> tuple[int, int]:
+    """(size, rows): a series of n values is `rows` rows of `size` values.
+
+    A stationary series is one row of n; a piecewise model has one row per
+    block of its block_size.  Row i reads the innovations i*(size+q) ..
+    (i+1)*(size+q) - 1 of one uniform stream, so position j reads
+    innovation j + k + q*(j // size) at lag k.
+    """
+    if n < 1:
+        raise ModelError("series length must be >= 1")
+    if spec.kind != "piecewise":
+        return n, 1
+    size = spec.block_size
+    if size is None:
+        raise ModelError("piecewise block_size is unresolved")
+    if n % size != 0:
+        raise ModelError(f"n={n} is not a multiple of block_size={size}")
+    return size, n // size
+
+
 def gen_series(spec: ModelSpec, n: int, seed: int) -> MagnitudeSeries:
     """Generate a series of length n; bit-identical replay for fixed inputs.
 
     Piecewise models draw one independent innovation row per block, so
     blocks are independent copies and individually reproducible.
     """
-    if n < 1:
-        raise ModelError("series length must be >= 1")
-    seed = _mask_seed(seed)
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    size = n
-    if spec.kind == "piecewise":
-        size = spec.block_size
-        if size is None:
-            raise ModelError("piecewise block_size is unresolved")
-        if n % size != 0:
-            raise ModelError(f"n={n} is not a multiple of block_size={size}")
     # One innovation row per block of a piecewise model: rows are disjoint
     # slices of a single stream, so blocks are independent, and row j only
     # depends on (seed, j, block_size), so each block replays individually
     # as the sample grows.  Re-seeding a generator per block gives the same
     # contract at several hundred times the cost.  A stationary series is
     # the one row of n + q innovations.
+    size, rows = series_layout(spec, n)
     base = spec.base
-    rows, width = n // size, size + len(base.coeffs) - 1
-    xi = _pareto(rng, rows * width, base.alpha).reshape(rows, width)
+    width = size + spec.order
+    xi = _pareto(_rng(seed), rows * width, base.alpha).reshape(rows, width)
     values = _moving_maxima(xi, base.coeffs, size)
-    return MagnitudeSeries(values=values, model=spec, seed=seed)
+    return MagnitudeSeries(values=values, model=spec, seed=_mask_seed(seed))
 
 
 def marginal_tail(spec: ModelSpec, x: float) -> float:
@@ -325,7 +350,7 @@ class ZSampler:
         self.alpha = spec.base.alpha
         s = self.c0 ** self.alpha + self.c1 ** self.alpha
         self.p_b = self.c0 ** self.alpha / s
-        self.rng = np.random.default_rng(np.random.SeedSequence(_mask_seed(seed)))
+        self.rng = _rng(seed)
         self.book = ZBookkeeping()
 
     def _draw(self, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

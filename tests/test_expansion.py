@@ -11,7 +11,8 @@ from clusterblocks import (BlockConfig, ClusterFunctional, ConfigError,
                            internal_cluster_stat, parse_model,
                            remainder_stat, threshold_for_w)
 from clusterblocks.blocks import window_values_at
-from clusterblocks.expansion import _bc1, path_deviations
+from clusterblocks.expansion import (_bc1, boundary_event_blocks,
+                                     internal_event_blocks, path_deviations)
 from clusterblocks.functionals import eval_functional, induced_ic
 
 IND = get_functional("indicator")
@@ -500,3 +501,31 @@ def test_exceedance_time_route_skips_window_scans(monkeypatch):
     long_pairs = sum(not p["short"] for p in pairs)
     # a long pair's bc2 is the direct sum, which evaluates its merged window once
     assert pairs and 0 < len(calls) <= len(keys) + long_pairs
+
+
+def test_event_blocks_are_computed_once_per_bookkeeping(monkeypatch):
+    # the event masks depend on the active blocks alone: three functionals
+    # decomposed on one bookkeeping compute each kind once
+    import clusterblocks.expansion as expansion
+
+    from clusterblocks.expansion import decompose
+
+    kinds = []
+    real = expansion._event_mask
+
+    def counting(a, m, kind):
+        kinds.append(kind)
+        return real(a, m, kind)
+
+    monkeypatch.setattr(expansion, "_event_mask", counting)
+    spec = ModelSpec.mma1(1.0, 1.0, 1.0)
+    cfg = BlockConfig(r=5, u=threshold_for_w(spec, 0.05), w=0.05)
+    book = block_bookkeeping(gen_series(spec, 3000, 4), cfg)
+    for h in (IND, LEN, get_functional("length^1.5")):
+        decompose(book, h)
+    internal_cluster_stat(book, IND, "piecewise")
+    internal_cluster_stat(book, LEN, "piecewise")
+    assert sorted(kinds) == ["boundary", "piecewise", "standard"]
+    assert len(internal_event_blocks(book)) and len(boundary_event_blocks(book))
+    with pytest.raises(ConfigError):
+        internal_event_blocks(book, "neither")

@@ -266,3 +266,20 @@ def test_block_values_are_evaluated_once_per_replicate(monkeypatch):
     point = small_config().resolve_grid()[0]
     harness._replicate_values(MMA1, point, "indicator", ("disjoint_stat", "ecm"), 7)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("m", [3, 4, 5, 2500, 125001])
+def test_pair_rate_equals_the_fancy_indexed_form(m):
+    # strided slices read the same elements in the same order as the
+    # gathers over the even 1-based left blocks
+    from types import SimpleNamespace
+
+    import clusterblocks.harness as harness
+
+    rng = np.random.default_rng(m)
+    for density in (0.0, 0.1, 0.6, 1.0):
+        a = rng.random(m) < density
+        even = np.arange(2, m, 2) - 1
+        old = float((a[even] & a[even + 1]).mean()) if even.size else 0.0
+        new = harness._pair_rate(SimpleNamespace(active=a, m=m), None, None)
+        assert repr(new) == repr(old)
