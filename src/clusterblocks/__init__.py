@@ -25,7 +25,7 @@ from .harness import (ConvergenceTable, ExperimentConfig, VerdictReport,
                       expected_targets, load, persist, run_experiment,
                       summarize)
 from .limits import (LimitTable, anticlustering_sum, cluster_index_mc,
-                     limit_table, mma1_constants)
+                     limit_table)
 from .models import (MagnitudeSeries, ModelSpec, ZSampler, gen_series,
-                     marginal_tail, parse_model, read_series, threshold_for_w,
-                     write_series)
+                     marginal_tail, mma1_constants, parse_model, read_series,
+                     threshold_for_w, write_series)

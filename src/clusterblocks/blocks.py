@@ -7,12 +7,14 @@ functional evaluations happen on the threshold-scaled series, so the
 threshold never reaches the functionals themselves.
 
 A `BlockBookkeeping` holds everything the statistics here and the
-decomposition in `expansion` read: the scaled series, the exceedance
-positions and the active blocks.  It is built by one of two routes that
-share one constructor: `block_bookkeeping` scans a given series, and
-`model_bookkeeping` (what `rates` and `decompose --model` use) makes one
-O(n) pass over a model's uniform stream and computes X only on the blocks
-an exceedance can reach.
+decomposition in `expansion` read: the scaled series, the sorted
+exceedance positions and the active blocks.  Nothing per block is stored
+beyond the active mask; a reader finds a block's exceedances by a binary
+search of the positions, at the blocks it needs.  It is built by one of
+two routes that share one O(k) constructor: `block_bookkeeping` scans a
+given series, and `model_bookkeeping` (what `rates` and `decompose
+--model` use) makes one O(n) pass over a model's uniform stream and
+computes X only on the blocks an exceedance can reach.
 """
 
 from __future__ import annotations
@@ -57,11 +59,12 @@ class BlockBookkeeping:
     """Per-block exceedance data for a series cut into m blocks of size r.
 
     `scaled` and `pos` cover the whole series, the discarded tail of fewer
-    than r values included, since the full sliding sum reads it; `idx`,
-    `counts`, `first`, `last` and `active` cover blocks 1..m only.  Block
-    indices j are 1-based.  Exceedance times are absolute 1-based series
-    positions; the conventions t_j(0) = (j-1)r and t_j(N_j+1) = jr are
-    implicit in the gap computations.
+    than r values included, since the full sliding sum reads it; `active`
+    covers blocks 1..m only.  Block indices j are 1-based.  Exceedance
+    times are absolute 1-based series positions, so block j's times are
+    pos[i:k] with i, k = pos.searchsorted(((j-1)r, jr), side="right"); the
+    conventions t_j(0) = (j-1)r and t_j(N_j+1) = jr are implicit in the gap
+    computations.
 
     `scaled` is exact (X/u) on every block that holds an exceedance and on
     its neighbours, the partial tail block counted as a block; elsewhere
@@ -77,17 +80,10 @@ class BlockBookkeeping:
     n_eff: int
     discarded: int
     scaled: np.ndarray
-    pos: np.ndarray          # all exceedance positions, 1-based
-    idx: np.ndarray          # pos[idx[j-1]:idx[j]] are block j's times
-    counts: np.ndarray
-    first: np.ndarray        # 0 where the block is empty
-    last: np.ndarray
-    active: np.ndarray
+    pos: np.ndarray          # all exceedance positions, 1-based, sorted
+    active: np.ndarray       # block j holds an exceedance, at index j-1
     sums: dict = field(default_factory=dict, repr=False, compare=False)  # reference_sums cache
-    events: dict = field(default_factory=dict, repr=False, compare=False)  # event blocks by kind
-
-    def times(self, j: int) -> np.ndarray:
-        return self.pos[self.idx[j - 1]: self.idx[j]]
+    events: dict = field(default_factory=dict, repr=False, compare=False)  # event spans by kind
 
     def block_window(self, j: int) -> np.ndarray:
         return self.scaled[(j - 1) * self.r: j * self.r]
@@ -97,28 +93,18 @@ class BlockBookkeeping:
 
 
 def _bookkeeping(cfg: BlockConfig, scaled: np.ndarray, pos: np.ndarray) -> BlockBookkeeping:
-    """Counts, times and events per block from the sorted 1-based exceedance
-    positions of a scaled series."""
+    """The bookkeeping of a scaled series from its sorted 1-based exceedance
+    positions, in O(k) plus the m-byte active mask."""
     m, discarded = truncated_length(scaled.size, cfg.r)
-    # Counts per block in O(k + m); exceedances in the discarded tail fall
-    # in bin m, which is dropped.
-    counts = np.bincount((pos - 1) // cfg.r, minlength=m)[:m]
-    idx = np.zeros(m + 1, dtype=np.int64)
-    np.cumsum(counts, out=idx[1:])
-    active = counts > 0
-    first = np.zeros(m, dtype=np.int64)
-    last = np.zeros(m, dtype=np.int64)
-    if pos.size:
-        first[active] = pos[idx[:-1][active]]
-        last[active] = pos[idx[1:][active] - 1]
+    active = np.zeros(m, dtype=bool)
+    inside = pos[:pos.searchsorted(m * cfg.r, side="right")]     # not the discarded tail
+    active[(inside - 1) // cfg.r] = True
     return BlockBookkeeping(r=cfg.r, u=cfg.u, w=cfg.w, m=m, n_eff=m * cfg.r,
-                            discarded=discarded, scaled=scaled, pos=pos,
-                            idx=idx, counts=counts, first=first, last=last,
-                            active=active)
+                            discarded=discarded, scaled=scaled, pos=pos, active=active)
 
 
 def block_bookkeeping(series: MagnitudeSeries, cfg: BlockConfig) -> BlockBookkeeping:
-    """Single pass over the series: counts, times and events per block."""
+    """Single pass over the series: its exceedance positions and active blocks."""
     scaled = series.values / cfg.u
     return _bookkeeping(cfg, scaled, np.flatnonzero(scaled > 1.0).astype(np.int64) + 1)
 

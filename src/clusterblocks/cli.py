@@ -291,6 +291,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error:io:{exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:      # an input that asks for more memory than there is
+        print(f"error:config:out of memory: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -22,7 +22,9 @@ by definition), which runs only in `path_deviations`, once per event.
 Reports carry the maximal deviation between routes.  The fast path reads
 nothing but the exceedance times: every IC and BC term is H on a piece
 t_a..t_b of one event's times, and H of a pattern-backed functional is
-evaluated once per distinct (count, length) of a piece.
+evaluated once per distinct (count, length) of a piece.  An event's times
+are a slice of the sorted positions, found by one binary search per
+event kind and bookkeeping.
 
 Cost: one O(n) pass to build the bookkeeping (`blocks.model_bookkeeping`
 over a model's uniform stream, computing X only on the blocks an
@@ -34,7 +36,7 @@ reference sums SB_j, DB_j, which are evaluated densely for the blocks an
 exceedance can reach, once per functional, for the reference routes and
 the remainder only.  `decompose` reads everything from one bookkeeping,
 so several functionals share one pass and one computation of the event
-blocks.
+blocks and their spans.
 """
 
 from __future__ import annotations
@@ -174,20 +176,30 @@ def _event_mask(a: np.ndarray, m: int, kind: str) -> np.ndarray:
     return ~a[0:m - 3] & a[1:m - 2] & a[2:m - 1] & ~a[3:m]     # "boundary"
 
 
-def _event_blocks(book: BlockBookkeeping, kind: str) -> np.ndarray:
-    """The event blocks of one kind, computed once per bookkeeping.
+def _event_blocks(book: BlockBookkeeping, kind: str) -> list:
+    """The event blocks of one kind with their spans, once per bookkeeping.
 
-    They depend on `book.active` alone, so every functional decomposed on
-    the same bookkeeping reads the same array from `book.events`.
+    Row [j, a, b] of an internal kind, or [j, a, s, b] of "boundary",
+    holds the event block j and the numbers of exceedances in blocks
+    1..j-1, 1..j (and 1..j+1): pos[a:b] are the event's times and pos[a:s]
+    block j's.  The rows depend on `book.active` and `book.pos` alone, so
+    every functional decomposed on the same bookkeeping reads them from
+    `book.events`; the spans of a kind are one binary search of `pos`.
     """
-    blocks = book.events.get(kind)
-    if blocks is None:
-        blocks = book.events[kind] = np.flatnonzero(_event_mask(book.active, book.m, kind)) + 2
-    return blocks
+    rows = book.events.get(kind)
+    if rows is None:
+        j = np.flatnonzero(_event_mask(book.active, book.m, kind)) + 2
+        rows = []
+        if j.size:          # most tiny series have no event of a kind: skip the search
+            edges = (j[:, None] + np.arange(-1, 2 if kind == "boundary" else 1)) * book.r
+            rows = np.column_stack((j, book.pos.searchsorted(edges, side="right"))).tolist()
+        book.events[kind] = rows
+    return rows
 
 
-def internal_event_blocks(book: BlockBookkeeping, mode: str = "standard") -> np.ndarray:
-    """1-based blocks j in 2..m-1 where the internal-cluster event holds."""
+def internal_event_blocks(book: BlockBookkeeping, mode: str = "standard") -> list:
+    """Rows [j, a, b]: the 1-based blocks j in 2..m-1 where the
+    internal-cluster event holds, with block j's times pos[a:b]."""
     if mode not in ("standard", "piecewise"):
         raise ConfigError(f"unknown internal-cluster mode {mode!r}")
     return _event_blocks(book, mode)
@@ -207,9 +219,8 @@ def internal_cluster_stat(book: BlockBookkeeping, h: ClusterFunctional,
     `path_deviations` checks it against the direct sums
     SB_{j-1} + SB_j - DB_j.
     """
-    pieces, idx = _Pieces(book, h), book.idx
-    per_block = {j: pieces.ic_sum(int(idx[j - 1]), int(idx[j]) - 1)
-                 for j in internal_event_blocks(book, mode).tolist()}
+    pieces = _Pieces(book, h)
+    per_block = {j: pieces.ic_sum(a, b - 1) for j, a, b in internal_event_blocks(book, mode)}
     return float(sum(per_block.values())), per_block
 
 
@@ -228,10 +239,12 @@ class BoundaryParts:
         return self.bc1 + self.bc2_tilde + self.bc2_overline
 
 
-def boundary_event_blocks(book: BlockBookkeeping) -> np.ndarray:
-    """1-based blocks j in 2..m-2 starting a boundary-cluster event."""
+def boundary_event_blocks(book: BlockBookkeeping) -> list:
+    """Rows [j, a, s, b]: the 1-based blocks j in 2..m-2 starting a
+    boundary-cluster event, with block j's times pos[a:s] and block j+1's
+    pos[s:b]."""
     if book.m < 4:
-        return np.empty(0, dtype=np.int64)
+        return []
     return _event_blocks(book, "boundary")
 
 
@@ -260,10 +273,9 @@ def boundary_cluster_stat(book: BlockBookkeeping, h: ClusterFunctional) -> Bound
     stated below r.
     """
     parts = BoundaryParts(0.0, 0.0, 0.0)
-    pieces, idx = _Pieces(book, h), book.idx
-    for j in boundary_event_blocks(book).tolist():
-        # pos[a..split-1] are block j's times, pos[split..b] block j+1's
-        a, split, b = int(idx[j - 1]), int(idx[j]), int(idx[j + 1]) - 1
+    pieces = _Pieces(book, h)
+    for j, a, split, b in boundary_event_blocks(book):
+        b -= 1              # pos[a..split-1] are block j's times, pos[split..b] block j+1's
         bc1_j = book.r * (pieces.value(a, b) - pieces.value(a, split - 1)
                           - pieces.value(split, b))
         joint = pieces.pos[b] - pieces.pos[a] + 1

@@ -24,7 +24,7 @@ _PROBE_SEED = 0xC1B10C5
 
 @dataclass(frozen=True)
 class ExceedancePattern:
-    """Exceedance times of one window relative to a threshold (1-based)."""
+    """Exceedance times of one scaled window, entries above 1 (1-based)."""
 
     count: int
     times: tuple[int, ...]
@@ -34,14 +34,12 @@ class ExceedancePattern:
     length: int
 
 
-def exceedance_pattern(window, threshold: float = 1.0) -> ExceedancePattern:
-    """Scan a window for entries strictly above the threshold."""
+def exceedance_pattern(window) -> ExceedancePattern:
+    """Scan a scaled window for entries strictly above 1."""
     w = np.asarray(window, dtype=float)
     if w.ndim != 1 or w.size == 0:
         raise FunctionalContractError("window must be a nonempty 1-d sequence")
-    if threshold <= 0:
-        raise FunctionalContractError("threshold must be positive")
-    pos = np.flatnonzero(w > threshold) + 1
+    pos = np.flatnonzero(w > 1.0) + 1
     n = int(pos.size)
     if n == 0:
         return ExceedancePattern(0, (), 0, 0, (), 0)

@@ -82,7 +82,10 @@ def _quantity(q, book, h, g):
 
 
 def _length_moment(_, book, h, g):
-    lengths = np.where(book.active, book.last - book.first + 1, 0).astype(float)
+    j = np.flatnonzero(book.active)     # 0-based: pos[a:b] are block j+1's times
+    a, b = book.pos.searchsorted(np.stack((j, j + 1)) * book.r, side="right")
+    lengths = np.zeros(book.m)
+    lengths[j] = book.pos[b - 1] - book.pos[a] + 1
     return float((lengths ** g * book.active).mean())
 
 

@@ -18,21 +18,9 @@ import numpy as np
 
 from .errors import ConfigError, FunctionalContractError, ModelError
 from .functionals import ClusterFunctional
-from .models import ModelSpec, ZSampler, marginal_tail
+from .models import ModelSpec, ZSampler, marginal_tail, mma1_constants
 
 log = logging.getLogger("clusterblocks")
-
-
-def mma1_constants(c0: float, c1: float, alpha: float) -> tuple[float, float]:
-    """(theta, P(Y_1 > 1)) for the MMA(1) model; the two sum to one."""
-    if alpha <= 0:
-        raise ModelError("alpha must be positive")
-    if max(c0, c1) <= 0:
-        raise ModelError("both coefficients are zero")
-    s = c0 ** alpha + c1 ** alpha
-    theta = max(c0, c1) ** alpha / s
-    p_y1 = min(c0, c1) ** alpha / s
-    return theta, p_y1
 
 
 def cluster_index_mc(h: ClusterFunctional, spec: ModelSpec, samples: int,

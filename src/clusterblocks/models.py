@@ -327,6 +327,18 @@ def threshold_for_w(spec: ModelSpec, w: float) -> float:
 # -- tail process and the conditioned process Z ---------------------------
 
 
+def mma1_constants(c0: float, c1: float, alpha: float) -> tuple[float, float]:
+    """(theta, P(Y_1 > 1)) for the MMA(1) model; the two sum to one."""
+    if alpha <= 0:
+        raise ModelError("alpha must be positive")
+    if max(c0, c1) <= 0:
+        raise ModelError("both coefficients are zero")
+    s = c0 ** alpha + c1 ** alpha
+    theta = max(c0, c1) ** alpha / s
+    p_y1 = min(c0, c1) ** alpha / s
+    return theta, p_y1
+
+
 @dataclass
 class ZBookkeeping:
     draws: int = 0
@@ -350,6 +362,7 @@ class ZSampler:
         self.alpha = spec.base.alpha
         s = self.c0 ** self.alpha + self.c1 ** self.alpha
         self.p_b = self.c0 ** self.alpha / s
+        self.theta, _ = mma1_constants(self.c0, self.c1, self.alpha)    # the acceptance rate
         self.rng = _rng(seed)
         self.book = ZBookkeeping()
 
@@ -366,18 +379,13 @@ class ZSampler:
         z0 = np.empty(0)
         z1 = np.empty(0)
         while z0.size < k:
-            batch = max(1024, int(1.3 * (k - z0.size) / max(self.acceptance_hint, 1e-3)))
+            batch = max(1024, int(1.3 * (k - z0.size) / max(self.theta, 1e-3)))
             ym1, y0, y1 = self._draw(batch)
             keep = ym1 <= 1.0
             self.book.accepted += int(keep.sum())
             z0 = np.concatenate([z0, y0[keep]])
             z1 = np.concatenate([z1, y1[keep]])
         return z0[:k], z1[:k]
-
-    @property
-    def acceptance_hint(self) -> float:
-        cm = max(self.c0, self.c1) ** self.alpha
-        return cm / (self.c0 ** self.alpha + self.c1 ** self.alpha)
 
 
 # -- series files ----------------------------------------------------------

@@ -18,9 +18,9 @@ from .blocks import BlockConfig, block_bookkeeping
 from .expansion import decompose, expansion_report
 from .functionals import get_functional
 from .harness import ConvergenceTable, TableRow, load, persist
-from .limits import mma1_constants
 from .models import (MagnitudeSeries, ModelSpec, ZSampler, gen_series,
-                     marginal_tail, read_series, threshold_for_w, write_series)
+                     marginal_tail, mma1_constants, read_series, threshold_for_w,
+                     write_series)
 
 
 @dataclass

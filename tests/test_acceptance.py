@@ -192,8 +192,8 @@ def enumerated_large_block_law(r: int, p: float) -> dict:
         k = sum(bits)
         weight = p ** k * s ** (k_innov - k)
         pair += weight * float(book.active[1] and book.active[2])
-        lengths = np.where(book.active, book.last - book.first + 1, 0)
-        span += weight * float(lengths.mean())
+        times = [np.flatnonzero(book.block_window(j) > 1.0) for j in range(1, book.m + 1)]
+        span += weight * float(np.mean([np.ptp(t) + 1 if t.size else 0 for t in times]))
         ic += weight * internal_cluster_stat(book, IND)[1].get(2, 0.0)
     return {"pa1a2_large": pair / (r * w) ** 2,
             "clm_large(1)": span / (r ** 3 * w ** 2),

@@ -260,10 +260,19 @@ def test_raw_sums_leave_the_reference_batch_unbuilt():
     (17, 4, []),                            # no exceedance at all
 ])
 def test_block_index_equals_searchsorted_over_block_edges(n, r, positions):
+    # the active blocks and the event spans are those of the block edges
+    from clusterblocks.expansion import _event_blocks
+
     values = np.full(n, 0.5)
     values[np.asarray(positions, dtype=int) - 1] = 2.0
     book = block_bookkeeping(MagnitudeSeries(values=values), BlockConfig(r=r, u=1.0, w=0.1))
     assert book.pos.tolist() == positions
-    edges = np.arange(book.m + 1, dtype=np.int64) * r + 1
-    assert book.idx.tolist() == np.searchsorted(book.pos, edges).tolist()
-    assert book.counts.sum() == sum(p <= book.m * r for p in positions)
+    assert book.active.dtype == bool and book.active.size == book.m
+    assert book.active.tolist() == [any((j - 1) * r < p <= j * r for p in positions)
+                                    for j in range(1, book.m + 1)]
+    before = np.searchsorted(book.pos, np.arange(book.m + 2, dtype=np.int64) * r + 1)
+    for j, a, b in _event_blocks(book, "piecewise"):
+        assert (a, b) == (before[j - 1], before[j])
+    if book.m >= 4:
+        for j, a, s, b in _event_blocks(book, "boundary"):
+            assert (a, s, b) == (before[j - 1], before[j], before[j + 1])

@@ -236,6 +236,12 @@ def no_replicate(*args):
     (LIMITS + ["--functional", "length^1023"], None, 1, "functional"),
     (OVERFLOWING_RATES + ["--threads", "1"], None, 1, "functional"),
     (OVERFLOWING_RATES + ["--threads", "2"], None, 1, "functional"),
+    # each asks for an array of PiB, so the allocation fails at once
+    (["decompose", "--model", "mma1:1,1,1", "--n", "1000000000000000", "--r", "10",
+      "--w", "0.01"], None, 1, "config"),
+    (["simulate", "--model", "iid:1", "--n", "1000000000000000", "--out", os.devnull],
+     None, 1, "config"),
+    (LIMITS + ["--functional", "length", "--samples", "100000000000000"], None, 1, "config"),
 ])
 def test_parse_errors_fail_closed(capsys, monkeypatch, argv, env, code, category):
     if env is not None:

@@ -30,6 +30,11 @@ LOG_SUM = ClusterFunctional(name="log_sum", gamma=1.0, growth_constant=1.0,
                             evaluator=_log_sum)
 
 
+def block_times(book, j):
+    """Block j's exceedance times, read off its scaled window."""
+    return np.flatnonzero(book.block_window(j) > 1.0) + (j - 1) * book.r + 1
+
+
 def sliding_block_sum(book, h, j):
     """SB_j: direct sum of H over the r windows starting inside block j."""
     starts = np.arange((j - 1) * book.r + 1, j * book.r + 1, dtype=np.int64)
@@ -65,18 +70,20 @@ def test_bookkeeping_worked_example():
     s = series_from([0.5, 2.0, 0.3, 0.4, 1.5, 0.2])
     book = block_bookkeeping(s, BlockConfig(r=2, u=1.0, w=0.1))
     assert book.m == 3
-    assert list(book.counts) == [1, 0, 1]
+    assert [block_times(book, j).size for j in (1, 2, 3)] == [1, 0, 1]
     assert list(book.active) == [True, False, True]
-    assert book.times(1).tolist() == [2]
-    assert book.times(3).tolist() == [5]
+    assert book.pos.tolist() == [2, 5]
+    assert block_times(book, 1).tolist() == [2]
+    assert block_times(book, 3).tolist() == [5]
 
 
 def test_bookkeeping_saturated_and_empty():
     cfg = BlockConfig(r=3, u=1.0, w=0.1)
     full = series_from(np.full(12, 2.0))
     book = block_bookkeeping(full, cfg)
-    assert np.all(book.counts == 3)
-    assert all(book.last[j] - book.first[j] + 1 == 3 for j in range(4))
+    assert book.pos.tolist() == list(range(1, 13)) and book.active.all()
+    assert all(block_times(book, j).size == 3 for j in range(1, 5))
+    assert all(np.ptp(block_times(book, j)) + 1 == 3 for j in range(1, 5))
     empty = series_from(np.full(12, 0.5))
     book = block_bookkeeping(empty, cfg)
     assert not book.active.any()
@@ -90,7 +97,7 @@ def test_gap_convention_sums_to_r():
     s = series_from(rng.uniform(0, 2, size=60))
     book = block_bookkeeping(s, BlockConfig(r=6, u=1.0, w=0.1))
     for j in range(1, book.m + 1):
-        t = [(j - 1) * 6] + book.times(j).tolist() + [j * 6]
+        t = [(j - 1) * 6] + block_times(book, j).tolist() + [j * 6]
         gaps = np.diff(t)
         assert gaps.sum() == 6
 
@@ -250,7 +257,7 @@ def test_sb_event_identities():
         book = block_bookkeeping(s, cfg)
         scaled = book.scaled
         for j in range(2, book.m):
-            times = book.times(j)
+            times = block_times(book, j)
             for h in hs:
                 if not book.active[j - 2]:          # empty left neighbour
                     direct = sliding_block_sum(book, h, j - 1)
@@ -440,14 +447,14 @@ def test_exceedance_time_route_equals_window_route():
                 _, per = internal_cluster_stat(book, h, mode)
                 for j, v in per.items():
                     assert v == induced_ic(h, book.block_window(j))
-                    counts.add(int(book.counts[j - 1]))
+                    counts.add(block_times(book, j).size)
             for pair in boundary_cluster_stat(book, h).per_pair:
                 j = pair["j"]
-                first, last = book.first, book.last
-                assert pair["bc1"] == _bc1(book, h, s[first[j - 1] - 1: last[j]],
-                                           s[first[j - 1] - 1: last[j - 1]],
-                                           s[first[j] - 1: last[j]])
-                assert pair["joint_length"] == last[j] - first[j - 1] + 1
+                left, right = block_times(book, j), block_times(book, j + 1)
+                assert pair["bc1"] == _bc1(book, h, s[left[0] - 1: right[-1]],
+                                           s[left[0] - 1: left[-1]],
+                                           s[right[0] - 1: right[-1]])
+                assert pair["joint_length"] == right[-1] - left[0] + 1
                 if pair["short"]:
                     assert pair["bc2"] == induced_ic(h, book.merged_window(j))
                 kinds.add(pair["short"])
@@ -484,14 +491,14 @@ def test_exceedance_time_route_skips_window_scans(monkeypatch):
     book = _random_book(rng, 9, 400, 0.08)
     h = get_functional("length^1.5")
     _, per = internal_cluster_stat(book, h, "piecewise")
-    keys = set().union(*(piece_keys(book.times(j).tolist()) for j in per))
+    keys = set().union(*(piece_keys(block_times(book, j).tolist()) for j in per))
     assert len(per) > 150 and 0 < len(calls) <= len(keys)
 
     calls.clear()
     pairs = boundary_cluster_stat(book, h).per_pair
     keys = set()
     for p in pairs:
-        left, right = book.times(p["j"]).tolist(), book.times(p["j"] + 1).tolist()
+        left, right = block_times(book, p["j"]).tolist(), block_times(book, p["j"] + 1).tolist()
         t = left + right
         # bc1 reads the pair and its two clusters whole; bc2 on a short pair
         # is the IC sum of the pair's times

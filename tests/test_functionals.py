@@ -18,7 +18,7 @@ windows = st.lists(st.floats(min_value=0.0, max_value=3.0,
 
 
 def test_pattern_worked_example():
-    pat = exceedance_pattern([0.5, 2.0, 0.3, 1.5, 0.2], 1.0)
+    pat = exceedance_pattern([0.5, 2.0, 0.3, 1.5, 0.2])
     assert pat.count == 2
     assert pat.times == (2, 4)
     assert (pat.t_min, pat.t_max) == (2, 4)

@@ -1,4 +1,5 @@
 import concurrent.futures
+import hashlib
 import os
 
 import numpy as np
@@ -283,3 +284,30 @@ def test_pair_rate_equals_the_fancy_indexed_form(m):
         old = float((a[even] & a[even + 1]).mean()) if even.size else 0.0
         new = harness._pair_rate(SimpleNamespace(active=a, m=m), None, None)
         assert repr(new) == repr(old)
+
+
+# sha256 of csv_text for all ten targets on a two-point grid (8 replicates,
+# seed 2024), recorded before the bookkeeping kept only pos and active
+GOLDEN_RATES = {
+    ("mma1:1,1,1", "indicator"): "747f0b5e328334c291981e1f5b7095582089c34b1f4f9e197c78f0a819580b61",
+    ("mma1:1,1,1", "length^1.5"): "fe6f4b79ee94bd8ae35e223e6ffdf035760b510857770318e40228d2df419681",
+    ("mma1:1,2,1.5", "indicator"): "4efc2664e1d740a4530e851a347b5452ab6db6d4beafdff08eb703d70e038154",
+    ("mma1:1,2,1.5", "length^1.5"): "347c7abc12d6c895943b60ffb5e4e64172b48cf9023ea3c441e0f53a86d0620c",
+    ("piecewise(mma1:1,1,1):r", "indicator"): "a9c65477976340296a83431d6e0111a8e53db4cd31502528908d1e2d433b3cbc",
+    ("piecewise(mma1:1,1,1):r", "length^1.5"): "224578086d4dac763ee883a0a898b13ce901d58ad5f371cb26471728c3bbf337",
+}
+ALL_TARGETS = ("disjoint_stat", "sliding_stat", "scaled_gap", "ic_norm", "bc_norm",
+               "ic_large_norm", "pa1a2_small", "pa1a2_large", "clm_large(0)",
+               "clm_large(1.5)", "ecm")
+
+
+@pytest.mark.parametrize("model, functional", sorted(GOLDEN_RATES))
+def test_rates_csv_bytes_are_pinned(model, functional):
+    # n = 3001 is not a multiple of r = 12; piecewise models cut it to m*r
+    from clusterblocks import parse_model
+
+    cfg = ExperimentConfig(model=parse_model(model), functional=functional,
+                           grid=((3001, "n^0.3", "n^-0.6"), (6007, "7", "0.03")),
+                           replicates=8, seed=2024, targets=ALL_TARGETS)
+    text = csv_text(run_experiment(cfg))
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_RATES[(model, functional)]

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import logging
 import math
 
@@ -242,3 +243,22 @@ def test_one_evaluator_call_per_mask(caplog):
     [record] = [r for r in caplog.records if r.name == "clusterblocks"]
     assert "5000 samples" in record.getMessage()
     assert "2 evaluator calls" in record.getMessage()
+
+
+# (draws, sha256 of the z_0 and z_1 bytes) of 5000 Z samples at seed 7,
+# recorded while the sampler still computed theta itself
+GOLDEN_Z = {
+    (1.0, 1.0, 1.0): (13000, "8cf3808374623f6c4717a740161ce6a938851c7a44097c6ef5a74420505c4e92"),
+    (1.0, 2.0, 1.0): (9750, "b24caedc53a6319c9d96ac0e411869cf46afa1cdbb033a9b8143e2cc54b62f21"),
+    (2.0, 1.0, 1.5): (8798, "a85b1da7928d5026530b5fb1390219694a98f89d13b831a1604d8fba1e95c089"),
+    (1.0, 0.0, 0.7): (6500, "5a91f11bd53a575f0364914e55408a77a93f7e7e559a5fc22b505d7a8b38362f"),
+}
+
+
+@pytest.mark.parametrize("coeffs", sorted(GOLDEN_Z))
+def test_z_draws_are_pinned(coeffs):
+    # the batch sizes follow theta, so a changed theta changes the draws
+    sampler = ZSampler(ModelSpec.mma1(*coeffs), 7)
+    z0, z1 = sampler.sample_z_many(5000)
+    digest = hashlib.sha256(z0.tobytes() + z1.tobytes()).hexdigest()
+    assert (sampler.book.draws, digest) == GOLDEN_Z[coeffs]
