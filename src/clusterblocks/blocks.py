@@ -7,19 +7,22 @@ functional evaluations happen on the threshold-scaled series, so the
 threshold never reaches the functionals themselves.
 
 A `BlockBookkeeping` holds everything the statistics here and the
-decomposition in `expansion` read: the scaled series, the sorted
-exceedance positions and the active blocks.  Nothing per block is stored
-beyond the active mask; a reader finds a block's exceedances by a binary
-search of the positions, at the blocks it needs.  It is built by one of
-two routes that share one O(k) constructor: `block_bookkeeping` scans a
-given series, and `model_bookkeeping` (what `rates` and `decompose
---model` use) makes one O(n) pass over a model's uniform stream and
-computes X only on the blocks an exceedance can reach.
+decomposition in `expansion` read: the sorted exceedance positions, the
+active blocks and the scaled magnitudes X/u of the blocks within one
+block of an exceedance, read through `BlockBookkeeping.window` only.
+Nothing else per block is stored; a reader finds a block's exceedances
+by a binary search of the positions, at the blocks it needs.  It is
+built by one of two routes that share one constructor, O(k r) plus the
+m-byte active mask: `block_bookkeeping` scans a given series, and
+`model_bookkeeping` (what `rates` and `decompose --model` use) makes one
+O(n) pass over a model's uniform stream and computes X only on the
+blocks an exceedance can reach.  Both give equal bookkeepings.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,21 +59,24 @@ def truncated_length(n: int, r: int) -> tuple[int, int]:
 
 @dataclass
 class BlockBookkeeping:
-    """Per-block exceedance data for a series cut into m blocks of size r.
+    """Per-block exceedance data for a series of n values cut into m blocks of size r.
 
-    `scaled` and `pos` cover the whole series, the discarded tail of fewer
-    than r values included, since the full sliding sum reads it; `active`
-    covers blocks 1..m only.  Block indices j are 1-based.  Exceedance
-    times are absolute 1-based series positions, so block j's times are
-    pos[i:k] with i, k = pos.searchsorted(((j-1)r, jr), side="right"); the
-    conventions t_j(0) = (j-1)r and t_j(N_j+1) = jr are implicit in the gap
-    computations.
+    `pos` covers the whole series, the discarded tail of fewer than r
+    values included, since the full sliding sum reads it; `active` covers
+    blocks 1..m only.  Block indices j are 1-based.  Exceedance times are
+    absolute 1-based series positions, so block j's times are pos[i:k]
+    with i, k = pos.searchsorted(((j-1)r, jr), side="right"); the
+    conventions t_j(0) = (j-1)r and t_j(N_j+1) = jr are implicit in the
+    gap computations.
 
-    `scaled` is exact (X/u) on every block that holds an exceedance and on
-    its neighbours, the partial tail block counted as a block; elsewhere
-    it may be 0.0 (`model_bookkeeping` never computes those values).
-    Every reader therefore reads only windows that hold an exceedance, or
-    tests `> 1` first and takes 0.
+    The magnitudes X/u are kept only next to the exceedances: `blocks`
+    are the sorted blocks within one block of a block that holds an
+    exceedance, the partial tail block m+1 counted as a block, and
+    `values` their exact X/u one block after another, the tail block with
+    its n - m r values only.  Both follow from `pos`, r, n and the series
+    (`_bookkeeping`), so the two routes build equal bookkeepings.  Every
+    window that holds an exceedance lies in these blocks; `window` is the
+    one way to read them.
     """
 
     r: int
@@ -79,34 +85,69 @@ class BlockBookkeeping:
     m: int
     n_eff: int
     discarded: int
-    scaled: np.ndarray
     pos: np.ndarray          # all exceedance positions, 1-based, sorted
     active: np.ndarray       # block j holds an exceedance, at index j-1
+    blocks: list             # the stored blocks, 1-based, sorted
+    values: np.ndarray       # their X/u, block after block
     sums: dict = field(default_factory=dict, repr=False, compare=False)  # reference_sums cache
     events: dict = field(default_factory=dict, repr=False, compare=False)  # event spans by kind
 
+    def window(self, lo: int, hi: int) -> np.ndarray:
+        """X/u at the 1-based positions lo..hi; IndexError outside the stored blocks."""
+        r, blocks = self.r, self.blocks
+        j, k = (lo - 1) // r + 1, (hi - 1) // r + 1     # first and last block read
+        i = bisect_left(blocks, j)
+        last = i + k - j
+        if (not 1 <= lo <= hi <= self.n_eff + self.discarded or last >= len(blocks)
+                or blocks[i] != j or blocks[last] != k):
+            raise IndexError(f"positions {lo}..{hi} lie outside the stored blocks")
+        start = (i - j + 1) * r + lo - 1
+        return self.values[start: start + hi - lo + 1]
+
     def block_window(self, j: int) -> np.ndarray:
-        return self.scaled[(j - 1) * self.r: j * self.r]
+        return self.window((j - 1) * self.r + 1, j * self.r)
 
     def merged_window(self, j: int) -> np.ndarray:
-        return self.scaled[(j - 1) * self.r: (j + 1) * self.r]
+        return self.window((j - 1) * self.r + 1, (j + 1) * self.r)
 
 
-def _bookkeeping(cfg: BlockConfig, scaled: np.ndarray, pos: np.ndarray) -> BlockBookkeeping:
-    """The bookkeeping of a scaled series from its sorted 1-based exceedance
-    positions, in O(k) plus the m-byte active mask."""
-    m, discarded = truncated_length(scaled.size, cfg.r)
-    active = np.zeros(m, dtype=bool)
-    inside = pos[:pos.searchsorted(m * cfg.r, side="right")]     # not the discarded tail
-    active[(inside - 1) // cfg.r] = True
-    return BlockBookkeeping(r=cfg.r, u=cfg.u, w=cfg.w, m=m, n_eff=m * cfg.r,
-                            discarded=discarded, scaled=scaled, pos=pos, active=active)
+def _positions(blocks: np.ndarray, r: int, n: int) -> np.ndarray:
+    """The 0-based positions of the sorted 0-based blocks, cut at n."""
+    p = (blocks[:, None] * r + np.arange(min(r, n))).ravel()
+    return p[:p.searchsorted(n)]
+
+
+def _block_mask(n: int, r: int) -> np.ndarray:
+    """False over the blocks of n values, the partial tail block included,
+    and one pad block on each side: 0-based block b is at index b + 1."""
+    return np.zeros(-(-n // r) + 2, dtype=bool)
+
+
+def _bookkeeping(cfg: BlockConfig, n: int, pos: np.ndarray, held: np.ndarray,
+                 values_at) -> BlockBookkeeping:
+    """The bookkeeping of n values from their sorted 1-based exceedance
+    positions, in O(k r) plus the O(m)-byte mask `held` (`_block_mask`).
+
+    The stored blocks follow from `pos` alone: every block within one
+    block of a block that holds an exceedance, the partial tail block
+    counted as a block.  values_at(p) is X/u at their 0-based positions p.
+    """
+    r = cfg.r
+    m, discarded = truncated_length(n, r)
+    held[(pos - 1) // r + 1] = True
+    near = np.flatnonzero(held[:-2] | held[1:-1] | held[2:])
+    return BlockBookkeeping(r=r, u=cfg.u, w=cfg.w, m=m, n_eff=m * r, discarded=discarded,
+                            pos=pos, active=held[1:m + 1], blocks=(near + 1).tolist(),
+                            values=values_at(_positions(near, r, n)))
 
 
 def block_bookkeeping(series: MagnitudeSeries, cfg: BlockConfig) -> BlockBookkeeping:
-    """Single pass over the series: its exceedance positions and active blocks."""
+    """Single pass over the series: its exceedance positions, active blocks
+    and the stored blocks' X/u."""
     scaled = series.values / cfg.u
-    return _bookkeeping(cfg, scaled, np.flatnonzero(scaled > 1.0).astype(np.int64) + 1)
+    pos = np.flatnonzero(scaled > 1.0).astype(np.int64) + 1
+    return _bookkeeping(cfg, scaled.size, pos, _block_mask(scaled.size, cfg.r),
+                        lambda p: scaled[p])
 
 
 _CHUNK = 1 << 17        # uniforms drawn per step of model_bookkeeping
@@ -123,13 +164,13 @@ def model_bookkeeping(spec: ModelSpec, n: int, seed: int, cfg: BlockConfig) -> B
         t = 1 - (c_max (1 + delta) / u)^alpha - 2^-50,   delta = 1e-9,
 
     marks its innovation as a candidate.  Every block that a candidate
-    feeds, its neighbours and the partial tail block among them, is
+    feeds, and its neighbours, the partial tail block among them, is
     "touched": only there are xi, X and X/u computed, exactly as
     `gen_series` and `block_bookkeeping` compute them (the same Pareto
     transform and `_moving_maxima` on rows of the q + 1 innovations of
-    each position), and `pos` is every touched position with X/u > 1.
-    `scaled` is those values in an n-length array of zeros (see
-    `BlockBookkeeping`).
+    each position), each block once although two steps may touch it.
+    `pos` is every touched position with X/u > 1, and the stored blocks
+    (see `BlockBookkeeping`) are touched blocks, kept with their values.
 
     Correctness: for U < t the true xi = (1 - U)^(-1/alpha) lies below
     u / (c_max (1 + delta)), so every c_k xi / u < 1 / (1 + delta).  The
@@ -161,9 +202,10 @@ def model_bookkeeping(spec: ModelSpec, n: int, seed: int, cfg: BlockConfig) -> B
     def block_end(b):                   # one past block b's last innovation
         return innovation(min((b + 1) * r, n) - 1) + q + 1
 
+    held = _block_mask(n, r)            # first, so an n whose mask cannot fit fails at once
     rng = _rng(seed)
-    scaled = np.zeros(n)
-    found = []
+    at, xs = [np.empty(0, dtype=np.int64)], [np.empty(0)]   # touched positions and X/u, ascending
+    done = -1                           # the last touched block computed
     buf = np.empty(0)
     lo = hi = 0                         # buf[:hi - lo] holds the uniforms lo .. hi - 1
     step = max(1, _CHUNK // r)
@@ -190,31 +232,33 @@ def model_bookkeeping(spec: ModelSpec, n: int, seed: int, cfg: BlockConfig) -> B
         fed = (row[:, None] * size + off)[(off >= 0) & (off < size)] // r
         fed = fed[(fed >= b0) & (fed < b1)]
         touched = np.unique(np.concatenate((fed - 1, fed, fed + 1)))
-        touched = touched[(touched >= 0) & (touched < nb)]
-        p = (touched[:, None] * r + np.arange(r)).ravel()
-        p = p[p < n]
+        touched = touched[(touched > done) & (touched < nb)]   # the last step's right neighbour is done
+        done = int(touched[-1])         # every candidate feeds a block of this step
+        p = _positions(touched, r, n)
         xi = _pareto_from_uniforms(buf[innovation(p)[:, None] + lags - lo], base.alpha)
         x = _moving_maxima(xi, base.coeffs, 1)
         if not np.isfinite(x).all():
             raise ModelError("magnitudes must be finite")
-        scaled[p] = x = x / u
-        found.append(p[(x > 1.0) & (p >= b0 * r) & (p < b1 * r)])
-    pos = np.concatenate(found) if found else np.empty(0, dtype=np.int64)
-    return _bookkeeping(cfg, scaled, pos.astype(np.int64) + 1)
+        at.append(p)
+        xs.append(x / u)
+    at, x = np.concatenate(at), np.concatenate(xs)
+    return _bookkeeping(cfg, n, at[x > 1.0] + 1, held, lambda p: x[at.searchsorted(p)])
 
 
-def window_values_at(scaled: np.ndarray, pos: np.ndarray, starts: np.ndarray,
+def window_values_at(book: BlockBookkeeping, pos: np.ndarray, starts: np.ndarray,
                      r: int, h: ClusterFunctional) -> np.ndarray:
     """H over the windows [s, s+r-1] for every 1-based start in `starts`.
 
-    Pattern-backed functionals are computed from the exceedance positions
-    alone; anything else falls back to per-window evaluation.
+    `pos` and `r` are the bookkeeping's.  A window's exceedances are found
+    by a binary search of `pos`: pattern-backed functionals are computed
+    from them alone, anything else is evaluated on the magnitudes of each
+    window that holds one and is 0 elsewhere.
     """
     starts = np.asarray(starts, dtype=np.int64)
+    lo = pos.searchsorted(starts, side="left")
+    hi = pos.searchsorted(starts + (r - 1), side="right")
+    counts = hi - lo
     if h.pattern_value is not None:
-        lo = pos.searchsorted(starts, side="left")
-        hi = pos.searchsorted(starts + (r - 1), side="right")
-        counts = hi - lo
         if pos.size:
             first = pos[np.minimum(lo, pos.size - 1)]
             last = pos[np.maximum(hi - 1, 0)]
@@ -222,10 +266,10 @@ def window_values_at(scaled: np.ndarray, pos: np.ndarray, starts: np.ndarray,
         else:
             lengths = np.zeros_like(counts)
         return np.asarray(h.pattern_value(counts, lengths), dtype=float)
-    out = np.empty(starts.size, dtype=float)
-    for i, s in enumerate(starts):
-        w = scaled[s - 1: s - 1 + r]
-        out[i] = h.evaluator(w) if np.any(w > 1.0) else 0.0
+    out = np.zeros(starts.size)
+    hit = np.flatnonzero(counts)
+    for i, s in zip(hit.tolist(), starts[hit].tolist()):
+        out[i] = h.evaluator(book.window(s, s + r - 1))
     return out
 
 
@@ -246,8 +290,7 @@ def window_segments(pos: np.ndarray, r: int, lo: int, hi: int):
     return cuts[:-1][keep], lengths[keep]
 
 
-def window_sum(scaled: np.ndarray, pos: np.ndarray, r: int, h: ClusterFunctional,
-               lo: int, hi: int) -> float:
+def window_sum(book: BlockBookkeeping, h: ClusterFunctional, lo: int, hi: int) -> float:
     """Sum of H over the windows started at lo..hi, in O(k) evaluations.
 
     By hypotheses (ii)/(iii) H is constant on each run of
@@ -258,8 +301,8 @@ def window_sum(scaled: np.ndarray, pos: np.ndarray, r: int, h: ClusterFunctional
     reduced in the same order.  The guard multiplies Python floats, which
     give inf without a numpy overflow warning.
     """
-    starts, lengths = window_segments(pos, r, lo, hi)
-    values = window_values_at(scaled, pos, starts, r, h)
+    starts, lengths = window_segments(book.pos, book.r, lo, hi)
+    values = window_values_at(book, book.pos, starts, book.r, h)
     if (values.size and (values == values.round()).all()
             and float(np.abs(values).max()) * (hi - lo + 1) < 2.0 ** 53):
         return float((values * lengths).sum())
@@ -274,7 +317,7 @@ def active_block_values(book: BlockBookkeeping, h: ClusterFunctional) -> np.ndar
     """
     out = np.zeros(book.m)
     j = np.flatnonzero(book.active)
-    out[j] = window_values_at(book.scaled, book.pos, j * book.r + 1, book.r, h)
+    out[j] = window_values_at(book, book.pos, j * book.r + 1, book.r, h)
     return out
 
 
@@ -313,11 +356,11 @@ def sliding_stat(series: MagnitudeSeries, cfg: BlockConfig, h: ClusterFunctional
     if cfg.interior_only:
         if m < 3:
             raise ConfigError("interior variant needs at least 3 blocks")
-        total = window_sum(book.scaled, book.pos, r, h, r + 1, (m - 1) * r)
+        total = window_sum(book, h, r + 1, (m - 1) * r)
         return float(total / (m * r * r * cfg.w))
     if r > n:
         raise ConfigError("block size exceeds series length")
-    total = window_sum(book.scaled, book.pos, r, h, 1, n - r + 1)
+    total = window_sum(book, h, 1, n - r + 1)
     return float(total / (n * r * cfg.w))
 
 

@@ -29,7 +29,9 @@ event kind and bookkeeping.
 Cost: one O(n) pass to build the bookkeeping (`blocks.model_bookkeeping`
 over a model's uniform stream, computing X only on the blocks an
 exceedance can reach, or `blocks.block_bookkeeping` over a given series),
-then work in the exceedance positions only.  SB is summed over the at
+which keeps X/u in O(k r) memory next to the exceedances only, then work
+in the exceedance positions only.  Every magnitude is read through
+`BlockBookkeeping.window`.  SB is summed over the at
 most 2k + 1 runs of window starts that see the same exceedances and DB
 over the active blocks' values; the raw sums share nothing with the
 reference sums SB_j, DB_j, which are evaluated densely for the blocks an
@@ -87,7 +89,7 @@ def reference_sums(book: BlockBookkeeping, h: ClusterFunctional) -> ReferenceSum
     r, m, a = book.r, book.m, book.active
     j = np.flatnonzero(a[:-1] | a[1:]) + 1
     starts = (((j - 1) * r + 1)[:, None] + np.arange(r)).ravel()
-    vals = window_values_at(book.scaled, book.pos, starts, r, h).reshape(j.size, r)
+    vals = window_values_at(book, book.pos, starts, r, h).reshape(j.size, r)
     sb = np.zeros(m)
     sb[j] = vals.sum(axis=1)
     db = np.zeros(m)
@@ -112,7 +114,7 @@ def raw_sums(book: BlockBookkeeping, h: ClusterFunctional,
     r, m = book.r, book.m
     if vals is None:
         vals = active_block_values(book, h)
-    sb = window_sum(book.scaled, book.pos, r, h, 1, (m - 1) * r)
+    sb = window_sum(book, h, 1, (m - 1) * r)
     db = float(r * vals[:m - 1].sum())
     return sb, db
 
@@ -133,18 +135,18 @@ class _Pieces:
 
     def __init__(self, book: BlockBookkeeping, h: ClusterFunctional):
         self.pos = book.pos.tolist()
-        self.scaled = book.scaled
+        self.window = book.window
         self.h = h
         self.memo = {} if h.pattern_value is not None else None
 
     def value(self, a: int, b: int) -> float:
         pos = self.pos
         if self.memo is None:
-            return eval_functional(self.h, self.scaled[pos[a] - 1: pos[b]])
+            return eval_functional(self.h, self.window(pos[a], pos[b]))
         key = (b - a + 1, pos[b] - pos[a] + 1)
         v = self.memo.get(key)
         if v is None:
-            v = self.memo[key] = eval_functional(self.h, self.scaled[pos[a] - 1: pos[b]])
+            v = self.memo[key] = eval_functional(self.h, self.window(pos[a], pos[b]))
         return v
 
     def ic_sum(self, a: int, b: int) -> float:

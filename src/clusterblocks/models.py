@@ -12,9 +12,9 @@ calibrated exactly instead of empirically.
 
 `gen_series` builds the whole series.  `blocks.model_bookkeeping` draws
 the same uniform stream and applies the same Pareto transform and moving
-maxima, but computes X only on the blocks an exceedance can reach;
-`rates` and `decompose --model` take that route, one O(n) pass over the
-uniforms.
+maxima, but computes X only on the blocks an exceedance can reach and
+keeps it only next to the exceedances; `rates` and `decompose --model`
+take that route, one O(n) pass over the uniforms in O(k r) memory.
 """
 
 from __future__ import annotations

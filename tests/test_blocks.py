@@ -25,10 +25,9 @@ IND = get_functional("indicator")
 
 def sliding_values(series, cfg, h):
     """Per-start H values over all n-r+1 windows (dense reference)."""
-    scaled = series.values / cfg.u
-    pos = np.flatnonzero(scaled > 1.0) + 1
+    book = block_bookkeeping(series, cfg)
     starts = np.arange(1, len(series) - cfg.r + 2, dtype=np.int64)
-    return window_values_at(scaled, pos, starts, cfg.r, h)
+    return window_values_at(book, book.pos, starts, cfg.r, h)
 
 
 def test_disjoint_worked_example():
@@ -197,21 +196,29 @@ def test_segment_totals_equal_dense_reduction(values, r):
     series = MagnitudeSeries(values=np.asarray(values))
     cfg = BlockConfig(r=r, u=1.0, w=0.3)
     scaled = series.values
-    pos = np.flatnonzero(scaled > 1.0) + 1
     m = n // r
     book = block_bookkeeping(series, cfg)
+    # the store: every block within one block of an exceeding one, the
+    # partial tail block included, with the series' values
+    assert book.pos.tolist() == (np.flatnonzero(scaled > 1.0) + 1).tolist()
+    held = ((book.pos - 1) // r + 1).tolist()
+    assert book.blocks == sorted({j + d for j in held for d in (-1, 0, 1)}
+                                          & set(range(1, -(-n // r) + 1)))
+    for j in book.blocks:
+        assert (book.window((j - 1) * r + 1, min(j * r, n)).tobytes()
+                == scaled[(j - 1) * r:j * r].tobytes())
     for h in SEGMENT_FUNCTIONALS:
-        dense = float(window_values_at(scaled, pos, np.arange(1, n - r + 2), r, h).sum())
-        assert window_sum(scaled, pos, r, h, 1, n - r + 1) == dense
+        dense = float(window_values_at(book, book.pos, np.arange(1, n - r + 2), r, h).sum())
+        assert window_sum(book, h, 1, n - r + 1) == dense
         assert sliding_stat(series, cfg, h) == float(dense / (n * r * cfg.w))
-        dense_blocks = window_values_at(scaled, pos, np.arange(m) * r + 1, r, h)
+        dense_blocks = window_values_at(book, book.pos, np.arange(m) * r + 1, r, h)
         assert np.array_equal(active_block_values(book, h), dense_blocks)
         if m >= 3:
             starts = np.arange(1, (m - 1) * r + 1)
             block_starts = np.arange(m - 1) * r + 1
             sb, db = raw_sums(book, h)
-            assert sb == float(window_values_at(book.scaled, book.pos, starts, r, h).sum())
-            assert db == float(r * window_values_at(book.scaled, book.pos,
+            assert sb == float(window_values_at(book, book.pos, starts, r, h).sum())
+            assert db == float(r * window_values_at(book, book.pos,
                                                     block_starts, r, h).sum())
 
 

@@ -153,6 +153,17 @@ def test_verify_quick(capsys):
     assert "FAIL" not in out
 
 
+def test_verify_seeds_below_the_offsets_are_masked_to_64_bits():
+    # `verify --seed s` seeds its checks with s plus an offset (20240 for
+    # the identities, 11 for the thresholds); below -offset that is negative
+    from clusterblocks.verify import _identity_instances, check_threshold_roundtrip
+
+    for seed in (-1, -20241):
+        assert list(_identity_instances(3, seed)) == list(_identity_instances(3, 2 ** 64 + seed))
+        assert check_threshold_roundtrip(seed) == check_threshold_roundtrip(2 ** 64 + seed)
+    assert check_threshold_roundtrip(-1).passed
+
+
 def test_simulate_byte_identical(capsys, tmp_path):
     p1, p2 = tmp_path / "a.bin", tmp_path / "b.bin"
     for p in (p1, p2):

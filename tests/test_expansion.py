@@ -31,14 +31,16 @@ LOG_SUM = ClusterFunctional(name="log_sum", gamma=1.0, growth_constant=1.0,
 
 
 def block_times(book, j):
-    """Block j's exceedance times, read off its scaled window."""
+    """Block j's exceedance times, read off its scaled window (stored where active)."""
+    if not book.active[j - 1]:
+        return np.empty(0, dtype=np.int64)
     return np.flatnonzero(book.block_window(j) > 1.0) + (j - 1) * book.r + 1
 
 
 def sliding_block_sum(book, h, j):
     """SB_j: direct sum of H over the r windows starting inside block j."""
     starts = np.arange((j - 1) * book.r + 1, j * book.r + 1, dtype=np.int64)
-    return float(window_values_at(book.scaled, book.pos, starts, book.r, h).sum())
+    return float(window_values_at(book, book.pos, starts, book.r, h).sum())
 
 
 def padded_reference_ic(block_window, h, r):
@@ -48,10 +50,10 @@ def padded_reference_ic(block_window, h, r):
     in-sample window sums no longer isolate the block; padding recreates
     the isolating event without touching the fast path.
     """
-    padded = np.concatenate([np.zeros(r), block_window, np.zeros(r)])
-    pos = np.flatnonzero(padded > 1.0).astype(np.int64) + 1
+    padded = series_from(np.concatenate([np.zeros(r), block_window, np.zeros(r)]))
+    book = block_bookkeeping(padded, BlockConfig(r=r, u=1.0, w=0.5))
     starts = np.arange(1, 2 * r + 1, dtype=np.int64)
-    sb = float(window_values_at(padded, pos, starts, r, h).sum())
+    sb = float(window_values_at(book, book.pos, starts, r, h).sum())
     return sb - r * eval_functional(h, block_window)
 
 
@@ -255,7 +257,6 @@ def test_sb_event_identities():
     for _ in range(120):
         s = series_from(rng.uniform(0, 1.35, size=7 * 8))
         book = block_bookkeeping(s, cfg)
-        scaled = book.scaled
         for j in range(2, book.m):
             times = block_times(book, j)
             for h in hs:
@@ -263,7 +264,7 @@ def test_sb_event_identities():
                     direct = sliding_block_sum(book, h, j - 1)
                     t = [(j - 1) * 7] + times.tolist() + [j * 7]
                     fast = sum((t[i + 1] - t[i]) *
-                               h.evaluator(scaled[t[1] - 1:t[i]])
+                               h.evaluator(book.window(t[1], t[i]))
                                for i in range(1, len(t) - 1))
                     assert direct == fast
                     checked += 1
@@ -271,7 +272,7 @@ def test_sb_event_identities():
                     direct = sliding_block_sum(book, h, j)
                     t = [(j - 1) * 7] + times.tolist() + [j * 7]
                     fast = sum((t[i + 1] - t[i]) *
-                               h.evaluator(scaled[t[i + 1] - 1:t[-2]])
+                               h.evaluator(book.window(t[i + 1], t[-2]))
                                for i in range(0, len(t) - 2))
                     assert direct == fast
                     checked += 1
@@ -441,7 +442,6 @@ def test_exceedance_time_route_equals_window_route():
         r = int(rng.integers(2, 10))
         book = _random_book(rng, r, int(rng.integers(4, 14)),
                             float(rng.choice([0.05, 0.2, 0.5, 0.9, 1.0])))
-        s = book.scaled
         for h in TIME_ROUTE_FUNCTIONALS:
             for mode in ("standard", "piecewise"):
                 _, per = internal_cluster_stat(book, h, mode)
@@ -451,9 +451,9 @@ def test_exceedance_time_route_equals_window_route():
             for pair in boundary_cluster_stat(book, h).per_pair:
                 j = pair["j"]
                 left, right = block_times(book, j), block_times(book, j + 1)
-                assert pair["bc1"] == _bc1(book, h, s[left[0] - 1: right[-1]],
-                                           s[left[0] - 1: left[-1]],
-                                           s[right[0] - 1: right[-1]])
+                assert pair["bc1"] == _bc1(book, h, book.window(left[0], right[-1]),
+                                           book.window(left[0], left[-1]),
+                                           book.window(right[0], right[-1]))
                 assert pair["joint_length"] == right[-1] - left[0] + 1
                 if pair["short"]:
                     assert pair["bc2"] == induced_ic(h, book.merged_window(j))

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clusterblocks import (FunctionalContractError, eval_functional,
+from clusterblocks import (BlockConfig, FunctionalContractError, MagnitudeSeries,
+                           block_bookkeeping, eval_functional,
                            exceedance_pattern, get_functional, induced_bc,
                            induced_functional, induced_ic,
                            register_functional)
@@ -199,9 +200,9 @@ def test_overflowing_exponents_fail_closed():
         warnings.simplefilter("error")
         with pytest.raises(FunctionalContractError, match="overflows"):
             h.pattern_value(np.array([0, 1, 2]), np.array([0, 1, 3]))  # numpy power
-        pos = np.array([1, 3])
+        book = block_bookkeeping(MagnitudeSeries(values=window), BlockConfig(r=3, u=1.0, w=0.5))
         with pytest.raises(FunctionalContractError, match="overflows"):
-            window_values_at(window, pos, np.array([1]), 3, h)
+            window_values_at(book, book.pos, np.array([1]), 3, h)
     assert h.evaluator(np.array([2.0])) == 1.0
     with pytest.raises(FunctionalContractError, match="growth constant"):
         induced_functional(get_functional("length"), "bc_p", 2000)

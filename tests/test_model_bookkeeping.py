@@ -1,9 +1,9 @@
 """The model route (`blocks.model_bookkeeping`) against the dense route.
 
 `model_bookkeeping(spec, n, seed, cfg)` must equal
-`block_bookkeeping(gen_series(spec, n, seed), cfg)` bit for bit: the
-positions and per-block arrays everywhere, `scaled` on every block that
-holds an exceedance and on its neighbours.
+`block_bookkeeping(gen_series(spec, n, seed), cfg)` bit for bit, whole:
+the positions, the active blocks and the magnitude store (the stored
+blocks and the bytes of their X/u).
 """
 
 import json
@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from clusterblocks import (BlockConfig, ClusterFunctional, ModelError,
+from clusterblocks import (BlockConfig, ClusterFunctional, MagnitudeSeries, ModelError,
                            block_bookkeeping, gen_series, get_functional,
                            parse_model, threshold_for_w)
 from clusterblocks import blocks, expansion, models
@@ -42,18 +42,11 @@ FUNCTIONALS = [get_functional(name) for name in ("indicator", "length", "count",
 def assert_same_bookkeeping(got, want):
     for name in ("r", "u", "w", "m", "n_eff", "discarded"):
         assert getattr(got, name) == getattr(want, name), name
-    for name in ("pos", "active"):
+    for name in ("pos", "active", "values"):
         a, b = getattr(got, name), getattr(want, name)
-        assert a.dtype == b.dtype and np.array_equal(a, b), name
-    assert got.scaled.shape == want.scaled.shape
-    r, blocks_total = got.r, -(-got.scaled.size // got.r)
-    held = (want.pos - 1) // r
-    for b in np.unique(np.concatenate((held - 1, held, held + 1))).tolist():
-        if 0 <= b < blocks_total:
-            assert got.scaled[b * r:(b + 1) * r].tobytes() == want.scaled[b * r:(b + 1) * r].tobytes(), b
-    # elsewhere the model route holds exact values or zeros
-    computed = got.scaled != 0.0
-    assert np.array_equal(got.scaled[computed], want.scaled[computed])
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert a.tobytes() == b.tobytes(), name
+    assert got.blocks == want.blocks
 
 
 def both_routes(spec, n, seed, cfg):
@@ -107,7 +100,10 @@ def test_exceedances_in_the_discarded_tail():
     got, want = both_routes(spec, n, 4, cfg)
     assert want.discarded == 5 and np.any(want.pos > want.n_eff)
     assert_same_bookkeeping(got, want)
-    assert np.array_equal(got.scaled[want.n_eff:], want.scaled[want.n_eff:])
+    # the partial tail block is stored with its 5 real values
+    assert want.blocks[-1] == want.m + 1 and want.values.size == len(want.blocks) * r - (r - 5)
+    scaled = gen_series(spec, n, 4).values / cfg.u
+    assert got.window(want.n_eff + 1, n).tobytes() == scaled[want.n_eff:].tobytes()
 
 
 @pytest.mark.parametrize("text", ["mma1:1,1,1", "mmaq:0.5,0,3,2", "piecewise(mma1:1,2,1.5):6"])
@@ -162,7 +158,6 @@ def test_a_zero_uniform_falls_back_to_the_dense_route(monkeypatch, at):
     got, want = both_routes(spec, n, seed, cfg)
     assert dense == [(spec, n, seed)]
     assert_same_bookkeeping(got, want)
-    assert np.array_equal(got.scaled, want.scaled)
 
 
 def test_non_finite_values_fail_like_the_dense_route():
@@ -224,3 +219,52 @@ def test_counterexample_artifact_equals_the_dense_one(monkeypatch, tmp_path, n):
     payload = json.loads(blob)
     assert (payload["model"], payload["seed"]) == (spec.format(), seed)
     assert ("values" in payload) == (n <= 5000)
+
+
+def test_a_read_outside_the_store_raises():
+    # one exceedance in block 4 of 8 (r = 5) and one in the 3-value tail block 9
+    values = np.full(43, 0.5)
+    values[[17, 41]] = 2.0
+    book = block_bookkeeping(MagnitudeSeries(values=values), BlockConfig(r=5, u=1.0, w=0.1))
+    assert book.blocks == [3, 4, 5, 8, 9]
+    assert book.values.size == 4 * 5 + 3
+    assert book.window(11, 25).tobytes() == values[10:25].tobytes()
+    assert book.window(36, 43).tobytes() == values[35:43].tobytes()
+    for lo, hi in ((1, 5), (6, 12), (24, 26), (30, 36), (40, 44), (0, 3), (13, 12)):
+        with pytest.raises(IndexError, match="outside the stored blocks"):
+            book.window(lo, hi)
+    # windows without an exceedance are never read, so every start is safe
+    got = blocks.window_values_at(book, book.pos, np.arange(1, 40), 5, FUNCTIONALS[4])
+    assert got.tolist() == [_log_sum(values[s - 1:s + 4]) for s in range(1, 40)]
+    assert np.count_nonzero(got) == 7
+
+
+def _peak_bytes(f):
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        f()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_model_route_memory_is_that_of_the_store():
+    # n = 1e7 holds about 600 exceedances: the uniform buffer and the
+    # m-byte active mask dominate, not an n-length array (80 MB)
+    spec, n = parse_model("mma1:1,1,1"), 10 ** 7
+    w = n ** -0.6
+    cfg = BlockConfig(r=12, u=threshold_for_w(spec, w), w=w)
+    book = []
+    assert _peak_bytes(lambda: book.append(model_bookkeeping(spec, n, 0, cfg))) < 16e6
+    assert book[0].pos.size > 300 and book[0].values.size <= 3 * 12 * book[0].pos.size
+
+
+def test_a_block_longer_than_the_series_costs_no_memory_of_r():
+    spec = parse_model("mma1:1,1,1")
+    cfg = BlockConfig(r=10 ** 7, u=threshold_for_w(spec, 0.5), w=0.5)
+    book = []
+    assert _peak_bytes(lambda: book.append(model_bookkeeping(spec, 100, 0, cfg))) < 1e6
+    assert book[0].m == 0 and book[0].values.size == 100
+    assert_same_bookkeeping(book[0], block_bookkeeping(gen_series(spec, 100, 0), cfg))

@@ -40,3 +40,20 @@ def test_traced_calls_count_without_errors(tmp_path, capsys):
     assert summary["expansion.block_bookkeeping"]["calls"] == 1
     assert summary["harness.run_experiment"]["calls"] == 1
     assert summary["cli.main"]["calls"] == 2
+
+
+def test_generic_windows_are_counted_on_the_model_route(capsys):
+    # a functional that reads magnitudes takes the generic path of
+    # `window_values_at`, whose first argument is the bookkeeping
+    import workloads
+
+    workloads.register_logmax()
+    tracer = tr.Tracer()
+    with tr.traced(tracer):
+        code = cli.main(["decompose", "--model", "mma1:1,1,1", "--n", "20000", "--r", "8",
+                         "--w", "0.01", "--functional", "bench_logmax", "--seed", "3"])
+    capsys.readouterr()
+    assert code == 0
+    assert tracer.counts["bench.count_errors"] == 0
+    assert tracer.counts["blocks.generic_windows"] > 0
+    assert tracer.summary()["blocks.window_values_at"]["calls"] > 0
