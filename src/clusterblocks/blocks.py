@@ -22,7 +22,6 @@ blocks an exceedance can reach.  Both give equal bookkeepings.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -87,7 +86,7 @@ class BlockBookkeeping:
     discarded: int
     pos: np.ndarray          # all exceedance positions, 1-based, sorted
     active: np.ndarray       # block j holds an exceedance, at index j-1
-    blocks: list             # the stored blocks, 1-based, sorted
+    blocks: np.ndarray       # the stored blocks, 1-based, sorted
     values: np.ndarray       # their X/u, block after block
     sums: dict = field(default_factory=dict, repr=False, compare=False)  # reference_sums cache
     events: dict = field(default_factory=dict, repr=False, compare=False)  # event spans by kind
@@ -96,9 +95,9 @@ class BlockBookkeeping:
         """X/u at the 1-based positions lo..hi; IndexError outside the stored blocks."""
         r, blocks = self.r, self.blocks
         j, k = (lo - 1) // r + 1, (hi - 1) // r + 1     # first and last block read
-        i = bisect_left(blocks, j)
+        i = int(blocks.searchsorted(j))
         last = i + k - j
-        if (not 1 <= lo <= hi <= self.n_eff + self.discarded or last >= len(blocks)
+        if (not 1 <= lo <= hi <= self.n_eff + self.discarded or last >= blocks.size
                 or blocks[i] != j or blocks[last] != k):
             raise IndexError(f"positions {lo}..{hi} lie outside the stored blocks")
         start = (i - j + 1) * r + lo - 1
@@ -137,7 +136,7 @@ def _bookkeeping(cfg: BlockConfig, n: int, pos: np.ndarray, held: np.ndarray,
     held[(pos - 1) // r + 1] = True
     near = np.flatnonzero(held[:-2] | held[1:-1] | held[2:])
     return BlockBookkeeping(r=r, u=cfg.u, w=cfg.w, m=m, n_eff=m * r, discarded=discarded,
-                            pos=pos, active=held[1:m + 1], blocks=(near + 1).tolist(),
+                            pos=pos, active=held[1:m + 1], blocks=near + 1,
                             values=values_at(_positions(near, r, n)))
 
 
@@ -232,8 +231,12 @@ def model_bookkeeping(spec: ModelSpec, n: int, seed: int, cfg: BlockConfig) -> B
         fed = (row[:, None] * size + off)[(off >= 0) & (off < size)] // r
         fed = fed[(fed >= b0) & (fed < b1)]
         touched = np.unique(np.concatenate((fed - 1, fed, fed + 1)))
-        touched = touched[(touched > done) & (touched < nb)]   # the last step's right neighbour is done
-        done = int(touched[-1])         # every candidate feeds a block of this step
+        # The step before may have touched block b0 as its right neighbour,
+        # so a step's candidates can feed only blocks that are already done.
+        touched = touched[(touched > done) & (touched < nb)]
+        if not touched.size:
+            continue
+        done = int(touched[-1])
         p = _positions(touched, r, n)
         xi = _pareto_from_uniforms(buf[innovation(p)[:, None] + lags - lo], base.alpha)
         x = _moving_maxima(xi, base.coeffs, 1)

@@ -202,9 +202,10 @@ def test_segment_totals_equal_dense_reduction(values, r):
     # partial tail block included, with the series' values
     assert book.pos.tolist() == (np.flatnonzero(scaled > 1.0) + 1).tolist()
     held = ((book.pos - 1) // r + 1).tolist()
-    assert book.blocks == sorted({j + d for j in held for d in (-1, 0, 1)}
+    assert book.blocks.dtype == np.int64
+    assert book.blocks.tolist() == sorted({j + d for j in held for d in (-1, 0, 1)}
                                           & set(range(1, -(-n // r) + 1)))
-    for j in book.blocks:
+    for j in book.blocks.tolist():
         assert (book.window((j - 1) * r + 1, min(j * r, n)).tobytes()
                 == scaled[(j - 1) * r:j * r].tobytes())
     for h in SEGMENT_FUNCTIONALS:

@@ -42,11 +42,10 @@ FUNCTIONALS = [get_functional(name) for name in ("indicator", "length", "count",
 def assert_same_bookkeeping(got, want):
     for name in ("r", "u", "w", "m", "n_eff", "discarded"):
         assert getattr(got, name) == getattr(want, name), name
-    for name in ("pos", "active", "values"):
+    for name in ("pos", "active", "blocks", "values"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and a.shape == b.shape, name
         assert a.tobytes() == b.tobytes(), name
-    assert got.blocks == want.blocks
 
 
 def both_routes(spec, n, seed, cfg):
@@ -129,6 +128,27 @@ def test_threshold_below_the_support(text):
     for u in (0.5 * cmax, cmax, cmax * (1 + 1e-10)):
         cfg = BlockConfig(r=4, u=u, w=0.5)
         assert_same_bookkeeping(*both_routes(spec, 999, 2, cfg))
+
+
+@pytest.mark.parametrize("chunk_blocks", [1, 3])
+def test_a_last_step_whose_blocks_were_all_touched_before(monkeypatch, chunk_blocks):
+    # Every uniform is a candidate, and with 250 blocks the last step owns
+    # block 249 alone, which the step before already touched as its right
+    # neighbour: the last step adds no block.
+    spec = parse_model("mma1:1,2,1.5")
+    monkeypatch.setattr(blocks, "_CHUNK", chunk_blocks * 4)
+    cfg = BlockConfig(r=4, u=0.5, w=0.5)
+    assert_same_bookkeeping(*both_routes(spec, 999, 2, cfg))
+
+
+def test_blocks_as_long_as_a_step():
+    # r = _CHUNK gives one block per step; the last two blocks both hold
+    # exceedances, so the last step's block was touched by the step before
+    spec, n, r = parse_model("mma1:1,1,1"), 400_000, blocks._CHUNK
+    cfg = BlockConfig(r=r, u=threshold_for_w(spec, 0.001), w=0.001)
+    got, want = both_routes(spec, n, 0, cfg)
+    assert_same_bookkeeping(got, want)
+    assert want.m == 3 and np.all(np.isin([3, 4], (want.pos - 1) // r + 1))
 
 
 class _ZeroAt:
@@ -226,7 +246,7 @@ def test_a_read_outside_the_store_raises():
     values = np.full(43, 0.5)
     values[[17, 41]] = 2.0
     book = block_bookkeeping(MagnitudeSeries(values=values), BlockConfig(r=5, u=1.0, w=0.1))
-    assert book.blocks == [3, 4, 5, 8, 9]
+    assert book.blocks.tolist() == [3, 4, 5, 8, 9]
     assert book.values.size == 4 * 5 + 3
     assert book.window(11, 25).tobytes() == values[10:25].tobytes()
     assert book.window(36, 43).tobytes() == values[35:43].tobytes()
