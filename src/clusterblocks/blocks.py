@@ -231,8 +231,8 @@ def model_bookkeeping(spec: ModelSpec, n: int, seed: int, cfg: BlockConfig) -> B
         fed = (row[:, None] * size + off)[(off >= 0) & (off < size)] // r
         fed = fed[(fed >= b0) & (fed < b1)]
         touched = np.unique(np.concatenate((fed - 1, fed, fed + 1)))
-        # The step before may have touched block b0 as its right neighbour,
-        # so a step's candidates can feed only blocks that are already done.
+        # Drop the blocks a step before computed (its right neighbour is b0);
+        # a step whose candidates feed only such blocks adds nothing.
         touched = touched[(touched > done) & (touched < nb)]
         if not touched.size:
             continue
