@@ -31,6 +31,8 @@ from .functionals import ClusterFunctional
 from .models import (MagnitudeSeries, ModelSpec, _moving_maxima,
                      _pareto_from_uniforms, _rng, gen_series, series_layout)
 
+MEMORY_BUDGET = 8_000_000_000   # bytes: the most a bookkeeping's mask or an experiment may ask for
+
 
 @dataclass(frozen=True)
 class BlockConfig:
@@ -185,14 +187,20 @@ def model_bookkeeping(spec: ModelSpec, n: int, seed: int, cfg: BlockConfig) -> B
     `gen_series` redraws a U = 0 draw only after all n + q uniforms (with
     probability 2^-53 per draw); a step that holds one falls back to the
     dense route.  That is the only fallback.
+
+    An n whose block mask would exceed `MEMORY_BUDGET` bytes is refused
+    with ConfigError before anything is allocated or drawn.
     """
+    nb = -(-n // cfg.r)                 # blocks, the partial tail block included
+    if nb + 2 > MEMORY_BUDGET:
+        raise ConfigError(f"n={n} with r={cfg.r} needs a {nb + 2}-byte block mask, "
+                          f"over the memory budget of {MEMORY_BUDGET} bytes")
     size, rows = series_layout(spec, n)
     base = spec.base
     q, r, u = spec.order, cfg.r, cfg.u
     width = size + q
     ratio = max(base.coeffs) * (1.0 + _DELTA) / u
     t = 1.0 - ratio ** base.alpha - 2.0 ** -50 if ratio < 1.0 else -math.inf
-    nb = -(-n // r)                     # blocks, the partial tail block included
     lags = np.arange(q + 1)
 
     def innovation(j):                  # innovation of position j at lag 0
@@ -201,7 +209,7 @@ def model_bookkeeping(spec: ModelSpec, n: int, seed: int, cfg: BlockConfig) -> B
     def block_end(b):                   # one past block b's last innovation
         return innovation(min((b + 1) * r, n) - 1) + q + 1
 
-    held = _block_mask(n, r)            # first, so an n whose mask cannot fit fails at once
+    held = _block_mask(n, r)
     rng = _rng(seed)
     at, xs = [np.empty(0, dtype=np.int64)], [np.empty(0)]   # touched positions and X/u, ascending
     done = -1                           # the last touched block computed
@@ -293,43 +301,80 @@ def window_segments(pos: np.ndarray, r: int, lo: int, hi: int):
     return cuts[:-1][keep], lengths[keep]
 
 
+_DENSE_SIZE = 1 << 12   # padded_sum builds a vector this short: cheaper than its check
+
+
+def padded_sum(values: np.ndarray, size: int, at: np.ndarray | None = None,
+               lengths: np.ndarray | None = None) -> float:
+    """The sum numpy gives of a vector of `size` floats, bit for bit,
+    without building the vector where it can.
+
+    The vector holds values[i] at index at[i] and 0.0 elsewhere or, with
+    `lengths`, values[i] lengths[i] times in a row, runs that tile it.
+    Integral values whose largest magnitude times `size` stays below 2**53
+    have exact partial sums in any order, so they are weighted by their
+    lengths and summed in O(len(values)).  Anything else, and any vector
+    of at most `_DENSE_SIZE` places, is reduced on the vector itself, in
+    its order.  The guard multiplies Python floats, which give inf without
+    a numpy overflow warning.
+    """
+    if not values.size:
+        return 0.0
+    if (size > _DENSE_SIZE and (values == values.round()).all()
+            and float(np.abs(values).max()) * size < 2.0 ** 53):
+        return float((values if lengths is None else values * lengths).sum())
+    if lengths is not None:
+        return float(np.repeat(values, lengths).sum())
+    dense = np.zeros(size)
+    dense[at] = values
+    return float(dense.sum())
+
+
 def window_sum(book: BlockBookkeeping, h: ClusterFunctional, lo: int, hi: int) -> float:
     """Sum of H over the windows started at lo..hi, in O(k) evaluations.
 
     By hypotheses (ii)/(iii) H is constant on each run of
-    `window_segments`, so it is evaluated at the first start of each run.
-    The result equals the dense reduction of the per-start values bit for
-    bit: integral values are weighted by their run lengths, which is exact
-    below 2**53; anything else is expanded back to the per-start vector and
-    reduced in the same order.  The guard multiplies Python floats, which
-    give inf without a numpy overflow warning.
+    `window_segments`, so it is evaluated at the first start of each run;
+    `padded_sum` adds the runs as the dense per-start reduction would.
     """
     starts, lengths = window_segments(book.pos, book.r, lo, hi)
     values = window_values_at(book, book.pos, starts, book.r, h)
-    if (values.size and (values == values.round()).all()
-            and float(np.abs(values).max()) * (hi - lo + 1) < 2.0 ** 53):
-        return float((values * lengths).sum())
-    return float(np.repeat(values, lengths).sum())
+    return padded_sum(values, hi - lo + 1, lengths=lengths)
 
 
 def active_block_values(book: BlockBookkeeping, h: ClusterFunctional) -> np.ndarray:
-    """Per-block H values for blocks 1..m, evaluated on blocks that exceed.
+    """H of the active blocks, in ascending block order.
 
-    Blocks without an exceedance are 0 by hypothesis (ii) and are never
-    visited, so this costs O(k) evaluations plus an O(m) fill.
+    Every other block is 0 by hypothesis (ii) and is never visited, so
+    this costs O(k) evaluations and O(k) memory; `block_sum` reduces the
+    values as the dense per-block vector would.
     """
-    out = np.zeros(book.m)
     j = np.flatnonzero(book.active)
-    out[j] = window_values_at(book, book.pos, j * book.r + 1, book.r, h)
-    return out
+    return window_values_at(book, book.pos, j * book.r + 1, book.r, h)
+
+
+def block_sum(book: BlockBookkeeping, vals: np.ndarray, lo: int, hi: int) -> float:
+    """Sum over the blocks lo..hi (1-based) of per-block values given at
+    the active blocks (`active_block_values`), 0 elsewhere, equal bit for
+    bit to the sum of the dense per-block vector."""
+    j = np.flatnonzero(book.active)
+    a, b = j.searchsorted((lo - 1, hi))
+    return padded_sum(vals[a:b], hi - lo + 1, at=j[a:b] - (lo - 1))
+
+
+def _blocks_of(series: MagnitudeSeries, cfg: BlockConfig) -> BlockBookkeeping:
+    book = block_bookkeeping(series, cfg)
+    if book.m < 1:
+        raise ConfigError("series shorter than one block")
+    return book
 
 
 def block_values(series: MagnitudeSeries, cfg: BlockConfig, h: ClusterFunctional) -> np.ndarray:
     """Per-block H values H(u^-1 X_{(j-1)r+1..jr}), j = 1..m."""
-    book = block_bookkeeping(series, cfg)
-    if book.m < 1:
-        raise ConfigError("series shorter than one block")
-    return active_block_values(book, h)
+    book = _blocks_of(series, cfg)
+    out = np.zeros(book.m)
+    out[book.active] = active_block_values(book, h)
+    return out
 
 
 def disjoint_stat(series: MagnitudeSeries, cfg: BlockConfig, h: ClusterFunctional) -> float:
@@ -337,14 +382,12 @@ def disjoint_stat(series: MagnitudeSeries, cfg: BlockConfig, h: ClusterFunctiona
 
     With interior_only, the sum runs over j = 2..m-1 (same normalization).
     """
-    vals = block_values(series, cfg, h)
-    m = vals.size
-    n_eff = m * cfg.r
-    if cfg.interior_only:
-        if m < 3:
-            raise ConfigError("interior variant needs at least 3 blocks")
-        vals = vals[1:m - 1]
-    return float(vals.sum() / (n_eff * cfg.w))
+    book = _blocks_of(series, cfg)
+    m = book.m
+    if cfg.interior_only and m < 3:
+        raise ConfigError("interior variant needs at least 3 blocks")
+    lo, hi = (2, m - 1) if cfg.interior_only else (1, m)
+    return float(block_sum(book, active_block_values(book, h), lo, hi) / (book.n_eff * cfg.w))
 
 
 def sliding_stat(series: MagnitudeSeries, cfg: BlockConfig, h: ClusterFunctional) -> float:
@@ -374,5 +417,6 @@ def empirical_cluster_measure(series: MagnitudeSeries, cfg: BlockConfig,
     For the indicator functional this estimates the candidate extremal
     index.
     """
-    vals = block_values(series, cfg, h)
-    return float(vals.mean() / (cfg.r * cfg.w))
+    book = _blocks_of(series, cfg)
+    mean = block_sum(book, active_block_values(book, h), 1, book.m) / book.m
+    return float(mean / (cfg.r * cfg.w))

@@ -29,16 +29,19 @@ event kind and bookkeeping.
 Cost: one O(n) pass to build the bookkeeping (`blocks.model_bookkeeping`
 over a model's uniform stream, computing X only on the blocks an
 exceedance can reach, or `blocks.block_bookkeeping` over a given series),
-which keeps X/u in O(k r) memory next to the exceedances only, then work
-in the exceedance positions only.  Every magnitude is read through
-`BlockBookkeeping.window`.  SB is summed over the at
-most 2k + 1 runs of window starts that see the same exceedances and DB
-over the active blocks' values; the raw sums share nothing with the
-reference sums SB_j, DB_j, which are evaluated densely for the blocks an
-exceedance can reach, once per functional, for the reference routes and
-the remainder only.  `decompose` reads everything from one bookkeeping,
-so several functionals share one pass and one computation of the event
-blocks and their spans.
+which keeps X/u in O(k r) memory next to the exceedances only, then
+O(k r) work and memory plus scans of the m-byte active mask.  Every
+magnitude is read through `BlockBookkeeping.window`.  SB is summed over
+the at most 2k + 1 runs of window starts that see the same exceedances
+and DB over the active blocks' values, both by `blocks.padded_sum`, which
+gives the bits of the dense reduction: a real-valued H (values not
+integral) still falls back to that reduction and its per-start (SB) or
+per-block (DB) vector.  The raw sums share nothing with the reference
+sums SB_j, DB_j, which are evaluated and kept, keyed by block, only for
+the blocks an exceedance can reach, once per functional, for the
+reference routes and the remainder only.  `decompose` reads everything
+from one bookkeeping, so several functionals share one pass and one
+computation of the event blocks and their spans.
 """
 
 from __future__ import annotations
@@ -47,13 +50,14 @@ import hashlib
 import json
 import logging
 import math
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
 import numpy as np
 
 from .blocks import (BlockBookkeeping, BlockConfig, active_block_values,
-                     block_bookkeeping, model_bookkeeping, window_sum,
+                     block_bookkeeping, block_sum, model_bookkeeping, window_sum,
                      window_values_at)
 from .errors import ConfigError, FunctionalContractError
 from .functionals import ClusterFunctional, eval_functional
@@ -66,10 +70,16 @@ log = logging.getLogger("clusterblocks")
 
 
 class ReferenceSums(NamedTuple):
-    """Direct window sums at index j = 1..m-1 (index 0 unused)."""
+    """Direct window sums keyed by the 1-based block j, where they can be nonzero.
 
-    sb: np.ndarray       # SB_j, summed window by window
-    db: np.ndarray       # DB_j = r * H(block j), by the evaluator
+    SB_j is kept for the blocks j <= m-1 where block j or j+1 is active,
+    DB_j for the active blocks j <= m-1.  Every other SB_j and DB_j is 0
+    by hypothesis (ii), and readers take 0.0 for a block without a key, so
+    the sums cost O(k r) memory instead of two float arrays of length m.
+    """
+
+    sb: dict             # SB_j, summed window by window
+    db: dict             # DB_j = r * H(block j), by the evaluator
 
 
 def reference_sums(book: BlockBookkeeping, h: ClusterFunctional) -> ReferenceSums:
@@ -77,25 +87,23 @@ def reference_sums(book: BlockBookkeeping, h: ClusterFunctional) -> ReferenceSum
 
     SB_j reads blocks j and j+1, so its windows are evaluated (in one
     batched call, each row summed over its r windows) only where one of
-    them is active; DB_j only on active blocks.  All other sums are 0 by
-    hypothesis (ii).  `path_deviations` and the remainder enumeration share
-    the result through the bookkeeping; `raw_sums` never reads it.
+    them is active; DB_j only on active blocks.  `path_deviations` and the
+    remainder enumeration share the result through the bookkeeping;
+    `raw_sums` never reads it.
     """
     # Keyed by id: evaluators need not be hashable.  The entry holds h,
     # so the id cannot be reused while the entry exists.
     entry = book.sums.get(id(h))
     if entry is not None:
         return entry[1]
-    r, m, a = book.r, book.m, book.active
+    r, a = book.r, book.active
     j = np.flatnonzero(a[:-1] | a[1:]) + 1
     starts = (((j - 1) * r + 1)[:, None] + np.arange(r)).ravel()
     vals = window_values_at(book, book.pos, starts, r, h).reshape(j.size, r)
-    sb = np.zeros(m)
-    sb[j] = vals.sum(axis=1)
-    db = np.zeros(m)
-    act = np.flatnonzero(a[:-1]) + 1
+    sb = dict(zip(j.tolist(), vals.sum(axis=1).tolist()))
     # eval_functional without its exceedance test: these blocks exceed
-    db[act] = [r * float(h.evaluator(book.block_window(k))) for k in act.tolist()]
+    db = {k: r * float(h.evaluator(book.block_window(k)))
+          for k in (np.flatnonzero(a[:-1]) + 1).tolist()}
     sums = ReferenceSums(sb, db)
     book.sums[id(h)] = (h, sums)
     return sums
@@ -115,7 +123,7 @@ def raw_sums(book: BlockBookkeeping, h: ClusterFunctional,
     if vals is None:
         vals = active_block_values(book, h)
     sb = window_sum(book, h, 1, (m - 1) * r)
-    db = float(r * vals[:m - 1].sum())
+    db = float(r * block_sum(book, vals, 1, m - 1))
     return sb, db
 
 
@@ -208,8 +216,8 @@ def internal_event_blocks(book: BlockBookkeeping, mode: str = "standard") -> lis
 
 
 def _ic_reference(book: BlockBookkeeping, h: ClusterFunctional, j: int) -> float:
-    ref = reference_sums(book, h)
-    return float(ref.sb[j - 1] + ref.sb[j] - ref.db[j])
+    sb, db = reference_sums(book, h)
+    return sb.get(j - 1, 0.0) + sb.get(j, 0.0) - db.get(j, 0.0)
 
 
 def internal_cluster_stat(book: BlockBookkeeping, h: ClusterFunctional,
@@ -257,8 +265,8 @@ def _bc1(book: BlockBookkeeping, h: ClusterFunctional, merged, left, right) -> f
 
 
 def _bc2_reference(book: BlockBookkeeping, h: ClusterFunctional, j: int) -> float:
-    s = reference_sums(book, h).sb
-    return (float(s[j - 1] + s[j] + s[j + 1])
+    sb = reference_sums(book, h).sb
+    return ((sb.get(j - 1, 0.0) + sb.get(j, 0.0) + sb.get(j + 1, 0.0))
             - book.r * eval_functional(h, book.merged_window(j)))
 
 
@@ -337,36 +345,41 @@ def remainder_stat(book: BlockBookkeeping, h: ClusterFunctional,
     m = book.m
     if m < 3:
         raise ConfigError(f"need at least 3 blocks, got m={m}")
-    s, d = reference_sums(book, h)
-    t = s - d
+    sb_j, db_j = reference_sums(book, h)
+
+    def s(j):
+        return sb_j.get(j, 0.0)
+
+    def t(j):
+        return sb_j.get(j, 0.0) - db_j.get(j, 0.0)
+
     a = book.active
     r_op = (sb - db) - ic - bc
 
     r_ic = 0.0
     if a[0] and not a[1]:
-        r_ic += float(t[1])
+        r_ic += t(1)
     if a[m - 1] and not a[m - 2]:
-        r_ic += float(s[m - 1])
+        r_ic += s(m - 1)
 
     r_bc = 0.0
     if a[0] and a[1]:
-        r_bc += float(t[1])
+        r_bc += t(1)
         if not a[2]:
-            r_bc += float(t[2])
+            r_bc += t(2)
     if a[m - 2] and a[m - 1]:
         if not a[m - 3]:
-            r_bc += float(s[m - 2])
-        r_bc += float(t[m - 1])
+            r_bc += s(m - 2)
+        r_bc += t(m - 1)
 
     # j in 2..m-2 with blocks j, j+1 active and the run continuing on at
     # least one side: run start S_{j-1} + T_j, run end T_j + T_{j+1},
     # inside T_j.  Neither side continuing is a boundary cluster.
-    j = np.flatnonzero(a[1:m - 2] & a[2:m - 1]) + 2
-    before, after = a[j - 2], a[j + 1]
-    terms = t[j] + np.where(before, np.where(after, 0.0, t[j + 1]), s[j - 1])
     r_nc = 0.0
-    for term in terms[before | after].tolist():
-        r_nc += term
+    for j in (np.flatnonzero(a[1:m - 2] & a[2:m - 1]) + 2).tolist():
+        before, after = a[j - 2], a[j + 1]
+        if before or after:
+            r_nc += t(j) + ((0.0 if after else t(j + 1)) if before else s(j - 1))
     return r_op, r_ic, r_bc, r_nc
 
 
@@ -416,6 +429,10 @@ class DecompositionReport:
         return json.dumps(self.to_dict(verbose), indent=2, sort_keys=True)
 
 
+_REPORT_FLOATS = [f.name for f in fields(DecompositionReport) if f.type == "float"]
+_report_floats = operator.attrgetter(*_REPORT_FLOATS)
+
+
 def decompose(book: BlockBookkeeping, h: ClusterFunctional, w_source: str = "supplied",
               verbose: bool = False) -> DecompositionReport:
     """The full decomposition of one bookkeeping, with both routes and all
@@ -456,8 +473,9 @@ def decompose(book: BlockBookkeeping, h: ClusterFunctional, w_source: str = "sup
         gap_scaled=r * (disjoint - sliding),
         per_block={"ic": per_ic, "pairs": bc_parts.per_pair} if verbose else None,
     )
-    bad = [k for k, v in vars(report).items() if isinstance(v, float) and not math.isfinite(v)]
-    if bad:
+    floats = _report_floats(report)
+    if not all(map(math.isfinite, floats)):
+        bad = [k for k, v in zip(_REPORT_FLOATS, floats) if not math.isfinite(v)]
         raise FunctionalContractError(
             f"{h.name}: sums of finite values overflow a float ({', '.join(bad)})")
     return report

@@ -22,7 +22,8 @@ from typing import Callable
 import numpy as np
 
 from . import __version__
-from .blocks import BlockConfig, active_block_values, model_bookkeeping
+from .blocks import (MEMORY_BUDGET, BlockConfig, active_block_values, block_sum,
+                     model_bookkeeping)
 from .errors import ConfigError, FunctionalContractError, PersistError
 from .expansion import boundary_cluster_stat, internal_cluster_stat, raw_sums
 from .functionals import get_functional
@@ -77,6 +78,11 @@ def _block_sums(book, h, spec):
     return (*raw_sums(book, h, vals), vals)     # (SB, DB, active blocks' values)
 
 
+def _block_mean(book, vals):
+    """The mean over blocks 1..m of values given at the active blocks."""
+    return block_sum(book, vals, 1, book.m) / book.m
+
+
 def _quantity(q, book, h, g):
     return q
 
@@ -84,9 +90,8 @@ def _quantity(q, book, h, g):
 def _length_moment(_, book, h, g):
     j = np.flatnonzero(book.active)     # 0-based: pos[a:b] are block j+1's times
     a, b = book.pos.searchsorted(np.stack((j, j + 1)) * book.r, side="right")
-    lengths = np.zeros(book.m)
-    lengths[j] = book.pos[b - 1] - book.pos[a] + 1
-    return float((lengths ** g * book.active).mean())
+    lengths = (book.pos[b - 1] - book.pos[a] + 1).astype(float)
+    return _block_mean(book, lengths ** g)
 
 
 def _indicator_theta(lt, g):
@@ -129,7 +134,7 @@ TARGETS = {
     "clm_large": Target(None, _length_moment, lambda n, r, w, g: r ** (g + 2.0) * w ** 2,
                         lambda lt, g: lt.theta ** 2 / ((g + 1.0) * (g + 2.0)),
                         exponent=True),
-    "ecm": Target(_block_sums, lambda s, b, h, g: float(s[2].mean()), lambda n, r, w, g: r * w,
+    "ecm": Target(_block_sums, lambda s, b, h, g: _block_mean(b, s[2]), lambda n, r, w, g: r * w,
                   _indicator_theta),
 }
 
@@ -166,7 +171,7 @@ class ExperimentConfig:
     seed: int
     targets: tuple
     threads: int = 1
-    max_bytes: int = 8_000_000_000
+    max_bytes: int = MEMORY_BUDGET
 
     def __post_init__(self):
         if self.replicates < 1:

@@ -13,8 +13,9 @@ from clusterblocks import (BlockConfig, ClusterFunctional, ConfigError,
                            empirical_cluster_measure, gen_series,
                            get_functional, parse_model, sliding_stat,
                            threshold_for_w)
-from clusterblocks.blocks import (active_block_values, window_sum,
-                                  window_values_at)
+from clusterblocks import blocks
+from clusterblocks.blocks import (active_block_values, block_sum, padded_sum,
+                                  window_sum, window_values_at)
 from clusterblocks.expansion import raw_sums
 from clusterblocks.functionals import validate_functional
 
@@ -213,7 +214,12 @@ def test_segment_totals_equal_dense_reduction(values, r):
         assert window_sum(book, h, 1, n - r + 1) == dense
         assert sliding_stat(series, cfg, h) == float(dense / (n * r * cfg.w))
         dense_blocks = window_values_at(book, book.pos, np.arange(m) * r + 1, r, h)
-        assert np.array_equal(active_block_values(book, h), dense_blocks)
+        vals = active_block_values(book, h)
+        assert np.array_equal(vals, dense_blocks[book.active])
+        assert not dense_blocks[~book.active].any()
+        for lo, hi in ((1, m), (1, m - 1), (2, m - 1), (2, m)):
+            if lo <= hi:
+                assert block_sum(book, vals, lo, hi) == float(dense_blocks[lo - 1:hi].sum())
         if m >= 3:
             starts = np.arange(1, (m - 1) * r + 1)
             block_starts = np.arange(m - 1) * r + 1
@@ -221,6 +227,32 @@ def test_segment_totals_equal_dense_reduction(values, r):
             assert sb == float(window_values_at(book, book.pos, starts, r, h).sum())
             assert db == float(r * window_values_at(book, book.pos,
                                                     block_starts, r, h).sum())
+
+
+@given(st.lists(st.one_of(st.integers(min_value=-2 ** 20, max_value=2 ** 20).map(float),
+                          st.floats(min_value=-1e6, max_value=1e6),
+                          st.sampled_from([0.0, -0.0, 2.0 ** 50, 2.0 ** 53, 1e300, math.inf])),
+                max_size=40),
+       st.integers(min_value=0, max_value=30), st.randoms(use_true_random=False))
+@settings(max_examples=300, deadline=None)
+def test_padded_sum_equals_the_dense_sum(values, pad, rnd):
+    # values placed in a zero vector, or repeated in runs that tile it, sum
+    # to the bits numpy gives for the vector, on the weighted path (the
+    # dense-size cut at 0) and at the default cut
+    values = np.asarray(values, dtype=float)
+    size = values.size + pad
+    at = np.sort(np.asarray(rnd.sample(range(size), values.size), dtype=np.int64))
+    placed = np.zeros(size)
+    placed[at] = values
+    lengths = np.asarray([rnd.randint(1, 5) for _ in range(values.size)], dtype=np.int64)
+    tiled = np.repeat(values, lengths)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.MonkeyPatch.context() as mp:
+        for cut in (0, blocks._DENSE_SIZE):
+            mp.setattr(blocks, "_DENSE_SIZE", cut)
+            got = padded_sum(values, size, at=at)
+            assert np.float64(got).tobytes() == placed.sum().tobytes()
+            got = padded_sum(values, tiled.size, lengths=lengths)
+            assert np.float64(got).tobytes() == tiled.sum().tobytes()
 
 
 GOLDEN_BLOCK_STATS = {

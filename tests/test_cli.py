@@ -4,6 +4,7 @@ import json
 import logging
 import os
 import re
+import subprocess
 import sys
 import warnings
 from unittest import mock
@@ -247,7 +248,8 @@ def no_replicate(*args):
     (LIMITS + ["--functional", "length^1023"], None, 1, "functional"),
     (OVERFLOWING_RATES + ["--threads", "1"], None, 1, "functional"),
     (OVERFLOWING_RATES + ["--threads", "2"], None, 1, "functional"),
-    # each asks for an array of PiB, so the allocation fails at once
+    # each asks for PiB: the block mask is refused by the memory budget, the
+    # other arrays by a failing allocation
     (["decompose", "--model", "mma1:1,1,1", "--n", "1000000000000000", "--r", "10",
       "--w", "0.01"], None, 1, "config"),
     (["simulate", "--model", "iid:1", "--n", "1000000000000000", "--out", os.devnull],
@@ -267,6 +269,30 @@ def test_parse_errors_fail_closed(capsys, monkeypatch, argv, env, code, category
     assert len(err.splitlines()) == 1
     assert err.startswith(f"error:{category}:")
     assert "Traceback" not in err
+
+
+# Starts the argv given after it and prints its exit status and ru_maxrss
+# (kB).  A child takes over the peak RSS of the process it was started
+# from (Linux keeps the larger across exec), so the child whose peak is
+# read is started from this small process, not from the test process.
+MAXRSS = ("import os, subprocess, sys; p = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL);"
+          " _, status, use = os.wait4(p.pid, 0); print(status, use.ru_maxrss)")
+
+
+def test_decompose_of_1e8_values_peaks_below_100_mb():
+    # m = 8.3 million blocks of r = 12: one float array of length m is
+    # 67 MB, and the reference sums kept two of them; the bookkeeping holds
+    # the 8 MB block mask, about 1000 exceedances and their blocks
+    import clusterblocks
+
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(clusterblocks.__file__)))
+    argv = [sys.executable, "-m", "clusterblocks", "decompose", "--model", "mma1:1,1,1",
+            "--n", "100000000", "--r", "12", "--w", "1e-5"]
+    out = subprocess.run([sys.executable, "-c", MAXRSS, *argv], env=env, capture_output=True,
+                         text=True, timeout=300, check=True).stdout
+    status, kb = map(int, out.split())
+    assert status == 0
+    assert kb / 1024 < 100
 
 
 def test_parser_is_built_once_and_keeps_no_state(capsys):

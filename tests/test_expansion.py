@@ -3,6 +3,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from clusterblocks import (BlockConfig, ClusterFunctional, ConfigError,
                            MagnitudeSeries, ModelSpec, block_bookkeeping,
@@ -12,7 +14,8 @@ from clusterblocks import (BlockConfig, ClusterFunctional, ConfigError,
                            remainder_stat, threshold_for_w)
 from clusterblocks.blocks import window_values_at
 from clusterblocks.expansion import (_bc1, boundary_event_blocks,
-                                     internal_event_blocks, path_deviations)
+                                     internal_event_blocks, path_deviations,
+                                     reference_sums)
 from clusterblocks.functionals import eval_functional, induced_ic
 
 IND = get_functional("indicator")
@@ -536,3 +539,43 @@ def test_event_blocks_are_computed_once_per_bookkeeping(monkeypatch):
     assert len(internal_event_blocks(book)) and len(boundary_event_blocks(book))
     with pytest.raises(ConfigError):
         internal_event_blocks(book, "neither")
+
+
+def dense_reference_sums(book, h):
+    """SB_j and DB_j at every j = 1..m-1 (index j-1), by window_values_at over every start."""
+    r, m = book.r, book.m
+    starts = np.arange(1, (m - 1) * r + 1, dtype=np.int64)
+    sb = window_values_at(book, book.pos, starts, r, h).reshape(m - 1, r).sum(axis=1)
+    db = r * window_values_at(book, book.pos, starts[::r], r, h)
+    return sb, db
+
+
+@st.composite
+def blocked_values(draw):
+    """(r, values): m = 3..9 blocks of size r and a tail of fewer than r values."""
+    r = draw(st.integers(min_value=2, max_value=6))
+    m = draw(st.integers(min_value=3, max_value=9))
+    n = m * r + draw(st.integers(min_value=0, max_value=r - 1))
+    element = st.one_of(st.just(0.5), st.floats(min_value=0.0, max_value=3.0),
+                        st.floats(min_value=1.01, max_value=9.0))
+    return r, draw(st.lists(element, min_size=n, max_size=n))
+
+
+@given(blocked_values())
+@example((3, [0.5] * 9))                # m = 3, no exceedance
+@example((4, [0.5] * 18 + [2.0]))       # m = 4, an exceedance in the tail only
+@example((2, [2.0] * 7))                # m = 3, every block and the tail exceed
+@settings(max_examples=150, deadline=None)
+def test_sparse_reference_sums_equal_the_dense_sums(case):
+    # SB_j and DB_j kept at the blocks an exceedance reaches, with 0.0 read
+    # elsewhere, equal the dense per-block sums bit for bit at every block
+    r, values = case
+    book = block_bookkeeping(series_from(values), BlockConfig(r=r, u=1.0, w=0.1))
+    m, a = book.m, book.active
+    for h in (IND, get_functional("length^1.5"), LOG_SUM):
+        sb, db = reference_sums(book, h)
+        assert set(sb) == {j for j in range(1, m) if a[j - 1] or a[j]}
+        assert set(db) == {j for j in range(1, m) if a[j - 1]}
+        dense_sb, dense_db = dense_reference_sums(book, h)
+        assert [sb.get(j, 0.0) for j in range(1, m)] == dense_sb.tolist()
+        assert [db.get(j, 0.0) for j in range(1, m)] == dense_db.tolist()

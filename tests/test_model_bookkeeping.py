@@ -12,8 +12,8 @@ import math
 import numpy as np
 import pytest
 
-from clusterblocks import (BlockConfig, ClusterFunctional, MagnitudeSeries, ModelError,
-                           block_bookkeeping, gen_series, get_functional,
+from clusterblocks import (BlockConfig, ClusterFunctional, ConfigError, MagnitudeSeries,
+                           ModelError, block_bookkeeping, gen_series, get_functional,
                            parse_model, threshold_for_w)
 from clusterblocks import blocks, expansion, models
 from clusterblocks.blocks import model_bookkeeping
@@ -288,3 +288,41 @@ def test_a_block_longer_than_the_series_costs_no_memory_of_r():
     assert _peak_bytes(lambda: book.append(model_bookkeeping(spec, 100, 0, cfg))) < 1e6
     assert book[0].m == 0 and book[0].values.size == 100
     assert_same_bookkeeping(book[0], block_bookkeeping(gen_series(spec, 100, 0), cfg))
+
+
+def test_decompose_memory_is_that_of_the_events():
+    # n = 1e7, r = 12: one float array of length m (833 333) is 6.7 MB, and
+    # two per functional were kept before the reference sums were keyed by
+    # block; the m-byte active mask and O(k r) arrays remain
+    spec, n = parse_model("mma1:1,1,1"), 10 ** 7
+    w = n ** -0.6
+    book = model_bookkeeping(spec, n, 0, BlockConfig(r=12, u=threshold_for_w(spec, w), w=w))
+    reports = []
+
+    def run():
+        for name in ("indicator", "length"):
+            reports.append(decompose(book, get_functional(name)))
+
+    assert _peak_bytes(run) < 5e6
+    assert all(rep.residual_identity == 0.0 and rep.residual_paper == 0.0 for rep in reports)
+
+
+def test_an_n_over_the_memory_budget_is_refused_before_any_allocation(monkeypatch):
+    # the block mask of n = 1e15 values would take 1e14 bytes: refused
+    # whatever the kernel's overcommit policy, with nothing allocated
+    spec = parse_model("mma1:1,1,1")
+    cfg = BlockConfig(r=10, u=threshold_for_w(spec, 0.01), w=0.01)
+
+    def refused():
+        with pytest.raises(ConfigError, match="memory budget"):
+            model_bookkeeping(spec, 10 ** 15, 0, cfg)
+
+    assert _peak_bytes(refused) < 1e5
+    # the bound is the mask's nb + 2 bytes, with nb the blocks of n
+    # values, the partial tail block counted
+    n = 1001
+    monkeypatch.setattr(blocks, "MEMORY_BUDGET", 103)
+    assert model_bookkeeping(spec, n, 0, cfg).m == 100
+    monkeypatch.setattr(blocks, "MEMORY_BUDGET", 102)
+    with pytest.raises(ConfigError):
+        model_bookkeeping(spec, n, 0, cfg)
