@@ -17,12 +17,21 @@ m-byte active mask: `block_bookkeeping` scans a given series, and
 `model_bookkeeping` (what `rates` and `decompose --model` use) makes one
 O(n) pass over a model's uniform stream and computes X only on the
 blocks an exceedance can reach.  Both give equal bookkeepings.
+
+What the readers derive from the positions, the active mask and r alone
+(the active block indices, the runs of window starts, the exceedance
+count and cluster length of every window they read, the block lists of
+the reference route and the event rows) is a `Layout`, computed once per
+bookkeeping on first use and shared by every functional evaluated on it:
+one scan of the mask and O(k r) time and memory.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -58,6 +67,101 @@ def truncated_length(n: int, r: int) -> tuple[int, int]:
     return m, n - m * r
 
 
+_PAST = np.iinfo(np.int64).max
+
+
+class Layout:
+    """What the readers of one bookkeeping derive from its sorted positions
+    `pos`, its active mask and r alone, each part computed once, on first
+    use, and kept (`BlockBookkeeping.layout`).
+
+    `active` is the one scan of the m-byte mask.  Every other part is built
+    from the active blocks and `pos` in O(k r) time and memory: the runs of
+    window starts per (lo, hi), the (count, length) of the windows at each
+    start array a reader evaluates, the blocks and window starts of the
+    reference sums, the runs of active blocks that the remainder
+    enumerates and the event rows of `expansion._event_blocks`.
+    """
+
+    def __init__(self, pos: np.ndarray, active: np.ndarray, r: int):
+        self.pos, self.r, self.m = pos, r, active.size
+        self.active = active.nonzero()[0] + 1       # the 1-based active blocks, ascending
+        self.active_list = self.active.tolist()     # the same as ints, and as a set
+        self.active_set = set(self.active_list)
+        self.pos_list = pos.tolist()
+        self._segments = {}     # (lo, hi): window_segments(pos, r, lo, hi)
+        self._keys = {}         # id(starts): (starts, counts, lengths)
+        self.events = {}        # kind: event rows
+
+    @cached_property
+    def _padded(self) -> np.ndarray:
+        """`pos` between a 0 and a value past every window's end."""
+        return np.concatenate(([0], self.pos, [_PAST]))
+
+    @cached_property
+    def active_starts(self) -> np.ndarray:
+        """The first positions of the active blocks.  They are keyed
+        (`window_keys`) in one pass with the SB runs over 1..(m-1)r: the two
+        start sets that `expansion.raw_sums` reads."""
+        runs = self.segments(1, (self.m - 1) * self.r)[0]
+        starts = (self.active - 1) * self.r + 1
+        self._key((runs, starts))
+        return starts
+
+    @cached_property
+    def reference(self) -> tuple:
+        """(SB blocks, their window starts, DB blocks) of the reference sums:
+        the blocks j <= m-1 where block j or j+1 is active, their r starts
+        each, block after block, and the active blocks j <= m-1."""
+        m, r = self.m, self.r
+        on = self.active_set
+        sb = sorted(j for j in on.union(j - 1 for j in on) if 0 < j < m)
+        starts = ((np.array(sb, dtype=np.int64) - 1) * r + 1)[:, None] + np.arange(r)
+        return sb, starts.ravel(), [j for j in self.active_list if j < m]
+
+    @cached_property
+    def block_runs(self) -> list:
+        """Rows (j, before, after), ascending: the blocks j in 2..m-2 where
+        blocks j and j+1 are active and block j-1 (before) or block j+2
+        (after) is too."""
+        on, m = self.active_set, self.m
+        return [(j, j - 1 in on, j + 2 in on) for j in self.active_list
+                if 1 < j < m - 1 and j + 1 in on and (j - 1 in on or j + 2 in on)]
+
+    def segments(self, lo: int, hi: int) -> tuple:
+        """`window_segments(pos, r, lo, hi)`."""
+        got = self._segments.get((lo, hi))
+        if got is None:
+            got = self._segments[lo, hi] = window_segments(self.pos, self.r, lo, hi)
+        return got
+
+    def window_keys(self, starts: np.ndarray) -> tuple:
+        """(counts, lengths): the number of exceedances in each window
+        [s, s+r-1], s in the int64 array `starts`, and their cluster length
+        (0 without one).  Kept per array, which is therefore not to be
+        mutated after the call."""
+        entry = self._keys.get(id(starts))
+        if entry is None:
+            self._key((starts,))
+            entry = self._keys[id(starts)]
+        return entry[1], entry[2]
+
+    def _key(self, sets: tuple) -> None:
+        """Key the start arrays `sets` with one binary search of `pos` each way."""
+        starts = np.concatenate(sets) if len(sets) > 1 else sets[0]
+        lo = self.pos.searchsorted(starts, side="left")
+        hi = self.pos.searchsorted(starts + (self.r - 1), side="right")
+        # last minus first exceedance, or at most -1 for an empty window (lo = hi)
+        padded = self._padded
+        spread = padded[hi] - padded[lo + 1]
+        counts, lengths = hi - lo, np.maximum(spread + 1, 0)
+        at = 0
+        for a in sets:
+            # The entry holds the array, so its id is not reused while it exists.
+            self._keys[id(a)] = (a, counts[at:at + a.size], lengths[at:at + a.size])
+            at += a.size
+
+
 @dataclass
 class BlockBookkeeping:
     """Per-block exceedance data for a series of n values cut into m blocks of size r.
@@ -78,6 +182,12 @@ class BlockBookkeeping:
     (`_bookkeeping`), so the two routes build equal bookkeepings.  Every
     window that holds an exceedance lies in these blocks; `window` is the
     one way to read them.
+
+    `layout` (a `Layout`) holds what the readers derive from `pos`,
+    `active` and r alone, in O(k r) memory after one scan of the mask, and
+    `sums` the reference sums per functional.  Both are filled on first
+    use and never recomputed, so a bookkeeping is not to be mutated once
+    read.
     """
 
     r: int
@@ -91,7 +201,10 @@ class BlockBookkeeping:
     blocks: np.ndarray       # the stored blocks, 1-based, sorted
     values: np.ndarray       # their X/u, block after block
     sums: dict = field(default_factory=dict, repr=False, compare=False)  # reference_sums cache
-    events: dict = field(default_factory=dict, repr=False, compare=False)  # event spans by kind
+
+    @cached_property
+    def layout(self) -> Layout:
+        return Layout(self.pos, self.active, self.r)
 
     def window(self, lo: int, hi: int) -> np.ndarray:
         """X/u at the 1-based positions lo..hi; IndexError outside the stored blocks."""
@@ -260,22 +373,17 @@ def window_values_at(book: BlockBookkeeping, pos: np.ndarray, starts: np.ndarray
                      r: int, h: ClusterFunctional) -> np.ndarray:
     """H over the windows [s, s+r-1] for every 1-based start in `starts`.
 
-    `pos` and `r` are the bookkeeping's.  A window's exceedances are found
-    by a binary search of `pos`: pattern-backed functionals are computed
-    from them alone, anything else is evaluated on the magnitudes of each
-    window that holds one and is 0 elsewhere.
+    `pos` and `r` must be the bookkeeping's.  A window's exceedances are
+    found by a binary search of `pos`, once per start array and
+    bookkeeping (`Layout.window_keys`): pattern-backed functionals are
+    computed from them alone, anything else is evaluated on the magnitudes
+    of each window that holds one and is 0 elsewhere.
     """
+    if pos is not book.pos or r != book.r:
+        raise ValueError("window_values_at reads the bookkeeping's own positions and r")
     starts = np.asarray(starts, dtype=np.int64)
-    lo = pos.searchsorted(starts, side="left")
-    hi = pos.searchsorted(starts + (r - 1), side="right")
-    counts = hi - lo
+    counts, lengths = book.layout.window_keys(starts)
     if h.pattern_value is not None:
-        if pos.size:
-            first = pos[np.minimum(lo, pos.size - 1)]
-            last = pos[np.maximum(hi - 1, 0)]
-            lengths = np.where(counts > 0, last - first + 1, 0)
-        else:
-            lengths = np.zeros_like(counts)
         return np.asarray(h.pattern_value(counts, lengths), dtype=float)
     out = np.zeros(starts.size)
     hit = np.flatnonzero(counts)
@@ -337,7 +445,7 @@ def window_sum(book: BlockBookkeeping, h: ClusterFunctional, lo: int, hi: int) -
     `window_segments`, so it is evaluated at the first start of each run;
     `padded_sum` adds the runs as the dense per-start reduction would.
     """
-    starts, lengths = window_segments(book.pos, book.r, lo, hi)
+    starts, lengths = book.layout.segments(lo, hi)
     values = window_values_at(book, book.pos, starts, book.r, h)
     return padded_sum(values, hi - lo + 1, lengths=lengths)
 
@@ -349,17 +457,16 @@ def active_block_values(book: BlockBookkeeping, h: ClusterFunctional) -> np.ndar
     this costs O(k) evaluations and O(k) memory; `block_sum` reduces the
     values as the dense per-block vector would.
     """
-    j = np.flatnonzero(book.active)
-    return window_values_at(book, book.pos, j * book.r + 1, book.r, h)
+    return window_values_at(book, book.pos, book.layout.active_starts, book.r, h)
 
 
 def block_sum(book: BlockBookkeeping, vals: np.ndarray, lo: int, hi: int) -> float:
     """Sum over the blocks lo..hi (1-based) of per-block values given at
     the active blocks (`active_block_values`), 0 elsewhere, equal bit for
     bit to the sum of the dense per-block vector."""
-    j = np.flatnonzero(book.active)
-    a, b = j.searchsorted((lo - 1, hi))
-    return padded_sum(vals[a:b], hi - lo + 1, at=j[a:b] - (lo - 1))
+    layout = book.layout
+    a, b = bisect_left(layout.active_list, lo), bisect_left(layout.active_list, hi + 1)
+    return padded_sum(vals[a:b], hi - lo + 1, at=layout.active[a:b] - lo)
 
 
 def _blocks_of(series: MagnitudeSeries, cfg: BlockConfig) -> BlockBookkeeping:

@@ -30,7 +30,7 @@ Cost: one O(n) pass to build the bookkeeping (`blocks.model_bookkeeping`
 over a model's uniform stream, computing X only on the blocks an
 exceedance can reach, or `blocks.block_bookkeeping` over a given series),
 which keeps X/u in O(k r) memory next to the exceedances only, then
-O(k r) work and memory plus scans of the m-byte active mask.  Every
+O(k r) work and memory plus one scan of the m-byte active mask.  Every
 magnitude is read through `BlockBookkeeping.window`.  SB is summed over
 the at most 2k + 1 runs of window starts that see the same exceedances
 and DB over the active blocks' values, both by `blocks.padded_sum`, which
@@ -40,8 +40,17 @@ per-block (DB) vector.  The raw sums share nothing with the reference
 sums SB_j, DB_j, which are evaluated and kept, keyed by block, only for
 the blocks an exceedance can reach, once per functional, for the
 reference routes and the remainder only.  `decompose` reads everything
-from one bookkeeping, so several functionals share one pass and one
-computation of the event blocks and their spans.
+from one bookkeeping, so several functionals share one pass, and what
+depends on the positions, the active mask and r alone is computed once
+per bookkeeping, on first use, in its `blocks.Layout`, O(k r) time and
+memory: the active blocks (that one scan), the SB runs and the active
+blocks' starts with the (count, length) of each window (one binary
+search for both), the reference blocks and windows with theirs (one
+more), the event blocks and their spans, and the runs of active blocks
+of the remainder.  Each functional then evaluates H on them: a
+pattern-backed H once per start set, any other H on every window that
+holds an exceedance.  The two routes read separate entries, and no value
+of H passes from one route, or one functional, to another.
 """
 
 from __future__ import annotations
@@ -56,7 +65,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .blocks import (BlockBookkeeping, BlockConfig, active_block_values,
+from .blocks import (BlockBookkeeping, BlockConfig, Layout, active_block_values,
                      block_bookkeeping, block_sum, model_bookkeeping, window_sum,
                      window_values_at)
 from .errors import ConfigError, FunctionalContractError
@@ -87,7 +96,8 @@ def reference_sums(book: BlockBookkeeping, h: ClusterFunctional) -> ReferenceSum
 
     SB_j reads blocks j and j+1, so its windows are evaluated (in one
     batched call, each row summed over its r windows) only where one of
-    them is active; DB_j only on active blocks.  `path_deviations` and the
+    them is active; DB_j only on active blocks.  Those blocks and starts
+    are the bookkeeping's `Layout.reference`.  `path_deviations` and the
     remainder enumeration share the result through the bookkeeping;
     `raw_sums` never reads it.
     """
@@ -96,14 +106,12 @@ def reference_sums(book: BlockBookkeeping, h: ClusterFunctional) -> ReferenceSum
     entry = book.sums.get(id(h))
     if entry is not None:
         return entry[1]
-    r, a = book.r, book.active
-    j = np.flatnonzero(a[:-1] | a[1:]) + 1
-    starts = (((j - 1) * r + 1)[:, None] + np.arange(r)).ravel()
-    vals = window_values_at(book, book.pos, starts, r, h).reshape(j.size, r)
-    sb = dict(zip(j.tolist(), vals.sum(axis=1).tolist()))
+    r = book.r
+    sb_blocks, starts, db_blocks = book.layout.reference
+    vals = window_values_at(book, book.pos, starts, r, h).reshape(len(sb_blocks), r)
+    sb = dict(zip(sb_blocks, vals.sum(axis=1).tolist()))
     # eval_functional without its exceedance test: these blocks exceed
-    db = {k: r * float(h.evaluator(book.block_window(k)))
-          for k in (np.flatnonzero(a[:-1]) + 1).tolist()}
+    db = {k: r * float(h.evaluator(book.block_window(k))) for k in db_blocks}
     sums = ReferenceSums(sb, db)
     book.sums[id(h)] = (h, sums)
     return sums
@@ -142,7 +150,7 @@ class _Pieces:
     """
 
     def __init__(self, book: BlockBookkeeping, h: ClusterFunctional):
-        self.pos = book.pos.tolist()
+        self.pos = book.layout.pos_list
         self.window = book.window
         self.h = h
         self.memo = {} if h.pattern_value is not None else None
@@ -177,13 +185,15 @@ class _Pieces:
 # -- internal clusters --------------------------------------------------------
 
 
-def _event_mask(a: np.ndarray, m: int, kind: str) -> np.ndarray:
-    """Over blocks 2, 3, ...: where an event of the kind holds."""
+def _event_starts(layout: Layout, m: int, kind: str) -> list:
+    """The active blocks j, ascending, where an event of the kind holds."""
+    blocks, on = layout.active_list, layout.active_set
     if kind == "piecewise":
-        return a[1:m - 1]
+        return [j for j in blocks if 1 < j < m]
     if kind == "standard":
-        return a[1:m - 1] & ~a[0:m - 2] & ~a[2:m]
-    return ~a[0:m - 3] & a[1:m - 2] & a[2:m - 1] & ~a[3:m]     # "boundary"
+        return [j for j in blocks if 1 < j < m and j - 1 not in on and j + 1 not in on]
+    return [j for j in blocks                                         # "boundary"
+            if 1 < j < m - 1 and j - 1 not in on and j + 1 in on and j + 2 not in on]
 
 
 def _event_blocks(book: BlockBookkeeping, kind: str) -> list:
@@ -194,16 +204,17 @@ def _event_blocks(book: BlockBookkeeping, kind: str) -> list:
     1..j-1, 1..j (and 1..j+1): pos[a:b] are the event's times and pos[a:s]
     block j's.  The rows depend on `book.active` and `book.pos` alone, so
     every functional decomposed on the same bookkeeping reads them from
-    `book.events`; the spans of a kind are one binary search of `pos`.
+    its `Layout`; the spans of a kind are one binary search of `pos`.
     """
-    rows = book.events.get(kind)
+    layout = book.layout
+    rows = layout.events.get(kind)
     if rows is None:
-        j = np.flatnonzero(_event_mask(book.active, book.m, kind)) + 2
+        j = _event_starts(layout, book.m, kind)
         rows = []
-        if j.size:          # most tiny series have no event of a kind: skip the search
-            edges = (j[:, None] + np.arange(-1, 2 if kind == "boundary" else 1)) * book.r
+        if j:               # most tiny series have no event of a kind: skip the search
+            edges = (np.array(j)[:, None] + np.arange(-1, 2 if kind == "boundary" else 1)) * book.r
             rows = np.column_stack((j, book.pos.searchsorted(edges, side="right"))).tolist()
-        book.events[kind] = rows
+        layout.events[kind] = rows
     return rows
 
 
@@ -339,8 +350,8 @@ def remainder_stat(book: BlockBookkeeping, h: ClusterFunctional,
     three re-derive the remainder from its event enumeration by direct
     window sums: sample-boundary single blocks (r_ic), sample-boundary
     pairs (r_bc) and runs of three or more active blocks (r_nc).  Events
-    are found by masks over the active blocks and their terms are added
-    in ascending j.
+    are read off the active blocks (`Layout.block_runs` for r_nc) and
+    their terms are added in ascending j.
     """
     m = book.m
     if m < 3:
@@ -376,10 +387,8 @@ def remainder_stat(book: BlockBookkeeping, h: ClusterFunctional,
     # least one side: run start S_{j-1} + T_j, run end T_j + T_{j+1},
     # inside T_j.  Neither side continuing is a boundary cluster.
     r_nc = 0.0
-    for j in (np.flatnonzero(a[1:m - 2] & a[2:m - 1]) + 2).tolist():
-        before, after = a[j - 2], a[j + 1]
-        if before or after:
-            r_nc += t(j) + ((0.0 if after else t(j + 1)) if before else s(j - 1))
+    for j, before, after in book.layout.block_runs:
+        r_nc += t(j) + ((0.0 if after else t(j + 1)) if before else s(j - 1))
     return r_op, r_ic, r_bc, r_nc
 
 

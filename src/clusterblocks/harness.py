@@ -88,10 +88,8 @@ def _quantity(q, book, h, g):
 
 
 def _length_moment(_, book, h, g):
-    j = np.flatnonzero(book.active)     # 0-based: pos[a:b] are block j+1's times
-    a, b = book.pos.searchsorted(np.stack((j, j + 1)) * book.r, side="right")
-    lengths = (book.pos[b - 1] - book.pos[a] + 1).astype(float)
-    return _block_mean(book, lengths ** g)
+    _, lengths = book.layout.window_keys(book.layout.active_starts)   # of the active blocks
+    return _block_mean(book, lengths.astype(float) ** g)
 
 
 def _indicator_theta(lt, g):
@@ -176,6 +174,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.replicates < 1:
             raise ConfigError("replicates must be >= 1")
+        if self.threads < 1:
+            raise ConfigError(f"threads must be >= 1, got {self.threads}")
         ns = [int(g[0]) for g in self.grid]
         if ns != sorted(ns):
             raise ConfigError("grid must be sorted by n")

@@ -282,6 +282,17 @@ def test_block_statistics_bytes_are_pinned(model, name):
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_BLOCK_STATS[(model, name)]
 
 
+def test_window_values_read_the_bookkeepings_own_positions_and_r():
+    # the window keys are the bookkeeping's, so any other pos or r is refused
+    book = block_bookkeeping(WORKED, CFG)
+    starts = np.arange(1, 4)
+    assert window_values_at(book, book.pos, starts, CFG.r, IND).tolist() == [1, 1, 0]
+    with pytest.raises(ValueError, match="own positions"):
+        window_values_at(book, book.pos, starts, CFG.r + 1, IND)
+    with pytest.raises(ValueError, match="own positions"):
+        window_values_at(book, book.pos.copy(), starts, CFG.r, IND)
+
+
 def test_raw_sums_leave_the_reference_batch_unbuilt():
     # SB and DB share nothing with the dense reference sums, which stay an
     # independent check

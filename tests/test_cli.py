@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import logging
@@ -154,6 +155,20 @@ def test_verify_quick(capsys):
     assert "FAIL" not in out
 
 
+# sha256 of `verify --quick --seed s` stdout
+GOLDEN_VERIFY = {
+    0: "e5aca88e27187157f516b3d752bb28b20bf6fa6902d0507ec7ac18d1f6ed6d3f",
+    1: "2b61c9c32570c21a8994b6a44be6b0eecc7de88560b81b3cd4a5e52ddffe6ada",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(GOLDEN_VERIFY))
+def test_verify_quick_stdout_is_pinned(capsys, seed):
+    code, out, _ = run(capsys, "verify", "--quick", "--seed", str(seed))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_VERIFY[seed]
+
+
 def test_verify_seeds_below_the_offsets_are_masked_to_64_bits():
     # `verify --seed s` seeds its checks with s plus an offset (20240 for
     # the identities, 11 for the thresholds); below -offset that is negative
@@ -226,6 +241,10 @@ def no_replicate(*args):
     (["rates", "--model", "piecewise(mma1:1,1,1):x", "--grid", "2000:n^0.2:n^-0.55"],
      None, 1, "model"),
     (RATES, "abc", 2, "usage"),
+    # a worker count below 1 is refused, not silently run on one worker
+    (RATES + ["--threads", "0"], None, 1, "config"),
+    (RATES + ["--threads", "-3"], None, 1, "config"),
+    (RATES, "0", 1, "config"),
     (RATES[:-1] + ["clm_large(-1)"], None, 1, "config"),
     (RATES[:-1] + ["clm_large(-1.5)"], None, 1, "config"),
     (RATES[:-1] + ["clm_large(2000)"], None, 1, "config"),

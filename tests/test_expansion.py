@@ -12,8 +12,8 @@ from clusterblocks import (BlockConfig, ClusterFunctional, ConfigError,
                            expansion_report, gen_series, get_functional,
                            internal_cluster_stat, parse_model,
                            remainder_stat, threshold_for_w)
-from clusterblocks.blocks import window_values_at
-from clusterblocks.expansion import (_bc1, boundary_event_blocks,
+from clusterblocks.blocks import model_bookkeeping, window_values_at
+from clusterblocks.expansion import (_bc1, boundary_event_blocks, decompose,
                                      internal_event_blocks, path_deviations,
                                      reference_sums)
 from clusterblocks.functionals import eval_functional, induced_ic
@@ -424,6 +424,24 @@ def test_verbose_report_bytes_are_pinned(model, name):
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_REPORTS[(model, name)]
 
 
+# sha256 over the verbose JSON of every decomposition that `verify`'s
+# exhaustive check makes: the 4095 exceedance masks of 4 blocks of r = 3
+# (values 2 and 0.5 at u = 1), one bookkeeping per mask decomposed with
+# `indicator`, `length` and `count` in that order.
+GOLDEN_MASK_REPORTS = "d9545485d78ebea639541297ff2633bfc3b3e973325a9152bed2e77b73111370"
+
+
+def test_exhaustive_mask_reports_are_pinned():
+    cfg = BlockConfig(r=3, u=1.0, w=0.5)
+    digest = hashlib.sha256()
+    for mask in range(1, 2 ** 12):
+        values = np.where([(mask >> i) & 1 for i in range(12)], 2.0, 0.5)
+        book = block_bookkeeping(series_from(values), cfg)
+        for h in (IND, LEN, CNT):
+            digest.update(decompose(book, h, verbose=True).to_json(verbose=True).encode())
+    assert digest.hexdigest() == GOLDEN_MASK_REPORTS
+
+
 # -- exceedance-time route against the window route --------------------------
 
 TIME_ROUTE_FUNCTIONALS = [IND, LEN, CNT, get_functional("length^1.5"), LOG_SUM]
@@ -521,13 +539,13 @@ def test_event_blocks_are_computed_once_per_bookkeeping(monkeypatch):
     from clusterblocks.expansion import decompose
 
     kinds = []
-    real = expansion._event_mask
+    real = expansion._event_starts
 
-    def counting(a, m, kind):
+    def counting(layout, m, kind):
         kinds.append(kind)
-        return real(a, m, kind)
+        return real(layout, m, kind)
 
-    monkeypatch.setattr(expansion, "_event_mask", counting)
+    monkeypatch.setattr(expansion, "_event_starts", counting)
     spec = ModelSpec.mma1(1.0, 1.0, 1.0)
     cfg = BlockConfig(r=5, u=threshold_for_w(spec, 0.05), w=0.05)
     book = block_bookkeeping(gen_series(spec, 3000, 4), cfg)
@@ -539,6 +557,70 @@ def test_event_blocks_are_computed_once_per_bookkeeping(monkeypatch):
     assert len(internal_event_blocks(book)) and len(boundary_event_blocks(book))
     with pytest.raises(ConfigError):
         internal_event_blocks(book, "neither")
+
+
+class _CountingMask(np.ndarray):
+    """A bool mask that counts the scans for its nonzero entries."""
+
+    scans = 0
+
+    def nonzero(self):
+        _CountingMask.scans += 1
+        return np.asarray(self).nonzero()
+
+
+def test_position_work_is_done_once_per_bookkeeping(monkeypatch):
+    # the active block indices (the one scan of the m-byte mask), the SB
+    # runs and the window keys depend on pos, active and r alone: three
+    # functionals decomposed on one bookkeeping compute each once
+    import clusterblocks.blocks as blocks
+
+    runs, passes = [], []
+    real_segments, real_key = blocks.window_segments, blocks.Layout._key
+
+    def segments(pos, r, lo, hi):
+        runs.append((lo, hi))
+        return real_segments(pos, r, lo, hi)
+
+    def key(layout, sets):
+        passes.append(len(sets))
+        return real_key(layout, sets)
+
+    monkeypatch.setattr(blocks, "window_segments", segments)
+    monkeypatch.setattr(blocks.Layout, "_key", key)
+    monkeypatch.setattr(_CountingMask, "scans", 0)
+    spec = ModelSpec.mma1(1.0, 1.0, 1.0)
+    cfg = BlockConfig(r=5, u=threshold_for_w(spec, 0.05), w=0.05)
+    book = block_bookkeeping(gen_series(spec, 3000, 4), cfg)
+    book.active = book.active.view(_CountingMask)
+    for h in (IND, get_functional("length^1.5"), LOG_SUM):
+        decompose(book, h)
+    assert runs == [(1, (book.m - 1) * book.r)]
+    # SB runs with the active blocks' starts, then the reference windows
+    assert passes == [2, 1]
+    assert _CountingMask.scans == 1
+
+
+BOOK_FUNCTIONALS = [IND, get_functional("length^1.5"), LOG_SUM]
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), r=st.integers(2, 8), m=st.integers(3, 12),
+       tail=st.integers(0, 7), w=st.floats(0.02, 0.3), c1=st.sampled_from([1.0, 2.0]),
+       order=st.lists(st.sampled_from(range(len(BOOK_FUNCTIONALS))), min_size=1, max_size=6))
+def test_a_shared_bookkeeping_decomposes_as_fresh_ones(seed, r, m, tail, w, c1, order):
+    # the layout and the reference sums a bookkeeping keeps change no byte,
+    # whatever functionals were decomposed on it before, on either route
+    spec = ModelSpec.mma1(1.0, c1, 1.0)
+    n = m * r + tail % r
+    cfg = BlockConfig(r=r, u=threshold_for_w(spec, w), w=w)
+    for build in (lambda: model_bookkeeping(spec, n, seed, cfg),
+                  lambda: block_bookkeeping(gen_series(spec, n, seed), cfg)):
+        shared = build()
+        for i in order:
+            h = BOOK_FUNCTIONALS[i]
+            got = decompose(shared, h, verbose=True).to_json(verbose=True)
+            assert got == decompose(build(), h, verbose=True).to_json(verbose=True)
 
 
 def dense_reference_sums(book, h):
