@@ -241,10 +241,6 @@ def no_replicate(*args):
     (["rates", "--model", "piecewise(mma1:1,1,1):x", "--grid", "2000:n^0.2:n^-0.55"],
      None, 1, "model"),
     (RATES, "abc", 2, "usage"),
-    # a worker count below 1 is refused, not silently run on one worker
-    (RATES + ["--threads", "0"], None, 1, "config"),
-    (RATES + ["--threads", "-3"], None, 1, "config"),
-    (RATES, "0", 1, "config"),
     (RATES[:-1] + ["clm_large(-1)"], None, 1, "config"),
     (RATES[:-1] + ["clm_large(-1.5)"], None, 1, "config"),
     (RATES[:-1] + ["clm_large(2000)"], None, 1, "config"),
@@ -274,6 +270,10 @@ def no_replicate(*args):
     (["simulate", "--model", "iid:1", "--n", "1000000000000000", "--out", os.devnull],
      None, 1, "config"),
     (LIMITS + ["--functional", "length", "--samples", "100000000000000"], None, 1, "config"),
+    # a worker count below 1 is refused, not silently run on one worker
+    (RATES + ["--threads", "0"], None, 1, "config"),
+    (RATES + ["--threads", "-3"], None, 1, "config"),
+    (RATES, "0", 1, "config"),
 ])
 def test_parse_errors_fail_closed(capsys, monkeypatch, argv, env, code, category):
     if env is not None:
