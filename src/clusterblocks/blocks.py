@@ -129,7 +129,7 @@ class Layout:
                 if 1 < j < m - 1 and j + 1 in on and (j - 1 in on or j + 2 in on)]
 
     def segments(self, lo: int, hi: int) -> tuple:
-        """`window_segments(pos, r, lo, hi)`."""
+        """`window_segments(pos, r, lo, hi)`, computed once per (lo, hi)."""
         got = self._segments.get((lo, hi))
         if got is None:
             got = self._segments[lo, hi] = window_segments(self.pos, self.r, lo, hi)
