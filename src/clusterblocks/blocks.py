@@ -12,18 +12,18 @@ active blocks and the scaled magnitudes X/u of the blocks within one
 block of an exceedance, read through `BlockBookkeeping.window` only.
 Nothing else per block is stored; a reader finds a block's exceedances
 by a binary search of the positions, at the blocks it needs.  It is
-built by one of two routes that share one constructor, O(k r) plus the
-m-byte active mask: `block_bookkeeping` scans a given series, and
-`model_bookkeeping` (what `rates` and `decompose --model` use) makes one
-O(n) pass over a model's uniform stream and computes X only on the
-blocks an exceedance can reach.  Both give equal bookkeepings.
+built in O(k r) by one constructor that two routes share:
+`block_bookkeeping` scans a given series, and `model_bookkeeping` (what
+`rates` and `decompose --model` use) makes one O(n) pass over a model's
+uniform stream and computes X only on the blocks an exceedance can
+reach.  Both give equal bookkeepings.
 
-What the readers derive from the positions, the active mask and r alone
-(the active block indices, the runs of window starts, the exceedance
-count and cluster length of every window they read, the block lists of
-the reference route and the event rows) is a `Layout`, computed once per
-bookkeeping on first use and shared by every functional evaluated on it:
-one scan of the mask and O(k r) time and memory.
+What the readers derive from the positions, the active blocks and r
+alone (the runs of window starts, the exceedance count and cluster
+length of every window they read, the block lists of the reference
+route and the event rows) the bookkeeping computes once, on first use,
+and shares with every functional evaluated on it, in O(k r) time and
+memory.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from .functionals import ClusterFunctional
 from .models import (MagnitudeSeries, ModelSpec, _moving_maxima,
                      _pareto_from_uniforms, _rng, gen_series, series_layout)
 
-MEMORY_BUDGET = 8_000_000_000   # bytes: the most a bookkeeping's mask or an experiment may ask for
+MEMORY_BUDGET = 8_000_000_000   # bytes: the most an experiment (or, per block, a bookkeeping) may use
 
 
 @dataclass(frozen=True)
@@ -70,28 +70,65 @@ def truncated_length(n: int, r: int) -> tuple[int, int]:
 _PAST = np.iinfo(np.int64).max
 
 
-class Layout:
-    """What the readers of one bookkeeping derive from its sorted positions
-    `pos`, its active mask and r alone, each part computed once, on first
-    use, and kept (`BlockBookkeeping.layout`).
+def _cache():
+    """A per-bookkeeping cache, filled on first use (see `BlockBookkeeping`)."""
+    return field(default_factory=dict, init=False, repr=False, compare=False)
 
-    `active` is the one scan of the m-byte mask.  Every other part is built
-    from the active blocks and `pos` in O(k r) time and memory: the runs of
-    window starts per (lo, hi), the (count, length) of the windows at each
-    start array a reader evaluates, the blocks and window starts of the
-    reference sums, the runs of active blocks that the remainder
-    enumerates and the event rows of `expansion._event_blocks`.
+
+@dataclass
+class BlockBookkeeping:
+    """Per-block exceedance data for a series of n values cut into m blocks of size r.
+
+    `pos` covers the whole series, the discarded tail of fewer than r
+    values included, since the full sliding sum reads it; `active`, the
+    blocks that hold an exceedance, covers blocks 1..m only.  Block
+    indices j are 1-based.  Exceedance times are absolute 1-based series
+    positions, so block j's times are pos[i:k] with i, k =
+    pos.searchsorted(((j-1)r, jr), side="right"); the conventions t_j(0) =
+    (j-1)r and t_j(N_j+1) = jr are implicit in the gap computations.
+
+    The magnitudes X/u are kept only next to the exceedances: `blocks`
+    are the sorted blocks within one block of a block that holds an
+    exceedance, the partial tail block m+1 counted as a block, and
+    `values` their exact X/u one block after another, the tail block with
+    its n - m r values only.  `active` and `blocks` follow from `pos`, r
+    and n, `values` from the series as well (`_bookkeeping`), so the two
+    routes build equal bookkeepings.  Every window that holds an
+    exceedance lies in these blocks; `window` is the one way to read them.
+
+    The cached properties, `segments`, `window_keys` and the dicts below
+    keep what the readers derive from `pos`, `active` and r, in O(k r)
+    time and memory, filled on first use and shared by every functional
+    evaluated on the bookkeeping.  Nothing is recomputed, so a bookkeeping
+    is not to be mutated once read.
     """
 
-    def __init__(self, pos: np.ndarray, active: np.ndarray, r: int):
-        self.pos, self.r, self.m = pos, r, active.size
-        self.active = active.nonzero()[0] + 1       # the 1-based active blocks, ascending
-        self.active_list = self.active.tolist()     # the same as ints, and as a set
-        self.active_set = set(self.active_list)
-        self.pos_list = pos.tolist()
-        self._segments = {}     # (lo, hi): window_segments(pos, r, lo, hi)
-        self._keys = {}         # id(starts): (starts, counts, lengths)
-        self.events = {}        # kind: event rows
+    r: int
+    u: float
+    w: float
+    m: int
+    n_eff: int
+    discarded: int
+    pos: np.ndarray          # all exceedance positions, 1-based, sorted
+    active: np.ndarray       # the blocks j <= m that hold an exceedance, 1-based, sorted
+    blocks: np.ndarray       # the stored blocks, 1-based, sorted
+    values: np.ndarray       # their X/u, block after block
+    sums: dict = _cache()       # id(h): (h, reference_sums)
+    events: dict = _cache()     # kind: event rows
+    _segments: dict = _cache()  # (lo, hi): window_segments(pos, r, lo, hi)
+    _keys: dict = _cache()      # id(starts): (starts, counts, lengths)
+
+    @cached_property
+    def active_list(self) -> list:
+        return self.active.tolist()
+
+    @cached_property
+    def active_set(self) -> set:
+        return set(self.active_list)
+
+    @cached_property
+    def pos_list(self) -> list:
+        return self.pos.tolist()
 
     @cached_property
     def _padded(self) -> np.ndarray:
@@ -113,8 +150,7 @@ class Layout:
         """(SB blocks, their window starts, DB blocks) of the reference sums:
         the blocks j <= m-1 where block j or j+1 is active, their r starts
         each, block after block, and the active blocks j <= m-1."""
-        m, r = self.m, self.r
-        on = self.active_set
+        m, r, on = self.m, self.r, self.active_set
         sb = sorted(j for j in on.union(j - 1 for j in on) if 0 < j < m)
         starts = ((np.array(sb, dtype=np.int64) - 1) * r + 1)[:, None] + np.arange(r)
         return sb, starts.ravel(), [j for j in self.active_list if j < m]
@@ -130,21 +166,18 @@ class Layout:
 
     def segments(self, lo: int, hi: int) -> tuple:
         """`window_segments(pos, r, lo, hi)`, computed once per (lo, hi)."""
-        got = self._segments.get((lo, hi))
-        if got is None:
-            got = self._segments[lo, hi] = window_segments(self.pos, self.r, lo, hi)
-        return got
+        if (lo, hi) not in self._segments:
+            self._segments[lo, hi] = window_segments(self.pos, self.r, lo, hi)
+        return self._segments[lo, hi]
 
     def window_keys(self, starts: np.ndarray) -> tuple:
         """(counts, lengths): the number of exceedances in each window
         [s, s+r-1], s in the int64 array `starts`, and their cluster length
         (0 without one).  Kept per array, which is therefore not to be
         mutated after the call."""
-        entry = self._keys.get(id(starts))
-        if entry is None:
+        if id(starts) not in self._keys:
             self._key((starts,))
-            entry = self._keys[id(starts)]
-        return entry[1], entry[2]
+        return self._keys[id(starts)][1:]
 
     def _key(self, sets: tuple) -> None:
         """Key the start arrays `sets` with one binary search of `pos` each way."""
@@ -160,51 +193,6 @@ class Layout:
             # The entry holds the array, so its id is not reused while it exists.
             self._keys[id(a)] = (a, counts[at:at + a.size], lengths[at:at + a.size])
             at += a.size
-
-
-@dataclass
-class BlockBookkeeping:
-    """Per-block exceedance data for a series of n values cut into m blocks of size r.
-
-    `pos` covers the whole series, the discarded tail of fewer than r
-    values included, since the full sliding sum reads it; `active` covers
-    blocks 1..m only.  Block indices j are 1-based.  Exceedance times are
-    absolute 1-based series positions, so block j's times are pos[i:k]
-    with i, k = pos.searchsorted(((j-1)r, jr), side="right"); the
-    conventions t_j(0) = (j-1)r and t_j(N_j+1) = jr are implicit in the
-    gap computations.
-
-    The magnitudes X/u are kept only next to the exceedances: `blocks`
-    are the sorted blocks within one block of a block that holds an
-    exceedance, the partial tail block m+1 counted as a block, and
-    `values` their exact X/u one block after another, the tail block with
-    its n - m r values only.  Both follow from `pos`, r, n and the series
-    (`_bookkeeping`), so the two routes build equal bookkeepings.  Every
-    window that holds an exceedance lies in these blocks; `window` is the
-    one way to read them.
-
-    `layout` (a `Layout`) holds what the readers derive from `pos`,
-    `active` and r alone, in O(k r) memory after one scan of the mask, and
-    `sums` the reference sums per functional.  Both are filled on first
-    use and never recomputed, so a bookkeeping is not to be mutated once
-    read.
-    """
-
-    r: int
-    u: float
-    w: float
-    m: int
-    n_eff: int
-    discarded: int
-    pos: np.ndarray          # all exceedance positions, 1-based, sorted
-    active: np.ndarray       # block j holds an exceedance, at index j-1
-    blocks: np.ndarray       # the stored blocks, 1-based, sorted
-    values: np.ndarray       # their X/u, block after block
-    sums: dict = field(default_factory=dict, repr=False, compare=False)  # reference_sums cache
-
-    @cached_property
-    def layout(self) -> Layout:
-        return Layout(self.pos, self.active, self.r)
 
     def window(self, lo: int, hi: int) -> np.ndarray:
         """X/u at the 1-based positions lo..hi; IndexError outside the stored blocks."""
@@ -231,37 +219,46 @@ def _positions(blocks: np.ndarray, r: int, n: int) -> np.ndarray:
     return p[:p.searchsorted(n)]
 
 
-def _block_mask(n: int, r: int) -> np.ndarray:
-    """False over the blocks of n values, the partial tail block included,
-    and one pad block on each side: 0-based block b is at index b + 1."""
-    return np.zeros(-(-n // r) + 2, dtype=bool)
+def _distinct(a: np.ndarray) -> np.ndarray:
+    """The distinct values of the sorted array a."""
+    keep = np.empty(a.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(a[1:], a[:-1], out=keep[1:])
+    return a[keep]
 
 
-def _bookkeeping(cfg: BlockConfig, n: int, pos: np.ndarray, held: np.ndarray,
-                 values_at) -> BlockBookkeeping:
+def _bookkeeping(cfg: BlockConfig, n: int, pos: np.ndarray, values_at) -> BlockBookkeeping:
     """The bookkeeping of n values from their sorted 1-based exceedance
-    positions, in O(k r) plus the O(m)-byte mask `held` (`_block_mask`).
+    positions, in O(k r).
 
-    The stored blocks follow from `pos` alone: every block within one
-    block of a block that holds an exceedance, the partial tail block
-    counted as a block.  values_at(p) is X/u at their 0-based positions p.
+    The active and the stored blocks follow from `pos` alone: the blocks
+    that hold an exceedance, and every block within one block of those,
+    the partial tail block counted as a block.  values_at(p) is X/u at the
+    stored blocks' 0-based positions p; an X/u that overflows a float is
+    refused with ConfigError.
     """
     r = cfg.r
     m, discarded = truncated_length(n, r)
-    held[(pos - 1) // r + 1] = True
-    near = np.flatnonzero(held[:-2] | held[1:-1] | held[2:])
+    held = _distinct((pos - 1) // r)            # 0-based, sorted as pos is
+    near = np.concatenate((held - 1, held, held + 1))
+    near.sort(kind="stable")                    # a merge of three sorted runs
+    near = _distinct(near)
+    near = near[near.searchsorted(0):near.searchsorted(-(-n // r))]
+    values = values_at(_positions(near, r, n))
+    if cfg.u < 1.0 and not np.isfinite(values).all():     # X is finite: u >= 1 cannot overflow
+        raise ConfigError(f"X/u overflows a float at u={cfg.u!r}")
     return BlockBookkeeping(r=r, u=cfg.u, w=cfg.w, m=m, n_eff=m * r, discarded=discarded,
-                            pos=pos, active=held[1:m + 1], blocks=near + 1,
-                            values=values_at(_positions(near, r, n)))
+                            pos=pos, active=held[:held.searchsorted(m)] + 1,
+                            blocks=near + 1, values=values)
 
 
 def block_bookkeeping(series: MagnitudeSeries, cfg: BlockConfig) -> BlockBookkeeping:
     """Single pass over the series: its exceedance positions, active blocks
     and the stored blocks' X/u."""
-    scaled = series.values / cfg.u
+    with np.errstate(over="ignore"):            # an overflowing X/u is refused below
+        scaled = series.values / cfg.u
     pos = np.flatnonzero(scaled > 1.0).astype(np.int64) + 1
-    return _bookkeeping(cfg, scaled.size, pos, _block_mask(scaled.size, cfg.r),
-                        lambda p: scaled[p])
+    return _bookkeeping(cfg, scaled.size, pos, lambda p: scaled[p])
 
 
 _CHUNK = 1 << 17        # uniforms drawn per step of model_bookkeeping
@@ -301,13 +298,15 @@ def model_bookkeeping(spec: ModelSpec, n: int, seed: int, cfg: BlockConfig) -> B
     probability 2^-53 per draw); a step that holds one falls back to the
     dense route.  That is the only fallback.
 
-    An n whose block mask would exceed `MEMORY_BUDGET` bytes is refused
-    with ConfigError before anything is allocated or drawn.
+    An n whose blocks, the partial tail block and a pad block on each side
+    counted, outnumber the bytes of `MEMORY_BUDGET` is refused with
+    ConfigError before anything is allocated or drawn: its pass over the
+    uniforms would not end in useful time.
     """
     nb = -(-n // cfg.r)                 # blocks, the partial tail block included
     if nb + 2 > MEMORY_BUDGET:
-        raise ConfigError(f"n={n} with r={cfg.r} needs a {nb + 2}-byte block mask, "
-                          f"over the memory budget of {MEMORY_BUDGET} bytes")
+        raise ConfigError(f"n={n} with r={cfg.r} spans {nb} blocks, over the memory "
+                          f"budget of {MEMORY_BUDGET} bytes at a byte per block")
     size, rows = series_layout(spec, n)
     base = spec.base
     q, r, u = spec.order, cfg.r, cfg.u
@@ -322,7 +321,6 @@ def model_bookkeeping(spec: ModelSpec, n: int, seed: int, cfg: BlockConfig) -> B
     def block_end(b):                   # one past block b's last innovation
         return innovation(min((b + 1) * r, n) - 1) + q + 1
 
-    held = _block_mask(n, r)
     rng = _rng(seed)
     at, xs = [np.empty(0, dtype=np.int64)], [np.empty(0)]   # touched positions and X/u, ascending
     done = -1                           # the last touched block computed
@@ -364,9 +362,10 @@ def model_bookkeeping(spec: ModelSpec, n: int, seed: int, cfg: BlockConfig) -> B
         if not np.isfinite(x).all():
             raise ModelError("magnitudes must be finite")
         at.append(p)
-        xs.append(x / u)
+        with np.errstate(over="ignore"):    # an overflowing X/u is refused below
+            xs.append(x / u)
     at, x = np.concatenate(at), np.concatenate(xs)
-    return _bookkeeping(cfg, n, at[x > 1.0] + 1, held, lambda p: x[at.searchsorted(p)])
+    return _bookkeeping(cfg, n, at[x > 1.0] + 1, lambda p: x[at.searchsorted(p)])
 
 
 def window_values_at(book: BlockBookkeeping, pos: np.ndarray, starts: np.ndarray,
@@ -375,14 +374,14 @@ def window_values_at(book: BlockBookkeeping, pos: np.ndarray, starts: np.ndarray
 
     `pos` and `r` must be the bookkeeping's.  A window's exceedances are
     found by a binary search of `pos`, once per start array and
-    bookkeeping (`Layout.window_keys`): pattern-backed functionals are
+    bookkeeping (`BlockBookkeeping.window_keys`): pattern-backed functionals are
     computed from them alone, anything else is evaluated on the magnitudes
     of each window that holds one and is 0 elsewhere.
     """
     if pos is not book.pos or r != book.r:
         raise ValueError("window_values_at reads the bookkeeping's own positions and r")
     starts = np.asarray(starts, dtype=np.int64)
-    counts, lengths = book.layout.window_keys(starts)
+    counts, lengths = book.window_keys(starts)
     if h.pattern_value is not None:
         return np.asarray(h.pattern_value(counts, lengths), dtype=float)
     out = np.zeros(starts.size)
@@ -445,7 +444,7 @@ def window_sum(book: BlockBookkeeping, h: ClusterFunctional, lo: int, hi: int) -
     `window_segments`, so it is evaluated at the first start of each run;
     `padded_sum` adds the runs as the dense per-start reduction would.
     """
-    starts, lengths = book.layout.segments(lo, hi)
+    starts, lengths = book.segments(lo, hi)
     values = window_values_at(book, book.pos, starts, book.r, h)
     return padded_sum(values, hi - lo + 1, lengths=lengths)
 
@@ -457,16 +456,15 @@ def active_block_values(book: BlockBookkeeping, h: ClusterFunctional) -> np.ndar
     this costs O(k) evaluations and O(k) memory; `block_sum` reduces the
     values as the dense per-block vector would.
     """
-    return window_values_at(book, book.pos, book.layout.active_starts, book.r, h)
+    return window_values_at(book, book.pos, book.active_starts, book.r, h)
 
 
 def block_sum(book: BlockBookkeeping, vals: np.ndarray, lo: int, hi: int) -> float:
     """Sum over the blocks lo..hi (1-based) of per-block values given at
     the active blocks (`active_block_values`), 0 elsewhere, equal bit for
     bit to the sum of the dense per-block vector."""
-    layout = book.layout
-    a, b = bisect_left(layout.active_list, lo), bisect_left(layout.active_list, hi + 1)
-    return padded_sum(vals[a:b], hi - lo + 1, at=layout.active[a:b] - lo)
+    a, b = bisect_left(book.active_list, lo), bisect_left(book.active_list, hi + 1)
+    return padded_sum(vals[a:b], hi - lo + 1, at=book.active[a:b] - lo)
 
 
 def _blocks_of(series: MagnitudeSeries, cfg: BlockConfig) -> BlockBookkeeping:
@@ -480,7 +478,7 @@ def block_values(series: MagnitudeSeries, cfg: BlockConfig, h: ClusterFunctional
     """Per-block H values H(u^-1 X_{(j-1)r+1..jr}), j = 1..m."""
     book = _blocks_of(series, cfg)
     out = np.zeros(book.m)
-    out[book.active] = active_block_values(book, h)
+    out[book.active - 1] = active_block_values(book, h)
     return out
 
 

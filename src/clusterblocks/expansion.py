@@ -30,26 +30,21 @@ Cost: one O(n) pass to build the bookkeeping (`blocks.model_bookkeeping`
 over a model's uniform stream, computing X only on the blocks an
 exceedance can reach, or `blocks.block_bookkeeping` over a given series),
 which keeps X/u in O(k r) memory next to the exceedances only, then
-O(k r) work and memory plus one scan of the m-byte active mask.  Every
-magnitude is read through `BlockBookkeeping.window`.  SB is summed over
-the at most 2k + 1 runs of window starts that see the same exceedances
-and DB over the active blocks' values, both by `blocks.padded_sum`, which
-gives the bits of the dense reduction: a real-valued H (values not
-integral) still falls back to that reduction and its per-start (SB) or
-per-block (DB) vector.  The raw sums share nothing with the reference
-sums SB_j, DB_j, which are evaluated and kept, keyed by block, only for
-the blocks an exceedance can reach, once per functional, for the
-reference routes and the remainder only.  `decompose` reads everything
-from one bookkeeping, so several functionals share one pass, and what
-depends on the positions, the active mask and r alone is computed once
-per bookkeeping, on first use, in its `blocks.Layout`, O(k r) time and
-memory: the active blocks (that one scan), the SB runs and the active
-blocks' starts with the (count, length) of each window (one binary
-search for both), the reference blocks and windows with theirs (one
-more), the event blocks and their spans, and the runs of active blocks
-of the remainder.  Each functional then evaluates H on them: a
-pattern-backed H once per start set, any other H on every window that
-holds an exceedance.  The two routes read separate entries, and no value
+O(k r) work and memory.  Every magnitude is read through
+`BlockBookkeeping.window`.  SB is summed over the at most 2k + 1 runs of
+window starts that see the same exceedances and DB over the active
+blocks' values, both by `blocks.padded_sum`, which gives the bits of the
+dense reduction: a real-valued H (values not integral) still falls back
+to that reduction and its per-start (SB) or per-block (DB) vector.  The
+raw sums share nothing with the reference sums SB_j, DB_j, which are
+evaluated and kept, keyed by block, only for the blocks an exceedance
+can reach, once per functional, for the reference routes and the
+remainder only.  `decompose` reads everything from one bookkeeping, so
+several functionals share one pass and what the bookkeeping derives from
+its positions alone (window runs and keys, reference blocks, event rows;
+see `blocks.BlockBookkeeping`).  Each functional then evaluates H on
+them: a pattern-backed H once per start set, any other H on every
+window that holds an exceedance.  The two routes read separate entries, and no value
 of H passes from one route, or one functional, to another.
 """
 
@@ -65,7 +60,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .blocks import (BlockBookkeeping, BlockConfig, Layout, active_block_values,
+from .blocks import (BlockBookkeeping, BlockConfig, active_block_values,
                      block_bookkeeping, block_sum, model_bookkeeping, window_sum,
                      window_values_at)
 from .errors import ConfigError, FunctionalContractError
@@ -97,7 +92,7 @@ def reference_sums(book: BlockBookkeeping, h: ClusterFunctional) -> ReferenceSum
     SB_j reads blocks j and j+1, so its windows are evaluated (in one
     batched call, each row summed over its r windows) only where one of
     them is active; DB_j only on active blocks.  Those blocks and starts
-    are the bookkeeping's `Layout.reference`.  `path_deviations` and the
+    are the bookkeeping's `reference`.  `path_deviations` and the
     remainder enumeration share the result through the bookkeeping;
     `raw_sums` never reads it.
     """
@@ -107,7 +102,7 @@ def reference_sums(book: BlockBookkeeping, h: ClusterFunctional) -> ReferenceSum
     if entry is not None:
         return entry[1]
     r = book.r
-    sb_blocks, starts, db_blocks = book.layout.reference
+    sb_blocks, starts, db_blocks = book.reference
     vals = window_values_at(book, book.pos, starts, r, h).reshape(len(sb_blocks), r)
     sb = dict(zip(sb_blocks, vals.sum(axis=1).tolist()))
     # eval_functional without its exceedance test: these blocks exceed
@@ -150,7 +145,7 @@ class _Pieces:
     """
 
     def __init__(self, book: BlockBookkeeping, h: ClusterFunctional):
-        self.pos = book.layout.pos_list
+        self.pos = book.pos_list
         self.window = book.window
         self.h = h
         self.memo = {} if h.pattern_value is not None else None
@@ -185,9 +180,9 @@ class _Pieces:
 # -- internal clusters --------------------------------------------------------
 
 
-def _event_starts(layout: Layout, m: int, kind: str) -> list:
+def _event_starts(book: BlockBookkeeping, kind: str) -> list:
     """The active blocks j, ascending, where an event of the kind holds."""
-    blocks, on = layout.active_list, layout.active_set
+    blocks, on, m = book.active_list, book.active_set, book.m
     if kind == "piecewise":
         return [j for j in blocks if 1 < j < m]
     if kind == "standard":
@@ -204,17 +199,16 @@ def _event_blocks(book: BlockBookkeeping, kind: str) -> list:
     1..j-1, 1..j (and 1..j+1): pos[a:b] are the event's times and pos[a:s]
     block j's.  The rows depend on `book.active` and `book.pos` alone, so
     every functional decomposed on the same bookkeeping reads them from
-    its `Layout`; the spans of a kind are one binary search of `pos`.
+    its `events`; the spans of a kind are one binary search of `pos`.
     """
-    layout = book.layout
-    rows = layout.events.get(kind)
+    rows = book.events.get(kind)
     if rows is None:
-        j = _event_starts(layout, book.m, kind)
+        j = _event_starts(book, kind)
         rows = []
         if j:               # most tiny series have no event of a kind: skip the search
             edges = (np.array(j)[:, None] + np.arange(-1, 2 if kind == "boundary" else 1)) * book.r
             rows = np.column_stack((j, book.pos.searchsorted(edges, side="right"))).tolist()
-        layout.events[kind] = rows
+        book.events[kind] = rows
     return rows
 
 
@@ -350,7 +344,7 @@ def remainder_stat(book: BlockBookkeeping, h: ClusterFunctional,
     three re-derive the remainder from its event enumeration by direct
     window sums: sample-boundary single blocks (r_ic), sample-boundary
     pairs (r_bc) and runs of three or more active blocks (r_nc).  Events
-    are read off the active blocks (`Layout.block_runs` for r_nc) and
+    are read off the active blocks (`BlockBookkeeping.block_runs` for r_nc) and
     their terms are added in ascending j.
     """
     m = book.m
@@ -364,22 +358,22 @@ def remainder_stat(book: BlockBookkeeping, h: ClusterFunctional,
     def t(j):
         return sb_j.get(j, 0.0) - db_j.get(j, 0.0)
 
-    a = book.active
+    on = book.active_set
     r_op = (sb - db) - ic - bc
 
     r_ic = 0.0
-    if a[0] and not a[1]:
+    if 1 in on and 2 not in on:
         r_ic += t(1)
-    if a[m - 1] and not a[m - 2]:
+    if m in on and m - 1 not in on:
         r_ic += s(m - 1)
 
     r_bc = 0.0
-    if a[0] and a[1]:
+    if 1 in on and 2 in on:
         r_bc += t(1)
-        if not a[2]:
+        if 3 not in on:
             r_bc += t(2)
-    if a[m - 2] and a[m - 1]:
-        if not a[m - 3]:
+    if m - 1 in on and m in on:
+        if m - 2 not in on:
             r_bc += s(m - 2)
         r_bc += t(m - 1)
 
@@ -387,7 +381,7 @@ def remainder_stat(book: BlockBookkeeping, h: ClusterFunctional,
     # least one side: run start S_{j-1} + T_j, run end T_j + T_{j+1},
     # inside T_j.  Neither side continuing is a boundary cluster.
     r_nc = 0.0
-    for j, before, after in book.layout.block_runs:
+    for j, before, after in book.block_runs:
         r_nc += t(j) + ((0.0 if after else t(j + 1)) if before else s(j - 1))
     return r_op, r_ic, r_bc, r_nc
 

@@ -68,9 +68,9 @@ def _bc_total(book, h, spec):
 
 
 def _pair_rate(book, h, spec):
-    a, m = book.active, book.m
-    pairs = a[1:m - 1:2] & a[2:m:2]             # blocks (j, j+1) for even 1-based j
-    return float(pairs.mean()) if pairs.size else 0.0
+    a, pairs = book.active, (book.m - 1) // 2   # pairs (j, j+1), j even, j+1 <= m
+    both = int(np.count_nonzero((a[1:] == a[:-1] + 1) & (a[:-1] % 2 == 0)))
+    return both / pairs if pairs > 0 else 0.0
 
 
 def _block_sums(book, h, spec):
@@ -88,7 +88,7 @@ def _quantity(q, book, h, g):
 
 
 def _length_moment(_, book, h, g):
-    _, lengths = book.layout.window_keys(book.layout.active_starts)   # of the active blocks
+    _, lengths = book.window_keys(book.active_starts)   # of the active blocks
     return _block_mean(book, lengths.astype(float) ** g)
 
 

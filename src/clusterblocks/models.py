@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import os
 import struct
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -200,8 +201,9 @@ def _rng(seed: int) -> np.random.Generator:
 
 
 def _pareto_from_uniforms(u: np.ndarray, alpha: float) -> np.ndarray:
-    """(1 - U)^(-1/alpha), elementwise: the one Pareto transform."""
-    return (1.0 - u) ** (-1.0 / alpha)
+    """(1 - U)^(-1/alpha), elementwise, inf past the largest float: the one Pareto transform."""
+    with np.errstate(over="ignore"):
+        return (1.0 - u) ** (-1.0 / alpha)
 
 
 def _pareto(rng: np.random.Generator, n: int, alpha: float) -> np.ndarray:
@@ -295,16 +297,19 @@ def marginal_tail(spec: ModelSpec, x: float) -> float:
 
 
 def threshold_for_w(spec: ModelSpec, w: float) -> float:
-    """Invert marginal_tail: u with |marginal_tail(u) - w| <= 1e-12 * w."""
+    """Invert marginal_tail: u with |marginal_tail(u) - w| <= 1e-12 * w.
+    A u past the largest float is refused with ModelError."""
     if not 0.0 < w < 1.0:
         raise ModelError("w must lie strictly between 0 and 1")
     base = spec.base
     positive = [c for c in base.coeffs if c > 0]
-    if len(positive) == 1:
-        u = positive[0] * w ** (-1.0 / base.alpha)
-        return float(u)
-    lo = max(positive)                      # marginal_tail(lo) = 1 > w
-    hi = (sum(c ** base.alpha for c in positive) / w) ** (1.0 / base.alpha)
+    try:
+        if len(positive) == 1:
+            return float(positive[0] * w ** (-1.0 / base.alpha))
+        lo = max(positive)                  # marginal_tail(lo) = 1 > w
+        hi = (sum(c ** base.alpha for c in positive) / w) ** (1.0 / base.alpha)
+    except OverflowError:                   # a float power past the largest float
+        raise ModelError(f"the threshold for w={w!r} overflows a float") from None
     hi = max(hi, lo * 2.0)                  # union bound: marginal_tail(hi) <= w
     tol = 1e-12 * w
     for _ in range(200):
@@ -421,7 +426,9 @@ def read_series(path) -> MagnitudeSeries:
                 raise PersistError("truncated series file: missing values")
             return MagnitudeSeries(values=data.copy())
     try:
-        values = np.loadtxt(path, dtype=np.float64, ndmin=1)
+        with warnings.catch_warnings():         # an empty file is refused below
+            warnings.simplefilter("ignore", UserWarning)
+            values = np.loadtxt(path, dtype=np.float64, ndmin=1)
     except ValueError as exc:
         raise PersistError(f"cannot parse series file {path}") from exc
     return MagnitudeSeries(values=values)

@@ -191,8 +191,9 @@ def enumerated_large_block_law(r: int, p: float) -> dict:
         book = block_bookkeeping(MagnitudeSeries(values=np.maximum(xi[1:], xi[:-1])), cfg)
         k = sum(bits)
         weight = p ** k * s ** (k_innov - k)
-        pair += weight * float(book.active[1] and book.active[2])
-        times = [np.flatnonzero(book.block_window(j) > 1.0) if book.active[j - 1]
+        on = set(book.active.tolist())
+        pair += weight * float(2 in on and 3 in on)
+        times = [np.flatnonzero(book.block_window(j) > 1.0) if j in on
                  else np.empty(0) for j in range(1, book.m + 1)]   # an empty block may be unstored
         span += weight * float(np.mean([np.ptp(t) + 1 if t.size else 0 for t in times]))
         ic += weight * internal_cluster_stat(book, IND)[1].get(2, 0.0)

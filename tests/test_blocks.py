@@ -203,7 +203,8 @@ def test_segment_totals_equal_dense_reduction(values, r):
     # partial tail block included, with the series' values
     assert book.pos.tolist() == (np.flatnonzero(scaled > 1.0) + 1).tolist()
     held = ((book.pos - 1) // r + 1).tolist()
-    assert book.blocks.dtype == np.int64
+    assert book.active.dtype == book.blocks.dtype == np.int64
+    assert book.active.tolist() == sorted({j for j in held if j <= m})
     assert book.blocks.tolist() == sorted({j + d for j in held for d in (-1, 0, 1)}
                                           & set(range(1, -(-n // r) + 1)))
     for j in book.blocks.tolist():
@@ -215,8 +216,8 @@ def test_segment_totals_equal_dense_reduction(values, r):
         assert sliding_stat(series, cfg, h) == float(dense / (n * r * cfg.w))
         dense_blocks = window_values_at(book, book.pos, np.arange(m) * r + 1, r, h)
         vals = active_block_values(book, h)
-        assert np.array_equal(vals, dense_blocks[book.active])
-        assert not dense_blocks[~book.active].any()
+        assert np.array_equal(vals, dense_blocks[book.active - 1])
+        assert set((np.flatnonzero(dense_blocks) + 1).tolist()) <= set(book.active.tolist())
         for lo, hi in ((1, m), (1, m - 1), (2, m - 1), (2, m)):
             if lo <= hi:
                 assert block_sum(book, vals, lo, hi) == float(dense_blocks[lo - 1:hi].sum())
@@ -299,7 +300,7 @@ def test_raw_sums_leave_the_reference_batch_unbuilt():
     spec = ModelSpec.mma1(1.0, 1.0, 1.0)
     book = block_bookkeeping(gen_series(spec, 2403, seed=5),
                              BlockConfig(r=8, u=threshold_for_w(spec, 0.04), w=0.04))
-    assert book.active.any()
+    assert book.active.size
     for h in SEGMENT_FUNCTIONALS:
         raw_sums(book, h)
     assert book.sums == {}
@@ -318,9 +319,9 @@ def test_block_index_equals_searchsorted_over_block_edges(n, r, positions):
     values[np.asarray(positions, dtype=int) - 1] = 2.0
     book = block_bookkeeping(MagnitudeSeries(values=values), BlockConfig(r=r, u=1.0, w=0.1))
     assert book.pos.tolist() == positions
-    assert book.active.dtype == bool and book.active.size == book.m
-    assert book.active.tolist() == [any((j - 1) * r < p <= j * r for p in positions)
-                                    for j in range(1, book.m + 1)]
+    assert book.active.dtype == np.int64
+    assert book.active.tolist() == [j for j in range(1, book.m + 1)
+                                    if any((j - 1) * r < p <= j * r for p in positions)]
     before = np.searchsorted(book.pos, np.arange(book.m + 2, dtype=np.int64) * r + 1)
     for j, a, b in _event_blocks(book, "piecewise"):
         assert (a, b) == (before[j - 1], before[j])

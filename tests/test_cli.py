@@ -263,8 +263,9 @@ def no_replicate(*args):
     (LIMITS + ["--functional", "length^1023"], None, 1, "functional"),
     (OVERFLOWING_RATES + ["--threads", "1"], None, 1, "functional"),
     (OVERFLOWING_RATES + ["--threads", "2"], None, 1, "functional"),
-    # each asks for PiB: the block mask is refused by the memory budget, the
-    # other arrays by a failing allocation
+    # each asks for PiB: the blocks of n = 1e15 are refused by the memory
+    # budget before any uniform is drawn, the other arrays by a failing
+    # allocation
     (["decompose", "--model", "mma1:1,1,1", "--n", "1000000000000000", "--r", "10",
       "--w", "0.01"], None, 1, "config"),
     (["simulate", "--model", "iid:1", "--n", "1000000000000000", "--out", os.devnull],
@@ -274,6 +275,16 @@ def no_replicate(*args):
     (RATES + ["--threads", "0"], None, 1, "config"),
     (RATES + ["--threads", "-3"], None, 1, "config"),
     (RATES, "0", 1, "config"),
+    # a threshold or a magnitude past the largest float is refused in one line
+    (["decompose", "--model", "iid:1", "--n", "100", "--r", "10", "--w", "1e-320"],
+     None, 1, "model"),
+    (["decompose", "--model", "iid:1e-300", "--n", "100", "--r", "10", "--w", "0.1"],
+     None, 1, "model"),
+    (["decompose", "--model", "mma1:1,1,1e-300", "--n", "100", "--r", "10", "--w", "0.1"],
+     None, 1, "model"),
+    (["rates", "--model", "iid:1", "--grid", "1000:4:1e-320", "--replicates", "2"],
+     None, 1, "model"),
+    (["simulate", "--model", "iid:1e-300", "--n", "10", "--out", os.devnull], None, 1, "model"),
 ])
 def test_parse_errors_fail_closed(capsys, monkeypatch, argv, env, code, category):
     if env is not None:
@@ -281,13 +292,28 @@ def test_parse_errors_fail_closed(capsys, monkeypatch, argv, env, code, category
     if argv[:len(OVERFLOWING_RATES)] != OVERFLOWING_RATES:   # overflows in the replicates
         monkeypatch.setattr("clusterblocks.harness._worker", no_replicate)
     with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)   # a numpy warning is a 2nd line
+        warnings.simplefilter("error", Warning)     # any warning is a 2nd line
         got, out, err = run(capsys, *argv)
     assert got == code
     assert out == ""
     assert len(err.splitlines()) == 1
     assert err.startswith(f"error:{category}:")
     assert "Traceback" not in err
+
+
+def test_series_file_errors_fail_closed(capsys, tmp_path):
+    # an empty file, and values whose X/u overflows a float, end in one
+    # error line with no warning before it
+    empty, huge = tmp_path / "empty.txt", tmp_path / "huge.txt"
+    empty.write_text("")
+    huge.write_text("0.5\n1e308\n" * 5)
+    for path, category in ((empty, "model"), (huge, "config")):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", Warning)
+            got, out, err = run(capsys, "decompose", "--series", str(path), "--r", "2",
+                                "--u", "1e-300", "--w", "0.1")
+        assert (got, out) == (1, "")
+        assert len(err.splitlines()) == 1 and err.startswith(f"error:{category}:")
 
 
 # Starts the argv given after it and prints its exit status and ru_maxrss
@@ -301,7 +327,7 @@ MAXRSS = ("import os, subprocess, sys; p = subprocess.Popen(sys.argv[1:], stdout
 def test_decompose_of_1e8_values_peaks_below_100_mb():
     # m = 8.3 million blocks of r = 12: one float array of length m is
     # 67 MB, and the reference sums kept two of them; the bookkeeping holds
-    # the 8 MB block mask, about 1000 exceedances and their blocks
+    # about 1000 exceedances and their blocks, nothing of size m
     import clusterblocks
 
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(clusterblocks.__file__)))

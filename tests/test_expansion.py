@@ -35,7 +35,7 @@ LOG_SUM = ClusterFunctional(name="log_sum", gamma=1.0, growth_constant=1.0,
 
 def block_times(book, j):
     """Block j's exceedance times, read off its scaled window (stored where active)."""
-    if not book.active[j - 1]:
+    if j not in book.active_set:
         return np.empty(0, dtype=np.int64)
     return np.flatnonzero(book.block_window(j) > 1.0) + (j - 1) * book.r + 1
 
@@ -76,7 +76,7 @@ def test_bookkeeping_worked_example():
     book = block_bookkeeping(s, BlockConfig(r=2, u=1.0, w=0.1))
     assert book.m == 3
     assert [block_times(book, j).size for j in (1, 2, 3)] == [1, 0, 1]
-    assert list(book.active) == [True, False, True]
+    assert book.active.tolist() == [1, 3]
     assert book.pos.tolist() == [2, 5]
     assert block_times(book, 1).tolist() == [2]
     assert block_times(book, 3).tolist() == [5]
@@ -86,12 +86,12 @@ def test_bookkeeping_saturated_and_empty():
     cfg = BlockConfig(r=3, u=1.0, w=0.1)
     full = series_from(np.full(12, 2.0))
     book = block_bookkeeping(full, cfg)
-    assert book.pos.tolist() == list(range(1, 13)) and book.active.all()
+    assert book.pos.tolist() == list(range(1, 13)) and book.active.tolist() == [1, 2, 3, 4]
     assert all(block_times(book, j).size == 3 for j in range(1, 5))
     assert all(np.ptp(block_times(book, j)) + 1 == 3 for j in range(1, 5))
     empty = series_from(np.full(12, 0.5))
     book = block_bookkeeping(empty, cfg)
-    assert not book.active.any()
+    assert book.active.size == 0
     with pytest.raises(ConfigError, match="need at least 3 blocks, got m=1"):
         expansion_report(series_from(np.ones(5)), cfg, IND)
 
@@ -263,7 +263,7 @@ def test_sb_event_identities():
         for j in range(2, book.m):
             times = block_times(book, j)
             for h in hs:
-                if not book.active[j - 2]:          # empty left neighbour
+                if j - 1 not in book.active_set:    # empty left neighbour
                     direct = sliding_block_sum(book, h, j - 1)
                     t = [(j - 1) * 7] + times.tolist() + [j * 7]
                     fast = sum((t[i + 1] - t[i]) *
@@ -271,7 +271,7 @@ def test_sb_event_identities():
                                for i in range(1, len(t) - 1))
                     assert direct == fast
                     checked += 1
-                if j + 1 <= book.m and not book.active[j]:  # empty right neighbour
+                if j + 1 <= book.m and j + 1 not in book.active_set:  # empty right neighbour
                     direct = sliding_block_sum(book, h, j)
                     t = [(j - 1) * 7] + times.tolist() + [j * 7]
                     fast = sum((t[i + 1] - t[i]) *
@@ -291,7 +291,8 @@ def test_indicator_ic_recomputed_from_patterns():
     total, per = internal_cluster_stat(book, IND)
     alt = 0.0
     for j in range(2, book.m):
-        if book.active[j - 1] and not book.active[j - 2] and not book.active[j]:
+        on = book.active_set
+        if j in on and j - 1 not in on and j + 1 not in on:
             pat = exceedance_pattern(book.block_window(j))
             alt += pat.length - 1
     assert total == alt
@@ -541,9 +542,9 @@ def test_event_blocks_are_computed_once_per_bookkeeping(monkeypatch):
     kinds = []
     real = expansion._event_starts
 
-    def counting(layout, m, kind):
+    def counting(book, kind):
         kinds.append(kind)
-        return real(layout, m, kind)
+        return real(book, kind)
 
     monkeypatch.setattr(expansion, "_event_starts", counting)
     spec = ModelSpec.mma1(1.0, 1.0, 1.0)
@@ -559,46 +560,44 @@ def test_event_blocks_are_computed_once_per_bookkeeping(monkeypatch):
         internal_event_blocks(book, "neither")
 
 
-class _CountingMask(np.ndarray):
-    """A bool mask that counts the scans for its nonzero entries."""
-
-    scans = 0
-
-    def nonzero(self):
-        _CountingMask.scans += 1
-        return np.asarray(self).nonzero()
-
-
 def test_position_work_is_done_once_per_bookkeeping(monkeypatch):
-    # the active block indices (the one scan of the m-byte mask), the SB
-    # runs and the window keys depend on pos, active and r alone: three
-    # functionals decomposed on one bookkeeping compute each once
+    # the active blocks as ints, the SB runs and the window keys depend on
+    # pos, active and r alone: three functionals decomposed on one
+    # bookkeeping compute each once
+    from functools import cached_property
+
     import clusterblocks.blocks as blocks
 
-    runs, passes = [], []
-    real_segments, real_key = blocks.window_segments, blocks.Layout._key
+    runs, passes, lists = [], [], []
+    real_segments, real_key = blocks.window_segments, blocks.BlockBookkeeping._key
+    real_list = blocks.BlockBookkeeping.active_list.func
 
     def segments(pos, r, lo, hi):
         runs.append((lo, hi))
         return real_segments(pos, r, lo, hi)
 
-    def key(layout, sets):
+    def key(book, sets):
         passes.append(len(sets))
-        return real_key(layout, sets)
+        return real_key(book, sets)
 
+    def active_list(book):
+        lists.append(1)
+        return real_list(book)
+
+    counted = cached_property(active_list)
+    counted.__set_name__(blocks.BlockBookkeeping, "active_list")
     monkeypatch.setattr(blocks, "window_segments", segments)
-    monkeypatch.setattr(blocks.Layout, "_key", key)
-    monkeypatch.setattr(_CountingMask, "scans", 0)
+    monkeypatch.setattr(blocks.BlockBookkeeping, "_key", key)
+    monkeypatch.setattr(blocks.BlockBookkeeping, "active_list", counted)
     spec = ModelSpec.mma1(1.0, 1.0, 1.0)
     cfg = BlockConfig(r=5, u=threshold_for_w(spec, 0.05), w=0.05)
     book = block_bookkeeping(gen_series(spec, 3000, 4), cfg)
-    book.active = book.active.view(_CountingMask)
     for h in (IND, get_functional("length^1.5"), LOG_SUM):
         decompose(book, h)
     assert runs == [(1, (book.m - 1) * book.r)]
     # SB runs with the active blocks' starts, then the reference windows
     assert passes == [2, 1]
-    assert _CountingMask.scans == 1
+    assert lists == [1]
 
 
 BOOK_FUNCTIONALS = [IND, get_functional("length^1.5"), LOG_SUM]
@@ -653,11 +652,11 @@ def test_sparse_reference_sums_equal_the_dense_sums(case):
     # elsewhere, equal the dense per-block sums bit for bit at every block
     r, values = case
     book = block_bookkeeping(series_from(values), BlockConfig(r=r, u=1.0, w=0.1))
-    m, a = book.m, book.active
+    m, on = book.m, set(((book.pos - 1) // r + 1).tolist())
     for h in (IND, get_functional("length^1.5"), LOG_SUM):
         sb, db = reference_sums(book, h)
-        assert set(sb) == {j for j in range(1, m) if a[j - 1] or a[j]}
-        assert set(db) == {j for j in range(1, m) if a[j - 1]}
+        assert set(sb) == {j for j in range(1, m) if j in on or j + 1 in on}
+        assert set(db) == {j for j in range(1, m) if j in on}
         dense_sb, dense_db = dense_reference_sums(book, h)
         assert [sb.get(j, 0.0) for j in range(1, m)] == dense_sb.tolist()
         assert [db.get(j, 0.0) for j in range(1, m)] == dense_db.tolist()

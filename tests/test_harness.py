@@ -4,9 +4,12 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from clusterblocks import (ConfigError, ExperimentConfig, ModelSpec,
-                           PersistError, expected_targets, get_functional,
+from clusterblocks import (BlockConfig, ConfigError, ExperimentConfig, MagnitudeSeries,
+                           ModelSpec, PersistError, block_bookkeeping,
+                           expected_targets, get_functional,
                            limit_table, load, persist, run_experiment,
                            summarize)
 from clusterblocks.harness import (CSV_HEADER, ConvergenceTable, TableRow,
@@ -271,8 +274,8 @@ def test_block_values_are_evaluated_once_per_replicate(monkeypatch):
 
 @pytest.mark.parametrize("m", [3, 4, 5, 2500, 125001])
 def test_pair_rate_equals_the_fancy_indexed_form(m):
-    # strided slices read the same elements in the same order as the
-    # gathers over the even 1-based left blocks
+    # the count over the active blocks gives the float of the mean over a
+    # block mask, gathered at the even 1-based left blocks
     from types import SimpleNamespace
 
     import clusterblocks.harness as harness
@@ -282,8 +285,32 @@ def test_pair_rate_equals_the_fancy_indexed_form(m):
         a = rng.random(m) < density
         even = np.arange(2, m, 2) - 1
         old = float((a[even] & a[even + 1]).mean()) if even.size else 0.0
-        new = harness._pair_rate(SimpleNamespace(active=a, m=m), None, None)
+        new = harness._pair_rate(SimpleNamespace(active=np.flatnonzero(a) + 1, m=m), None, None)
         assert repr(new) == repr(old)
+
+
+@given(st.integers(min_value=2, max_value=6), st.integers(min_value=1, max_value=40),
+       st.integers(min_value=0, max_value=5), st.sampled_from(["drawn", "none", "all"]),
+       st.lists(st.booleans(), max_size=250))
+@example(3, 5, 0, "none", [])         # odd m, no exceedance
+@example(2, 6, 1, "all", [])          # even m, every block and the tail active
+@settings(max_examples=200, deadline=None)
+def test_pair_rate_equals_the_mean_over_a_block_mask(r, m, tail, kind, drawn):
+    # a bookkeeping's pair rate is the float the mean over its m-block
+    # mask gives, at odd and even m, with no exceedance and with every
+    # block active
+    import clusterblocks.harness as harness
+
+    n = m * r + tail % r
+    exceed = {"drawn": (drawn + [False] * n)[:n], "none": [False] * n, "all": [True] * n}[kind]
+    values = np.where(exceed, 2.0, 0.5)
+    book = block_bookkeeping(MagnitudeSeries(values=values), BlockConfig(r=r, u=1.0, w=0.1))
+    a = np.zeros(book.m, dtype=bool)
+    for p in np.flatnonzero(values[:book.m * r] > 1.0):
+        a[p // r] = True
+    pairs = a[1:book.m - 1:2] & a[2:book.m:2]
+    old = float(pairs.mean()) if pairs.size else 0.0
+    assert repr(harness._pair_rate(book, None, None)) == repr(old)
 
 
 # sha256 of csv_text for all ten targets on a two-point grid (8 replicates,

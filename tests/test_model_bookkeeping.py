@@ -271,14 +271,36 @@ def _peak_bytes(f):
 
 
 def test_model_route_memory_is_that_of_the_store():
-    # n = 1e7 holds about 600 exceedances: the uniform buffer and the
-    # m-byte active mask dominate, not an n-length array (80 MB)
+    # n = 1e7 holds about 600 exceedances: the uniform buffer dominates,
+    # not an n-length array (80 MB)
     spec, n = parse_model("mma1:1,1,1"), 10 ** 7
     w = n ** -0.6
     cfg = BlockConfig(r=12, u=threshold_for_w(spec, w), w=w)
     book = []
     assert _peak_bytes(lambda: book.append(model_bookkeeping(spec, n, 0, cfg))) < 16e6
     assert book[0].pos.size > 300 and book[0].values.size <= 3 * 12 * book[0].pos.size
+
+
+def test_a_bookkeeping_of_1e8_values_holds_nothing_of_size_m():
+    # m = 8.3 million blocks of r = 12 and about 1000 exceedances: the
+    # bookkeeping is its positions, active blocks and stored blocks, so it
+    # holds O(k r) bytes; the peak is the uniform buffer and the steps'
+    # candidates
+    import tracemalloc
+
+    spec, n, w = parse_model("mma1:1,1,1"), 10 ** 8, 1e-5
+    cfg = BlockConfig(r=12, u=threshold_for_w(spec, w), w=w)
+    tracemalloc.start()
+    try:
+        book = model_bookkeeping(spec, n, 0, cfg)
+        held, peak = tracemalloc.get_traced_memory()
+        size = book.pos.size
+        del book
+        held -= tracemalloc.get_traced_memory()[0]     # what dropping the bookkeeping frees
+    finally:
+        tracemalloc.stop()
+    assert size > 500
+    assert held < 1e6 and peak < 6e6
 
 
 def test_a_block_longer_than_the_series_costs_no_memory_of_r():
@@ -293,7 +315,7 @@ def test_a_block_longer_than_the_series_costs_no_memory_of_r():
 def test_decompose_memory_is_that_of_the_events():
     # n = 1e7, r = 12: one float array of length m (833 333) is 6.7 MB, and
     # two per functional were kept before the reference sums were keyed by
-    # block; the m-byte active mask and O(k r) arrays remain
+    # block; O(k r) arrays remain
     spec, n = parse_model("mma1:1,1,1"), 10 ** 7
     w = n ** -0.6
     book = model_bookkeeping(spec, n, 0, BlockConfig(r=12, u=threshold_for_w(spec, w), w=w))
@@ -308,8 +330,8 @@ def test_decompose_memory_is_that_of_the_events():
 
 
 def test_an_n_over_the_memory_budget_is_refused_before_any_allocation(monkeypatch):
-    # the block mask of n = 1e15 values would take 1e14 bytes: refused
-    # whatever the kernel's overcommit policy, with nothing allocated
+    # n = 1e15 values span 1e14 blocks, over the budget at a byte per
+    # block: refused before a uniform is drawn, with nothing allocated
     spec = parse_model("mma1:1,1,1")
     cfg = BlockConfig(r=10, u=threshold_for_w(spec, 0.01), w=0.01)
 
@@ -318,8 +340,8 @@ def test_an_n_over_the_memory_budget_is_refused_before_any_allocation(monkeypatc
             model_bookkeeping(spec, 10 ** 15, 0, cfg)
 
     assert _peak_bytes(refused) < 1e5
-    # the bound is the mask's nb + 2 bytes, with nb the blocks of n
-    # values, the partial tail block counted
+    # the bound is nb + 2 bytes, with nb the blocks of n values, the
+    # partial tail block counted, and a pad block on each side
     n = 1001
     monkeypatch.setattr(blocks, "MEMORY_BUDGET", 103)
     assert model_bookkeeping(spec, n, 0, cfg).m == 100

@@ -10,7 +10,8 @@ import pathlib
 import sys
 
 import clusterblocks.cli as cli
-from clusterblocks import gen_series, parse_model, threshold_for_w, write_series
+from clusterblocks import (BlockConfig, block_bookkeeping, gen_series, parse_model,
+                           threshold_for_w, write_series)
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "bench"))
 
@@ -20,7 +21,8 @@ import tracer as tr  # noqa: E402
 def test_traced_calls_count_without_errors(tmp_path, capsys):
     spec = parse_model("mma1:1,1,1")
     path = tmp_path / "series.bin"
-    write_series(path, gen_series(spec, 4000, 7), "bin")
+    series = gen_series(spec, 4000, 7)
+    write_series(path, series, "bin")
     w = 0.01
     calls = [["decompose", "--series", str(path), "--r", "8", "--u",
               repr(threshold_for_w(spec, w)), "--w", repr(w)],
@@ -34,7 +36,9 @@ def test_traced_calls_count_without_errors(tmp_path, capsys):
     assert codes[0] == 0 and codes[1] in (0, 1)
     assert tr.missing() == []
     assert tracer.counts["bench.count_errors"] == 0
-    assert tracer.counts["expansion.active_blocks"] > 0
+    # the model route is not wrapped: the one bookkeeping counted is the series'
+    book = block_bookkeeping(series, BlockConfig(r=8, u=threshold_for_w(spec, w), w=w))
+    assert tracer.counts["expansion.active_blocks"] == len(book.active) > 0
     assert tracer.counts["expansion.exceedances"] >= tracer.counts["expansion.active_blocks"]
     summary = tracer.summary()
     assert summary["expansion.block_bookkeeping"]["calls"] == 1
