@@ -44,8 +44,8 @@ several functionals share one pass and what the bookkeeping derives from
 its positions alone (window runs and keys, reference blocks, event rows;
 see `blocks.BlockBookkeeping`).  Each functional then evaluates H on
 them: a pattern-backed H once per start set, any other H on every
-window that holds an exceedance.  The two routes read separate entries, and no value
-of H passes from one route, or one functional, to another.
+window that holds an exceedance.  The two routes read separate entries,
+and no value of H passes from one route, or one functional, to another.
 """
 
 from __future__ import annotations
