@@ -357,12 +357,12 @@ def model_bookkeeping(spec: ModelSpec, n: int, seed: int, cfg: BlockConfig) -> B
             continue
         done = int(touched[-1])
         p = _positions(touched, r, n)
-        xi = _pareto_from_uniforms(buf[innovation(p)[:, None] + lags - lo], base.alpha)
-        x = _moving_maxima(xi, base.coeffs, 1)
-        if not np.isfinite(x).all():
-            raise ModelError("magnitudes must be finite")
-        at.append(p)
-        with np.errstate(over="ignore"):    # an overflowing X/u is refused below
+        with np.errstate(over="ignore"):    # an infinite X or X/u is refused, not warned of
+            xi = _pareto_from_uniforms(buf[innovation(p)[:, None] + lags - lo], base.alpha)
+            x = _moving_maxima(xi, base.coeffs, 1)
+            if not np.isfinite(x).all():
+                raise ModelError("magnitudes must be finite")
+            at.append(p)
             xs.append(x / u)
     at, x = np.concatenate(at), np.concatenate(xs)
     return _bookkeeping(cfg, n, at[x > 1.0] + 1, lambda p: x[at.searchsorted(p)])

@@ -201,9 +201,8 @@ def _rng(seed: int) -> np.random.Generator:
 
 
 def _pareto_from_uniforms(u: np.ndarray, alpha: float) -> np.ndarray:
-    """(1 - U)^(-1/alpha), elementwise, inf past the largest float: the one Pareto transform."""
-    with np.errstate(over="ignore"):
-        return (1.0 - u) ** (-1.0 / alpha)
+    """(1 - U)^(-1/alpha), elementwise: the one Pareto transform."""
+    return (1.0 - u) ** (-1.0 / alpha)
 
 
 def _pareto(rng: np.random.Generator, n: int, alpha: float) -> np.ndarray:
@@ -270,8 +269,9 @@ def gen_series(spec: ModelSpec, n: int, seed: int) -> MagnitudeSeries:
     size, rows = series_layout(spec, n)
     base = spec.base
     width = size + spec.order
-    xi = _pareto(_rng(seed), rows * width, base.alpha).reshape(rows, width)
-    values = _moving_maxima(xi, base.coeffs, size)
+    with np.errstate(over="ignore"):        # an infinite value is refused, not warned of
+        xi = _pareto(_rng(seed), rows * width, base.alpha).reshape(rows, width)
+        values = _moving_maxima(xi, base.coeffs, size)
     return MagnitudeSeries(values=values, model=spec, seed=_mask_seed(seed))
 
 

@@ -285,6 +285,10 @@ def no_replicate(*args):
     (["rates", "--model", "iid:1", "--grid", "1000:4:1e-320", "--replicates", "2"],
      None, 1, "model"),
     (["simulate", "--model", "iid:1e-300", "--n", "10", "--out", os.devnull], None, 1, "model"),
+    (["simulate", "--model", "mma1:1e308,1e308,0.5", "--n", "10", "--out", os.devnull],
+     None, 1, "model"),
+    (["decompose", "--model", "mma1:1e308,1e308,0.5", "--n", "100", "--r", "10", "--u", "1e300",
+      "--w", "0.1"], None, 1, "model"),
 ])
 def test_parse_errors_fail_closed(capsys, monkeypatch, argv, env, code, category):
     if env is not None:
