@@ -289,9 +289,8 @@ def test_indicator_ic_recomputed_from_patterns():
     s = gen_series(spec, 1200, seed=9)
     book = block_bookkeeping(s, cfg)
     total, per = internal_cluster_stat(book, IND)
-    alt = 0.0
+    alt, on = 0.0, book.active_set
     for j in range(2, book.m):
-        on = book.active_set
         if j in on and j - 1 not in on and j + 1 not in on:
             pat = exceedance_pattern(book.block_window(j))
             alt += pat.length - 1
