@@ -31,31 +31,37 @@ def cluster_index_mc(h: ClusterFunctional, spec: ModelSpec, samples: int,
     MMA(1); theta enters exactly, the randomness is only in E[H(Z)].
     H is evaluated once per distinct key and scattered back to every
     sample, so the per-sample values, and with them the mean and standard
-    error, are those of a loop over all samples.  The key is the window's
-    exceedance mask when H reads nothing else (at most two masks occur),
-    else the window itself.
+    error, are those of a loop over all samples.  When H reads nothing but
+    the window's exceedance mask, the key is the mask code
+    2 [Z_0 > 1] + [Z_1 > 1], grouped in one pass with no sort (at most two
+    codes occur, evaluated in increasing order at their first sample).
+    Otherwise the key is the window itself, grouped by np.unique.
     """
     if samples < 1000:
         raise ModelError("need at least 1000 Monte Carlo samples")
-    theta, _ = mma1_constants(*spec.mma1_coeffs(), spec.base.alpha)
     sampler = ZSampler(spec, seed)
     z0, z1 = sampler.sample_z_many(samples)
-    key = (np.stack((z0 > 1.0, z1 > 1.0), axis=1) if h.exceedance_only
-           else np.stack((z0, z1), axis=1))
-    _, first, inverse = np.unique(key, axis=0, return_index=True, return_inverse=True)
-    distinct = np.array([h.evaluator(np.array((z0[i], z1[i]))) for i in first.tolist()],
-                        dtype=float)
+    if h.exceedance_only:
+        code = 2 * (z0 > 1.0).view(np.int8) + (z1 > 1.0).view(np.int8)
+        counts = np.bincount(code, minlength=4)
+        first = [int(np.argmax(code == c)) for c in np.flatnonzero(counts)]
+        inverse = (np.cumsum(counts > 0) - 1)[code]     # a code's rank among those present
+    else:
+        _, first, inverse = np.unique(np.stack((z0, z1), axis=1), axis=0,
+                                      return_index=True, return_inverse=True)
+        first = first.tolist()
+    distinct = np.array([h.evaluator(np.array((z0[i], z1[i]))) for i in first], dtype=float)
     vals = distinct[inverse.reshape(-1)]       # numpy 2.0.0 returns a column
     log.debug("cluster_index_mc %s: %d samples, %d Z draws, %d accepted, "
               "%d evaluator calls", h.name, samples, sampler.book.draws,
-              sampler.book.accepted, first.size)
+              sampler.book.accepted, len(first))
     with np.errstate(over="ignore", invalid="ignore"):     # checked below
         mean = float(vals.mean())
         se = float(vals.std(ddof=1) / np.sqrt(samples))
     if not (math.isfinite(mean) and math.isfinite(se)):
         raise FunctionalContractError(
             f"{h.name}: E[H(Z)] or its standard error is not a finite float")
-    return theta * mean, theta * se
+    return sampler.theta * mean, sampler.theta * se
 
 
 def expected_l_z_minus_one(c0: float, c1: float, alpha: float) -> float:

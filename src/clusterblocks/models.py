@@ -19,6 +19,7 @@ take that route, one O(n) pass over the uniforms in O(k r) memory.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 import warnings
@@ -333,15 +334,26 @@ def threshold_for_w(spec: ModelSpec, w: float) -> float:
 
 
 def mma1_constants(c0: float, c1: float, alpha: float) -> tuple[float, float]:
-    """(theta, P(Y_1 > 1)) for the MMA(1) model; the two sum to one."""
+    """(theta, P(Y_1 > 1)) for the MMA(1) model; the two sum to one.
+
+    A c^alpha past the largest float, or two that both underflow to 0,
+    leave no ratio to take and are refused with ModelError.
+    """
     if alpha <= 0:
         raise ModelError("alpha must be positive")
     if max(c0, c1) <= 0:
         raise ModelError("both coefficients are zero")
-    s = c0 ** alpha + c1 ** alpha
-    theta = max(c0, c1) ** alpha / s
-    p_y1 = min(c0, c1) ** alpha / s
-    return theta, p_y1
+    try:
+        p0, p1 = c0 ** alpha, c1 ** alpha
+    except OverflowError:
+        raise ModelError(f"c^alpha overflows a float at c0={c0!r}, c1={c1!r}, "
+                         f"alpha={alpha!r}") from None
+    s = p0 + p1
+    if not 0 < s < math.inf:
+        raise ModelError(f"c0^alpha + c1^alpha is {s!r} at c0={c0!r}, c1={c1!r}, "
+                         f"alpha={alpha!r}")
+    hi, lo = (p0, p1) if c0 >= c1 else (p1, p0)
+    return hi / s, lo / s
 
 
 @dataclass
@@ -365,31 +377,31 @@ class ZSampler:
     def __init__(self, spec: ModelSpec, seed: int):
         self.c0, self.c1 = spec.mma1_coeffs()
         self.alpha = spec.base.alpha
-        s = self.c0 ** self.alpha + self.c1 ** self.alpha
-        self.p_b = self.c0 ** self.alpha / s
-        self.theta, _ = mma1_constants(self.c0, self.c1, self.alpha)    # the acceptance rate
+        self.theta, p_y1 = mma1_constants(self.c0, self.c1, self.alpha)  # the acceptance rate
+        self.p_b = self.theta if self.c0 >= self.c1 else p_y1          # c0^a / (c0^a + c1^a)
         self.rng = _rng(seed)
         self.book = ZBookkeeping()
 
-    def _draw(self, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _draw(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """(z_0, z_1) of the draws accepted among k; z_1 is built for those only."""
         y0 = _pareto(self.rng, k, self.alpha)
         b = self.rng.random(k) < self.p_b
-        y1 = np.where(b, (self.c1 / self.c0) * y0 if self.c0 > 0 else 0.0, 0.0)
-        ym1 = np.where(~b, (self.c0 / self.c1) * y0 if self.c1 > 0 else 0.0, 0.0)
+        if self.c1 > 0:             # y_-1 is 0 where B holds, else (c0/c1) y_0
+            keep = b | ((self.c0 / self.c1) * y0 <= 1.0)
+            y0, b = y0[keep], b[keep]
+        z1 = np.where(b, (self.c1 / self.c0) * y0 if self.c0 > 0 else 0.0, 0.0)
         self.book.draws += k
-        return ym1, y0, y1
+        self.book.accepted += y0.size
+        return y0, z1
 
     def sample_z_many(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         """Vectorized rejection: arrays (z_0, z_1) of k accepted draws."""
-        z0 = np.empty(0)
-        z1 = np.empty(0)
+        z0 = z1 = np.empty(0)
         while z0.size < k:
             batch = max(1024, int(1.3 * (k - z0.size) / max(self.theta, 1e-3)))
-            ym1, y0, y1 = self._draw(batch)
-            keep = ym1 <= 1.0
-            self.book.accepted += int(keep.sum())
-            z0 = np.concatenate([z0, y0[keep]])
-            z1 = np.concatenate([z1, y1[keep]])
+            more0, more1 = self._draw(batch)
+            z0, z1 = ((more0, more1) if z0.size == 0 else
+                      (np.concatenate([z0, more0]), np.concatenate([z1, more1])))
         return z0[:k], z1[:k]
 
 

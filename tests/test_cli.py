@@ -148,13 +148,6 @@ def test_rates_config_file_with_flag_override(capsys, tmp_path):
     assert v1["rows"]["ic_norm"]["final_mean"] != v2["rows"]["ic_norm"]["final_mean"]
 
 
-def test_verify_quick(capsys):
-    code, out, _ = run(capsys, "verify", "--quick")
-    assert code == 0
-    assert "decomposition identities" in out
-    assert "FAIL" not in out
-
-
 # sha256 of `verify --quick --seed s` stdout
 GOLDEN_VERIFY = {
     0: "e5aca88e27187157f516b3d752bb28b20bf6fa6902d0507ec7ac18d1f6ed6d3f",
@@ -164,8 +157,11 @@ GOLDEN_VERIFY = {
 
 @pytest.mark.parametrize("seed", sorted(GOLDEN_VERIFY))
 def test_verify_quick_stdout_is_pinned(capsys, seed):
-    code, out, _ = run(capsys, "verify", "--quick", "--seed", str(seed))
+    # seed 0 is the default, so that run leaves --seed out
+    code, out, _ = run(capsys, "verify", "--quick", *(["--seed", str(seed)] if seed else []))
     assert code == 0
+    assert "decomposition identities" in out
+    assert "FAIL" not in out
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_VERIFY[seed]
 
 
@@ -289,6 +285,13 @@ def no_replicate(*args):
      None, 1, "model"),
     (["decompose", "--model", "mma1:1e308,1e308,0.5", "--n", "100", "--r", "10", "--u", "1e300",
       "--w", "0.1"], None, 1, "model"),
+    # a c^alpha past the largest float, or two that both underflow to 0
+    (["limits", "--c0", "1e300", "--c1", "1e300", "--alpha", "400", "--samples", "1000"],
+     None, 1, "model"),
+    (["rates", "--model", "mma1:1e300,1,400", "--grid", "1e3:4:0.01", "--replicates", "2",
+      "--targets", "ic_norm"], None, 1, "model"),
+    (["limits", "--c0", "1e-300", "--c1", "1e-300", "--alpha", "400", "--samples", "1000"],
+     None, 1, "model"),
 ])
 def test_parse_errors_fail_closed(capsys, monkeypatch, argv, env, code, category):
     if env is not None:
