@@ -19,7 +19,6 @@ take that route, one O(n) pass over the uniforms in O(k r) memory.
 
 from __future__ import annotations
 
-import math
 import os
 import struct
 import warnings
@@ -349,7 +348,7 @@ def mma1_constants(c0: float, c1: float, alpha: float) -> tuple[float, float]:
         raise ModelError(f"c^alpha overflows a float at c0={c0!r}, c1={c1!r}, "
                          f"alpha={alpha!r}") from None
     s = p0 + p1
-    if not 0 < s < math.inf:
+    if not 0 < s < np.inf:
         raise ModelError(f"c0^alpha + c1^alpha is {s!r} at c0={c0!r}, c1={c1!r}, "
                          f"alpha={alpha!r}")
     hi, lo = (p0, p1) if c0 >= c1 else (p1, p0)
