@@ -19,7 +19,7 @@ from .errors import ClusterBlocksError, ConfigError, ModelError
 from .expansion import expansion_report
 from .functionals import get_functional, induced_functional
 from .harness import (ExperimentConfig, check_band, csv_text, expected_targets,
-                      parse_finite, persist, run_experiment, summarize)
+                      limit_constants, parse_finite, persist, run_experiment, summarize)
 from .limits import cluster_index_mc, limit_table
 from .models import (ModelSpec, gen_series, marginal_tail, parse_model,
                      read_series, series_layout, threshold_for_w, write_series)
@@ -208,7 +208,8 @@ def _cmd_rates(args) -> int:
         threads=threads,
     )
     band = check_band(pick("band", float, 0.15))
-    lt = limit_table(cfg.model, get_functional(cfg.functional), seed=cfg.seed)
+    lt = limit_table(cfg.model, get_functional(cfg.functional), seed=cfg.seed,
+                     constants=limit_constants(cfg.targets))
     expected = expected_targets(lt, cfg.targets)
     table = run_experiment(cfg)
     verdict = summarize(table, expected, rel_band=band)

@@ -103,37 +103,41 @@ class Target:
     """A rate target: statistic(needs(book, h, spec), book, h, g) divided by
     scale(n_eff, r, w, g) estimates limit(LimitTable, g).  A replicate
     computes each shared quantity `needs` once, and only if a requested
-    target needs it.  exponent: the name takes a finite g >= 0, as "name(g)"."""
+    target needs it.  reads: the LimitTable constants `limit` reads, so
+    `rates` estimates no constant that no requested target reads.
+    exponent: the name takes a finite g >= 0, as "name(g)"."""
 
     needs: Callable | None
     statistic: Callable
     scale: Callable
     limit: Callable
+    reads: tuple[str, ...]
     exponent: bool = False
 
 
 TARGETS = {
     "disjoint_stat": Target(_block_sums, lambda s, b, h, g: s[1], lambda n, r, w, g: n * r * w,
-                            _indicator_theta),
+                            _indicator_theta, reads=("theta",)),
     "sliding_stat": Target(_block_sums, lambda s, b, h, g: s[0], lambda n, r, w, g: n * r * w,
-                           _indicator_theta),
+                           _indicator_theta, reads=("theta",)),
     "scaled_gap": Target(_block_sums, lambda s, b, h, g: b.r * (s[1] - s[0]),
-                         lambda n, r, w, g: n * r * w, lambda lt, g: -(lt.nu_ic + lt.nu_bc)),
+                         lambda n, r, w, g: n * r * w, lambda lt, g: -(lt.nu_ic + lt.nu_bc),
+                         reads=("nu_ic", "nu_bc")),
     "ic_norm": Target(_ic_total, _quantity, lambda n, r, w, g: n * w,
-                      lambda lt, g: lt.nu_ic),
+                      lambda lt, g: lt.nu_ic, reads=("nu_ic",)),
     "bc_norm": Target(_bc_total, _quantity, lambda n, r, w, g: n * w,
-                      lambda lt, g: lt.nu_bc),
+                      lambda lt, g: lt.nu_bc, reads=("nu_bc",)),
     "ic_large_norm": Target(_ic_total, _quantity, lambda n, r, w, g: n * r ** 2 * w ** 2,
-                            lambda lt, g: lt.ic_large_constant),
+                            lambda lt, g: lt.ic_large_constant, reads=("ic_large_constant",)),
     "pa1a2_small": Target(_pair_rate, _quantity, lambda n, r, w, g: w,
-                          lambda lt, g: lt.small_block_pa1a2),
+                          lambda lt, g: lt.small_block_pa1a2, reads=("small_block_pa1a2",)),
     "pa1a2_large": Target(_pair_rate, _quantity, lambda n, r, w, g: r ** 2 * w ** 2,
-                          lambda lt, g: lt.large_block_pa1a2),
+                          lambda lt, g: lt.large_block_pa1a2, reads=("large_block_pa1a2",)),
     "clm_large": Target(None, _length_moment, lambda n, r, w, g: r ** (g + 2.0) * w ** 2,
                         lambda lt, g: lt.theta ** 2 / ((g + 1.0) * (g + 2.0)),
-                        exponent=True),
+                        reads=("theta",), exponent=True),
     "ecm": Target(_block_sums, lambda s, b, h, g: _block_mean(b, s[2]), lambda n, r, w, g: r * w,
-                  _indicator_theta),
+                  _indicator_theta, reads=("theta",)),
 }
 
 
@@ -408,6 +412,11 @@ def summarize(table: ConvergenceTable, expected: dict, rel_band: float = 0.15) -
                         "within_3se": within_3se, "monotone": monotone,
                         "passed": passed}
     return VerdictReport(rows=rows, rel_band=rel_band)
+
+
+def limit_constants(targets) -> frozenset:
+    """The LimitTable constants read by the limits of `targets`."""
+    return frozenset(c for t in targets for c in TARGETS[parse_target(t)[0]].reads)
 
 
 def expected_targets(lt: LimitTable, targets) -> dict:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, FunctionalContractError, ModelError
-from .functionals import ClusterFunctional
+from .functionals import ClusterFunctional, induced_functional
 from .models import ModelSpec, ZSampler, marginal_tail, mma1_constants
 
 log = logging.getLogger("clusterblocks")
@@ -34,24 +34,32 @@ def cluster_index_mc(h: ClusterFunctional, spec: ModelSpec, samples: int,
     error, are those of a loop over all samples.  When H reads nothing but
     the window's exceedance mask, the key is the mask code
     2 [Z_0 > 1] + [Z_1 > 1], grouped in one pass with no sort (at most two
-    codes occur, evaluated in increasing order at their first sample).
-    Otherwise the key is the window itself, grouped by np.unique.
+    codes occur, evaluated in increasing order at their first sample), and
+    the per-sample values are read from a table indexed by the code with
+    `take`, so no sample-sized index array is built.  Otherwise the key is
+    the window itself, grouped by np.unique.
     """
     if samples < 1000:
         raise ModelError("need at least 1000 Monte Carlo samples")
     sampler = ZSampler(spec, seed)
     z0, z1 = sampler.sample_z_many(samples)
+    def evaluate(first):        # H at each key's first sample, in order
+        return np.array([h.evaluator(np.array((z0[i], z1[i]))) for i in first], dtype=float)
+
     if h.exceedance_only:
-        code = 2 * (z0 > 1.0).view(np.int8) + (z1 > 1.0).view(np.int8)
-        counts = np.bincount(code, minlength=4)
-        first = [int(np.argmax(code == c)) for c in np.flatnonzero(counts)]
-        inverse = (np.cumsum(counts > 0) - 1)[code]     # a code's rank among those present
+        code = (z0 > 1.0).view(np.int8)
+        code <<= 1
+        code += (z1 > 1.0).view(np.int8)
+        present = np.flatnonzero(np.bincount(code, minlength=4))
+        first = [int(np.argmax(code == c)) for c in present]
+        table = np.zeros(4)
+        table[present] = evaluate(first)
+        vals = table.take(code)
     else:
         _, first, inverse = np.unique(np.stack((z0, z1), axis=1), axis=0,
                                       return_index=True, return_inverse=True)
         first = first.tolist()
-    distinct = np.array([h.evaluator(np.array((z0[i], z1[i]))) for i in first], dtype=float)
-    vals = distinct[inverse.reshape(-1)]       # numpy 2.0.0 returns a column
+        vals = evaluate(first)[inverse.reshape(-1)]     # numpy 2.0.0 returns a column
     log.debug("cluster_index_mc %s: %d samples, %d Z draws, %d accepted, "
               "%d evaluator calls", h.name, samples, sampler.book.draws,
               sampler.book.accepted, len(first))
@@ -106,9 +114,18 @@ class LimitTable:
 
 
 def limit_table(spec: ModelSpec, h: ClusterFunctional, gamma: float = 1.0,
-                samples: int = 20000, seed: int = 0) -> LimitTable:
+                samples: int = 20000, seed: int = 0,
+                constants: frozenset | None = None) -> LimitTable:
     """Fill the limit constants, using Monte Carlo only where no closed
-    form is available for the given functional."""
+    form is available for the given functional.
+
+    constants names the constants the caller reads (None: all of them).
+    When it holds neither nu_ic nor nu_bc, the two Monte Carlo estimates
+    are not run and those two constants and their SEs are NaN.  The
+    induced IC and BC forms of H are still evaluated once on each Z
+    window mask, (1, 0) and (1, 1), so a functional whose estimates would
+    overflow a float is refused either way.
+    """
     g = float(gamma)
     if not (np.isfinite(g) and g >= 0):
         raise ConfigError(f"gamma must be finite and >= 0, got {gamma!r}")
@@ -127,9 +144,12 @@ def limit_table(spec: ModelSpec, h: ClusterFunctional, gamma: float = 1.0,
     elif h.name == "count":
         nu_ic = nu_bc = 0.0                 # linear functional
         se_ic = se_bc = 0.0
+    elif constants is not None and constants.isdisjoint(("nu_ic", "nu_bc")):
+        for kind in ("ic", "bc"):
+            for z1 in (0.0, 2.0):
+                induced_functional(h, kind).evaluator(np.array((2.0, z1)))
+        nu_ic = nu_bc = se_ic = se_bc = math.nan
     else:
-        from .functionals import induced_functional
-
         nu_ic, se_ic = cluster_index_mc(induced_functional(h, "ic"), spec, samples, seed)
         nu_bc, se_bc = cluster_index_mc(induced_functional(h, "bc"), spec, samples,
                                         seed + 1)

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clusterblocks import read_series
+from clusterblocks import limits, read_series
 from clusterblocks.cli import _build_parser, main
 
 
@@ -296,6 +296,11 @@ def no_replicate(*args):
       "--targets", "ic_norm"], None, 1, "model"),
     (["limits", "--c0", "1e-300", "--c1", "1e-300", "--alpha", "400", "--samples", "1000"],
      None, 1, "model"),
+    # every Pareto draw of the Z sampler overflows a float
+    (["limits", "--c0", "0", "--c1", "1", "--alpha", "1e-300", "--samples", "1000",
+      "--functional", "length"], None, 1, "model"),
+    (["limits", "--c0", "1", "--c1", "1", "--alpha", "1e-300", "--samples", "1000",
+      "--functional", "length"], None, 1, "model"),
 ])
 def test_parse_errors_fail_closed(capsys, monkeypatch, argv, env, code, category):
     if env is not None:
@@ -310,6 +315,19 @@ def test_parse_errors_fail_closed(capsys, monkeypatch, argv, env, code, category
     assert len(err.splitlines()) == 1
     assert err.startswith(f"error:{category}:")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("targets, estimates", [("pa1a2_small", 0), ("ic_norm", 2)])
+def test_rates_estimates_only_the_constants_its_targets_read(capsys, monkeypatch,
+                                                             targets, estimates):
+    calls = []
+    estimate = limits.cluster_index_mc
+    monkeypatch.setattr(limits, "cluster_index_mc",
+                        lambda *a, **kw: calls.append(a) or estimate(*a, **kw))
+    code, out, _ = run(capsys, "rates", "--model", "mma1:1,1,1", "--grid", "2000:n^0.2:n^-0.55",
+                       "--replicates", "2", "--functional", "length", "--targets", targets)
+    assert code in (0, 1) and out.startswith("model,")
+    assert len(calls) == estimates
 
 
 def test_series_file_errors_fail_closed(capsys, tmp_path):

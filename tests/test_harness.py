@@ -1,5 +1,7 @@
 import concurrent.futures
+import dataclasses
 import hashlib
+import math
 import os
 
 import numpy as np
@@ -12,8 +14,8 @@ from clusterblocks import (BlockConfig, ConfigError, ExperimentConfig, Magnitude
                            expected_targets, get_functional,
                            limit_table, load, persist, run_experiment,
                            summarize)
-from clusterblocks.harness import (CSV_HEADER, ConvergenceTable, TableRow,
-                                   csv_text, parse_rule, parse_target)
+from clusterblocks.harness import (CSV_HEADER, TARGETS, ConvergenceTable, TableRow,
+                                   csv_text, limit_constants, parse_rule, parse_target)
 
 MMA1 = ModelSpec.mma1(1.0, 1.0, 1.0)
 
@@ -338,3 +340,16 @@ def test_rates_csv_bytes_are_pinned(model, functional):
                            replicates=8, seed=2024, targets=ALL_TARGETS)
     text = csv_text(run_experiment(cfg))
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_RATES[(model, functional)]
+
+
+@pytest.mark.parametrize("name", sorted(TARGETS))
+def test_each_target_limit_reads_only_its_declared_constants(name):
+    # every constant a target does not declare is NaN, so reading one
+    # makes the limit NaN
+    lt = limit_table(MMA1, get_functional("indicator"))
+    fields = {f: (v if f in TARGETS[name].reads else math.nan)
+              for f, v in lt.to_dict().items() if isinstance(v, float)}
+    hidden = dataclasses.replace(lt, **fields)
+    assert math.isfinite(TARGETS[name].limit(hidden, 1.0))
+    assert limit_constants([f"{name}(1)" if TARGETS[name].exponent else name]) == \
+        frozenset(TARGETS[name].reads)

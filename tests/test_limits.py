@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -265,3 +266,18 @@ def test_z_draws_are_pinned(coeffs):
     z0, z1 = sampler.sample_z_many(5000)
     digest = hashlib.sha256(z0.tobytes() + z1.tobytes()).hexdigest()
     assert (sampler.book.draws, digest) == GOLDEN_Z[coeffs]
+
+
+def test_cluster_index_mc_peak_memory():
+    # 20 000 samples from batches of 52 000 draws: the draws, the accepted
+    # windows and the codes; each fresh batch-sized temporary (a Pareto
+    # transform on a copy, a boolean-mask gather's mask, an int64 index
+    # of the codes) added a few hundred kB (1.3 MB in all)
+    h = induced_functional(get_functional("length"), "ic")
+    tracemalloc.start()
+    try:
+        cluster_index_mc(h, ModelSpec.mma1(1.0, 1.0, 1.0), 20000, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.1e6

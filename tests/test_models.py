@@ -2,13 +2,18 @@ import hashlib
 import math
 import struct
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from clusterblocks import (MagnitudeSeries, ModelError, ModelSpec,
                            PersistError, ZSampler, gen_series, marginal_tail,
                            mma1_constants, parse_model, read_series,
                            threshold_for_w, write_series)
+from clusterblocks.models import _pareto_from_uniforms
 
 
 def test_iid_pareto_support():
@@ -157,6 +162,112 @@ def test_z_degenerate_coefficient_accepts_everything():
     z0, z1 = sampler.sample_z_many(2000)
     assert sampler.book.accepted == sampler.book.draws
     assert np.all(z1 == 0.0)
+
+
+def _reference_pareto(rng, n, alpha):
+    u = rng.random(n)
+    while True:
+        zero = u == 0.0
+        if not zero.any():
+            break
+        u[zero] = rng.random(int(zero.sum()))
+    return (1.0 - u) ** (-1.0 / alpha)
+
+
+def _reference_z(sampler, k):
+    """sample_z_many written with fresh temporaries and boolean-mask
+    gathers, on the sampler's generator and constants: (z_0, z_1, draws,
+    accepted)."""
+    c0, c1, rng = sampler.c0, sampler.c1, sampler.rng
+    z0 = z1 = np.empty(0)
+    draws = accepted = 0
+    while z0.size < k:
+        batch = max(1024, int(1.3 * (k - z0.size) / max(sampler.theta, 1e-3)))
+        y0 = _reference_pareto(rng, batch, sampler.alpha)
+        b = rng.random(batch) < sampler.p_b
+        if c1 > 0:
+            keep = b | ((c0 / c1) * y0 <= 1.0)
+            y0, b = y0[keep], b[keep]
+        more1 = np.where(b, (c1 / c0) * y0 if c0 > 0 else 0.0, 0.0)
+        draws, accepted = draws + batch, accepted + y0.size
+        z0, z1 = np.concatenate([z0, y0]), np.concatenate([z1, more1])
+    return z0[:k], z1[:k], draws, accepted
+
+
+def _assert_same_z(spec, k, make_rng):
+    sampler, reference = ZSampler(spec, 0), ZSampler(spec, 0)
+    sampler.rng, reference.rng = make_rng(), make_rng()
+    z0, z1 = sampler.sample_z_many(k)
+    r0, r1, draws, accepted = _reference_z(reference, k)
+    assert z0.tobytes() == r0.tobytes() and z1.tobytes() == r1.tobytes()
+    assert (sampler.book.draws, sampler.book.accepted) == (draws, accepted)
+
+
+@settings(max_examples=60, deadline=None)
+@given(c0=st.sampled_from((0.0, 0.3, 1.0, 2.0)), c1=st.sampled_from((0.0, 1.0, 2.0)),
+       alpha=st.floats(0.1, 4.0), seed=st.integers(0, 2 ** 64 - 1),
+       k=st.integers(1, 20000))
+@example(c0=1.0, c1=1.0, alpha=1.0, seed=0, k=20000)
+@example(c0=0.3, c1=2.0, alpha=0.1, seed=5, k=1)
+def test_z_draws_equal_the_reference_sampler(c0, c1, alpha, seed, k):
+    if c0 == c1 == 0.0:
+        return
+    _assert_same_z(ModelSpec.mma1(c0, c1, alpha), k,
+                   lambda: np.random.default_rng(np.random.SeedSequence(seed)))
+
+
+class _ZeroAt:
+    """A generator whose uniforms are a seeded stream's, except that U = 0
+    at the given offsets of the stream."""
+
+    def __init__(self, seed, zeros):
+        self.rng, self.zeros, self.offset = np.random.default_rng(seed), zeros, 0
+
+    def random(self, n):
+        u = self.rng.random(n)
+        for z in self.zeros:
+            if self.offset <= z < self.offset + n:
+                u[z - self.offset] = 0.0
+        self.offset += n
+        return u
+
+
+@pytest.mark.parametrize("coeffs", [(1.0, 1.0, 1.0), (1.0, 2.0, 0.5), (0.0, 1.0, 1.0)])
+def test_zero_uniforms_are_redrawn_in_stream_order(coeffs):
+    # U = 0 at the first, a middle and the last Pareto uniform of the
+    # first batch, at its first redraw (so it is redrawn again) and at a
+    # uniform of B
+    spec, k = ModelSpec.mma1(*coeffs), 2000
+    batch = max(1024, int(1.3 * k / ZSampler(spec, 0).theta))
+    zeros = (0, batch // 2, batch - 1, batch, batch + 4)
+    _assert_same_z(spec, k, lambda: _ZeroAt(11, zeros))
+
+
+@pytest.mark.parametrize("alpha", [0.1, 0.25, 1 / 3, 0.5, 0.7, 1.0, 1.5, 2.0, 3.0, 4.0,
+                                   -0.5, -1.0, -2.0])
+def test_pareto_in_place_power_equals_the_power_of_a_copy(alpha):
+    # numpy's power has fast paths at the exponents -1, -2, -0.5, 0.5, 1
+    # and 2 (alpha = 1, 0.5, 2, -2, -1, -0.5 here); the transform computes
+    # in place what (1 - U) ** (-1 / alpha) computes on a copy
+    u = np.random.default_rng(3).random(10000)
+    expected = (1.0 - u) ** (-1.0 / alpha)
+    assert _pareto_from_uniforms(u.copy(), alpha).tobytes() == expected.tobytes()
+
+
+def _peak_bytes(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_gen_series_peak_memory():
+    # the series (8 MB) and its innovations; each temporary of the Pareto
+    # transform added another 8 MB (25 MB in all)
+    peak = _peak_bytes(lambda: gen_series(parse_model("mma1:1,1,1"), 10 ** 6, seed=1))
+    assert peak < 18e6
 
 
 def test_series_roundtrip(tmp_path):
