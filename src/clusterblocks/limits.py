@@ -43,6 +43,7 @@ def cluster_index_mc(h: ClusterFunctional, spec: ModelSpec, samples: int,
         raise ModelError("need at least 1000 Monte Carlo samples")
     sampler = ZSampler(spec, seed)
     z0, z1 = sampler.sample_z_many(samples)
+
     def evaluate(first):        # H at each key's first sample, in order
         return np.array([h.evaluator(np.array((z0[i], z1[i]))) for i in first], dtype=float)
 

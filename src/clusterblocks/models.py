@@ -389,7 +389,9 @@ class ZSampler:
     its uniforms, (c0/c1) Y_0 in B's.  The accepted draws are gathered with
     `take` on their indices, about five times faster than a boolean-mask
     gather of the same values.  A Y_0 past the largest float (an alpha
-    near 0) is refused with ModelError: every draw would be rejected.
+    near 0) is refused with ModelError, as gen_series refuses an infinite
+    magnitude: at c0 = 0 it made every draw rejected, and the sampler loop
+    forever.
     """
 
     def __init__(self, spec: ModelSpec, seed: int):
@@ -413,8 +415,9 @@ class ZSampler:
             del u                   # B's uniforms, overwritten and read
             keep = np.flatnonzero(np.logical_or(keep, b, out=keep))
             y0, b = y0.take(keep), b.take(keep)
-        z1 = y0 * b                 # np.where(b, y0, 0.0) at a third of its cost;
-                                    # all zeros at c0 = 0, where B never holds
+        # y0 * B is np.where(b, y0, 0.0) for a finite y0, at a third of its
+        # cost; all zeros at c0 = 0, where B never holds
+        z1 = y0 * b
         if self.c0 > 0:
             scale = self.c1 / self.c0
             if np.isinf(scale):     # 0 * inf would put NaN where B fails
