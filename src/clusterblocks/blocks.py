@@ -40,7 +40,7 @@ from .functionals import ClusterFunctional
 from .models import (MagnitudeSeries, ModelSpec, _moving_maxima,
                      _pareto_from_uniforms, _rng, gen_series, series_layout)
 
-MEMORY_BUDGET = 8_000_000_000   # bytes: the most an experiment (or, per block, a bookkeeping) may use
+MEMORY_BUDGET = 8_000_000_000   # bytes an experiment may use; also the most blocks a model pass may span
 
 
 @dataclass(frozen=True)
@@ -298,15 +298,15 @@ def model_bookkeeping(spec: ModelSpec, n: int, seed: int, cfg: BlockConfig) -> B
     probability 2^-53 per draw); a step that holds one falls back to the
     dense route.  That is the only fallback.
 
-    An n whose blocks, the partial tail block and a pad block on each side
-    counted, outnumber the bytes of `MEMORY_BUDGET` is refused with
-    ConfigError before anything is allocated or drawn: its pass over the
-    uniforms would not end in useful time.
+    An n whose nb blocks (the tail block counted) plus a pad block on each
+    side exceed `MEMORY_BUDGET` is refused with ConfigError before anything
+    is drawn.  Nothing is allocated per block: the cap bounds time, as the
+    pass over the uniforms would not end in useful time.
     """
     nb = -(-n // cfg.r)                 # blocks, the partial tail block included
     if nb + 2 > MEMORY_BUDGET:
-        raise ConfigError(f"n={n} with r={cfg.r} spans {nb} blocks, over the memory "
-                          f"budget of {MEMORY_BUDGET} bytes at a byte per block")
+        raise ConfigError(f"n={n} with r={cfg.r} spans {nb} blocks; nb + 2 is over the memory "
+                          f"budget's cap of {MEMORY_BUDGET} blocks, kept as a time bound")
     size, rows = series_layout(spec, n)
     base = spec.base
     q, r, u = spec.order, cfg.r, cfg.u

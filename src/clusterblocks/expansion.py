@@ -258,8 +258,6 @@ def boundary_event_blocks(book: BlockBookkeeping) -> list:
     """Rows [j, a, s, b]: the 1-based blocks j in 2..m-2 starting a
     boundary-cluster event, with block j's times pos[a:s] and block j+1's
     pos[s:b]."""
-    if book.m < 4:
-        return []
     return _event_blocks(book, "boundary")
 
 

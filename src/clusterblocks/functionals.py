@@ -281,14 +281,12 @@ def validate_functional(h: ClusterFunctional) -> None:
 
 
 def register_functional(name: str, evaluator, gamma: float, growth_constant: float,
-                        pattern_value=None, integer_valued: bool = False,
-                        validate: bool = True) -> ClusterFunctional:
+                        pattern_value=None, integer_valued: bool = False) -> ClusterFunctional:
     h = ClusterFunctional(name=name, gamma=float(gamma),
                           growth_constant=float(growth_constant),
                           evaluator=evaluator, pattern_value=pattern_value,
                           integer_valued=integer_valued)
-    if validate:
-        validate_functional(h)
+    validate_functional(h)
     _REGISTRY[name] = h
     return h
 

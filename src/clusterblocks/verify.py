@@ -4,6 +4,10 @@ Checks the exact decomposition identity on seeded instances, the
 fast/reference path agreement (including an exhaustive enumeration of
 exceedance masks on a small grid), the Z-sampler acceptance rate, and the
 serialization round-trips.
+
+`identity_reports` and `mask_bookkeepings` are the one place the seeded
+instances and the exceedance masks are built; acceptance criteria 1 and 2
+and the pinned mask-report test read them too.
 """
 
 from __future__ import annotations
@@ -47,14 +51,28 @@ def _identity_instances(count: int, seed: int):
         yield spec, name, n, r, w, int(rng.integers(0, 2 ** 63))
 
 
+def identity_reports(count: int, seed: int, counterexample_dir=None):
+    """The `expansion_report` of each seeded instance, on its generated series."""
+    for spec, name, n, r, w, s in _identity_instances(count, seed):
+        cfg = BlockConfig(r=r, u=threshold_for_w(spec, w), w=w)
+        yield expansion_report(gen_series(spec, n, s), cfg, get_functional(name),
+                               w_source="exact", counterexample_dir=counterexample_dir)
+
+
+def mask_bookkeepings(r: int, blocks: int):
+    """(mask, bookkeeping) for masks 1..2^(r*blocks) - 1 over `blocks` blocks of
+    size r: X_i is 2 where bit i of the mask is set and 0.5 elsewhere, at u = 1."""
+    bits = np.arange(r * blocks)
+    cfg = BlockConfig(r=r, u=1.0, w=0.5)
+    for mask in range(1, 2 ** bits.size):
+        values = np.where((mask >> bits) & 1, 2.0, 0.5)
+        yield mask, block_bookkeeping(MagnitudeSeries(values=values), cfg)
+
+
 def check_identities(count: int = 60, seed: int = 20240) -> CheckResult:
     worst_paper = 0.0
     worst_path = 0.0
-    for spec, name, n, r, w, s in _identity_instances(count, seed):
-        series = gen_series(spec, n, s)
-        u = threshold_for_w(spec, w)
-        rep = expansion_report(series, BlockConfig(r=r, u=u, w=w),
-                               get_functional(name), w_source="exact")
+    for rep in identity_reports(count, seed):
         if rep.residual_identity != 0.0 or rep.residual_paper != 0.0:
             worst_paper = max(worst_paper, abs(rep.residual_identity),
                               abs(rep.residual_paper))
@@ -72,13 +90,9 @@ def check_exhaustive_masks(r: int = 3, blocks: int = 4) -> CheckResult:
     remainder enumeration and the two-route agreement, whose reference
     route runs once per event in `path_deviations`) per functional.
     """
-    n = r * blocks
     hs = [get_functional(nm) for nm in ("indicator", "length", "count")]
-    cfg = BlockConfig(r=r, u=1.0, w=0.5)
     bad = 0
-    for mask in range(1, 2 ** n):
-        values = np.where([(mask >> i) & 1 for i in range(n)], 2.0, 0.5)
-        book = block_bookkeeping(MagnitudeSeries(values=values), cfg)
+    for _, book in mask_bookkeepings(r, blocks):
         for h in hs:
             rep = decompose(book, h)
             if (rep.residual_identity != 0.0 or rep.residual_paper != 0.0
@@ -86,7 +100,7 @@ def check_exhaustive_masks(r: int = 3, blocks: int = 4) -> CheckResult:
                     or rep.bc_path_deviation != 0.0):
                 bad += 1
     return CheckResult("exhaustive mask enumeration", bad == 0,
-                       f"{2 ** n - 1} masks x {len(hs)} functionals, {bad} failures")
+                       f"{2 ** (r * blocks) - 1} masks x {len(hs)} functionals, {bad} failures")
 
 
 def check_z_acceptance(draws: int = 20000, seed: int = 7) -> CheckResult:

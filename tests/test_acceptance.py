@@ -21,7 +21,7 @@ from clusterblocks.expansion import (block_bookkeeping, boundary_cluster_stat,
                                      internal_cluster_stat, path_deviations)
 from clusterblocks.functionals import validate_functional
 from clusterblocks.harness import csv_text
-from clusterblocks.verify import _identity_instances
+from clusterblocks.verify import identity_reports, mask_bookkeepings
 
 MMA1 = ModelSpec.mma1(1.0, 1.0, 1.0)
 IND = get_functional("indicator")
@@ -38,14 +38,7 @@ def identity_runs(tmp_path_factory):
     """The shared 500 seeded decomposition instances (criteria 1 and 2)."""
     cdir = tmp_path_factory.mktemp("counterexamples")
     t0 = time.monotonic()
-    reports = []
-    for spec, name, n, r, w, s in _identity_instances(500, seed=20240):
-        series = gen_series(spec, n, s)
-        u = threshold_for_w(spec, w)
-        rep = expansion_report(series, BlockConfig(r=r, u=u, w=w),
-                               get_functional(name), w_source="exact",
-                               counterexample_dir=cdir)
-        reports.append(rep)
+    reports = list(identity_reports(500, 20240, cdir))
     return {"reports": reports, "elapsed": time.monotonic() - t0,
             "counterexample_dir": cdir}
 
@@ -70,11 +63,8 @@ def test_criterion_2_case_analysis_equivalence(identity_runs):
                    for r in reports)
     t0 = time.monotonic()
     hs = [get_functional(nm) for nm in ("indicator", "length", "count")]
-    cfg = BlockConfig(r=4, u=1.0, w=0.5)
     bad_masks = 0
-    for mask in range(1, 2 ** 16):
-        values = np.where([(mask >> i) & 1 for i in range(16)], 2.0, 0.5)
-        book = block_bookkeeping(MagnitudeSeries(values=values), cfg)
+    for _, book in mask_bookkeepings(4, 4):
         for h in hs:
             _, per_ic = internal_cluster_stat(book, h)
             ic_dev, bc_dev = path_deviations(book, h, per_ic,

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from clusterblocks import (BlockConfig, ClusterFunctional, ConfigError,
+from clusterblocks import (BlockConfig, ConfigError,
                            MagnitudeSeries, ModelSpec, block_bookkeeping,
                            block_values, disjoint_stat,
                            empirical_cluster_measure, gen_series,
@@ -18,6 +18,7 @@ from clusterblocks.blocks import (active_block_values, block_sum, padded_sum,
                                   window_sum, window_values_at)
 from clusterblocks.expansion import raw_sums
 from clusterblocks.functionals import validate_functional
+from helpers import LOG_SUM
 
 WORKED = MagnitudeSeries(values=np.array([0.5, 2.0, 0.3, 0.4, 1.5, 0.2]))
 CFG = BlockConfig(r=2, u=1.0, w=0.1)
@@ -166,13 +167,6 @@ def test_disjoint_sliding_same_mean():
     assert abs(dj.mean() - sl.mean()) <= 3 * pooled_se
 
 
-def _log_sum(w):
-    return float(np.log(w[w > 1.0]).sum())
-
-
-# Reads magnitudes, not only exceedance times, and has no pattern_value.
-LOG_SUM = ClusterFunctional(name="log_sum", gamma=1.0, growth_constant=1.0,
-                            evaluator=_log_sum)
 SEGMENT_FUNCTIONALS = [get_functional(name) for name in
                        ("indicator", "length", "count", "length^0.5")] + [LOG_SUM]
 

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clusterblocks import limits, read_series
+from clusterblocks import limits, read_series, verify
 from clusterblocks.cli import _build_parser, main
 
 
@@ -178,6 +179,29 @@ def test_verify_seeds_below_the_offsets_are_masked_to_64_bits():
         assert list(_identity_instances(3, seed)) == list(_identity_instances(3, 2 ** 64 + seed))
         assert check_threshold_roundtrip(seed) == check_threshold_roundtrip(2 ** 64 + seed)
     assert check_threshold_roundtrip(-1).passed
+
+
+def test_exhaustive_mask_check_counts_a_disagreeing_mask(monkeypatch):
+    decompose = verify.decompose
+
+    def perturbed(book, h):
+        rep = decompose(book, h)
+        if book.pos.tolist() == [1]:            # mask 1 only
+            rep = dataclasses.replace(rep, bc_path_deviation=1.0)
+        return rep
+
+    monkeypatch.setattr(verify, "decompose", perturbed)
+    res = verify.check_exhaustive_masks(r=2, blocks=3)
+    assert not res.passed
+    assert res.detail == "63 masks x 3 functionals, 3 failures"
+
+
+def test_verify_prints_fail_and_exits_1_when_a_check_fails(capsys, monkeypatch):
+    monkeypatch.setattr("clusterblocks.cli.run_verification", lambda quick, seed: [
+        verify.CheckResult("first", True, "fine"), verify.CheckResult("second", False, "2 failures")])
+    code, out, _ = run(capsys, "verify", "--quick")
+    assert code == 1
+    assert out == "ok   first: fine\nFAIL second: 2 failures\n"
 
 
 def test_simulate_byte_identical(capsys, tmp_path):

@@ -17,20 +17,12 @@ from clusterblocks.expansion import (_bc1, boundary_event_blocks, decompose,
                                      internal_event_blocks, path_deviations,
                                      reference_sums)
 from clusterblocks.functionals import eval_functional, induced_ic
+from clusterblocks.verify import mask_bookkeepings
+from helpers import LOG_SUM, log_sum
 
 IND = get_functional("indicator")
 LEN = get_functional("length")
 CNT = get_functional("count")
-
-
-def _log_sum(w):
-    return float(np.log(w[w > 1.0]).sum())
-
-
-# Reads magnitudes and has no pattern_value, so every window sum goes
-# through the evaluator.
-LOG_SUM = ClusterFunctional(name="log_sum", gamma=1.0, growth_constant=1.0,
-                            evaluator=_log_sum)
 
 
 def block_times(book, j):
@@ -215,7 +207,7 @@ def test_report_accepts_unhashable_evaluator():
         __hash__ = None             # like any class defining __eq__ alone
 
         def __call__(self, w):
-            return _log_sum(w)
+            return log_sum(w)
 
     h = ClusterFunctional(name="log_sum", gamma=1.0, growth_constant=1.0,
                           evaluator=LogSum())
@@ -432,11 +424,8 @@ GOLDEN_MASK_REPORTS = "d9545485d78ebea639541297ff2633bfc3b3e973325a9152bed2e77b7
 
 
 def test_exhaustive_mask_reports_are_pinned():
-    cfg = BlockConfig(r=3, u=1.0, w=0.5)
     digest = hashlib.sha256()
-    for mask in range(1, 2 ** 12):
-        values = np.where([(mask >> i) & 1 for i in range(12)], 2.0, 0.5)
-        book = block_bookkeeping(series_from(values), cfg)
+    for _, book in mask_bookkeepings(3, 4):
         for h in (IND, LEN, CNT):
             digest.update(decompose(book, h, verbose=True).to_json(verbose=True).encode())
     assert digest.hexdigest() == GOLDEN_MASK_REPORTS

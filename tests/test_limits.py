@@ -2,28 +2,20 @@ import dataclasses
 import hashlib
 import logging
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
 
-from clusterblocks import (ClusterFunctional, ModelError, ModelSpec,
+from clusterblocks import (ModelError, ModelSpec,
                            ZSampler, anticlustering_sum, cluster_index_mc,
                            get_functional, induced_functional, limit_table,
                            marginal_tail, mma1_constants, threshold_for_w)
 from clusterblocks.limits import expected_l_z_minus_one, joint_exceedance
+from helpers import LOGMAX, peak_bytes
 
 IND = get_functional("indicator")
 
 
-def _logmax(w):
-    top = float(np.max(w))
-    return min(1.0, math.log(top)) if top > 1.0 else 0.0
-
-
-# Reads magnitudes, so Monte Carlo must key it by the raw Z window.
-LOGMAX = ClusterFunctional(name="logmax", gamma=0.0, growth_constant=1.0,
-                           evaluator=_logmax)
 BUILTINS = ("indicator", "length", "count", "length^0.5", "length^1.5")
 MODELS = (ModelSpec.mma1(1.0, 1.0, 1.0), ModelSpec.mma1(1.0, 2.0, 1.0),
           ModelSpec.mma1(2.0, 0.5, 1.5), ModelSpec.mma1(1.0, 0.0, 1.0),
@@ -274,10 +266,4 @@ def test_cluster_index_mc_peak_memory():
     # transform on a copy, a boolean-mask gather's mask, an int64 index
     # of the codes) added a few hundred kB (1.3 MB in all)
     h = induced_functional(get_functional("length"), "ic")
-    tracemalloc.start()
-    try:
-        cluster_index_mc(h, ModelSpec.mma1(1.0, 1.0, 1.0), 20000, 3)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1.1e6
+    assert peak_bytes(lambda: cluster_index_mc(h, ModelSpec.mma1(1.0, 1.0, 1.0), 20000, 3)) < 1.1e6

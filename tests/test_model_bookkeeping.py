@@ -7,36 +7,25 @@ blocks and the bytes of their X/u).
 """
 
 import json
-import math
 
 import numpy as np
 import pytest
 
-from clusterblocks import (BlockConfig, ClusterFunctional, ConfigError, MagnitudeSeries,
+from clusterblocks import (BlockConfig, ConfigError, MagnitudeSeries,
                            ModelError, block_bookkeeping, gen_series, get_functional,
                            parse_model, threshold_for_w)
 from clusterblocks import blocks, expansion, models
 from clusterblocks.blocks import model_bookkeeping
 from clusterblocks.cli import main
 from clusterblocks.expansion import decompose, expansion_report
+from helpers import LOG_SUM, LOGMAX, log_sum, peak_bytes
 
 MODELS = ["iid:0.7", "mma1:1,1,1", "mma1:1,2,1.5", "mmaq:0.5,0,3,2", "mmaq:2,1,1,0.5,3",
           "piecewise(mma1:1,1,1):12", "piecewise(mmaq:0.5,0,3,2):5"]
 
 
-def _log_sum(w):
-    return float(np.log(w[w > 1.0]).sum())
-
-
-def _logmax(w):
-    top = float(np.max(w))
-    return min(1.0, math.log(top)) if top > 1.0 else 0.0
-
-
-# Both read magnitudes, not only exceedance times, and have no pattern_value.
 FUNCTIONALS = [get_functional(name) for name in ("indicator", "length", "count", "length^1.5")] + [
-    ClusterFunctional(name="log_sum", gamma=1.0, growth_constant=1.0, evaluator=_log_sum),
-    ClusterFunctional(name="logmax", gamma=0.0, growth_constant=1.0, evaluator=_logmax)]
+    LOG_SUM, LOGMAX]
 
 
 def assert_same_bookkeeping(got, want):
@@ -255,19 +244,8 @@ def test_a_read_outside_the_store_raises():
             book.window(lo, hi)
     # windows without an exceedance are never read, so every start is safe
     got = blocks.window_values_at(book, book.pos, np.arange(1, 40), 5, FUNCTIONALS[4])
-    assert got.tolist() == [_log_sum(values[s - 1:s + 4]) for s in range(1, 40)]
+    assert got.tolist() == [log_sum(values[s - 1:s + 4]) for s in range(1, 40)]
     assert np.count_nonzero(got) == 7
-
-
-def _peak_bytes(f):
-    import tracemalloc
-
-    tracemalloc.start()
-    try:
-        f()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 def test_model_route_memory_is_that_of_the_store():
@@ -277,7 +255,7 @@ def test_model_route_memory_is_that_of_the_store():
     w = n ** -0.6
     cfg = BlockConfig(r=12, u=threshold_for_w(spec, w), w=w)
     book = []
-    assert _peak_bytes(lambda: book.append(model_bookkeeping(spec, n, 0, cfg))) < 16e6
+    assert peak_bytes(lambda: book.append(model_bookkeeping(spec, n, 0, cfg))) < 16e6
     assert book[0].pos.size > 300 and book[0].values.size <= 3 * 12 * book[0].pos.size
 
 
@@ -307,7 +285,7 @@ def test_a_block_longer_than_the_series_costs_no_memory_of_r():
     spec = parse_model("mma1:1,1,1")
     cfg = BlockConfig(r=10 ** 7, u=threshold_for_w(spec, 0.5), w=0.5)
     book = []
-    assert _peak_bytes(lambda: book.append(model_bookkeeping(spec, 100, 0, cfg))) < 1e6
+    assert peak_bytes(lambda: book.append(model_bookkeeping(spec, 100, 0, cfg))) < 1e6
     assert book[0].m == 0 and book[0].values.size == 100
     assert_same_bookkeeping(book[0], block_bookkeeping(gen_series(spec, 100, 0), cfg))
 
@@ -325,13 +303,13 @@ def test_decompose_memory_is_that_of_the_events():
         for name in ("indicator", "length"):
             reports.append(decompose(book, get_functional(name)))
 
-    assert _peak_bytes(run) < 5e6
+    assert peak_bytes(run) < 5e6
     assert all(rep.residual_identity == 0.0 and rep.residual_paper == 0.0 for rep in reports)
 
 
 def test_an_n_over_the_memory_budget_is_refused_before_any_allocation(monkeypatch):
-    # n = 1e15 values span 1e14 blocks, over the budget at a byte per
-    # block: refused before a uniform is drawn, with nothing allocated
+    # n = 1e15 values span 1e14 blocks, over the cap of MEMORY_BUDGET
+    # blocks: refused before a uniform is drawn, with nothing allocated
     spec = parse_model("mma1:1,1,1")
     cfg = BlockConfig(r=10, u=threshold_for_w(spec, 0.01), w=0.01)
 
@@ -339,8 +317,8 @@ def test_an_n_over_the_memory_budget_is_refused_before_any_allocation(monkeypatc
         with pytest.raises(ConfigError, match="memory budget"):
             model_bookkeeping(spec, 10 ** 15, 0, cfg)
 
-    assert _peak_bytes(refused) < 1e5
-    # the bound is nb + 2 bytes, with nb the blocks of n values, the
+    assert peak_bytes(refused) < 1e5
+    # the bound is nb + 2 blocks, with nb the blocks of n values, the
     # partial tail block counted, and a pad block on each side
     n = 1001
     monkeypatch.setattr(blocks, "MEMORY_BUDGET", 103)

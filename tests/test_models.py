@@ -2,7 +2,6 @@ import hashlib
 import math
 import struct
 
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +13,7 @@ from clusterblocks import (MagnitudeSeries, ModelError, ModelSpec,
                            mma1_constants, parse_model, read_series,
                            threshold_for_w, write_series)
 from clusterblocks.models import _pareto_from_uniforms
+from helpers import peak_bytes
 
 
 def test_iid_pareto_support():
@@ -254,19 +254,10 @@ def test_pareto_in_place_power_equals_the_power_of_a_copy(alpha):
     assert _pareto_from_uniforms(u.copy(), alpha).tobytes() == expected.tobytes()
 
 
-def _peak_bytes(fn):
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def test_gen_series_peak_memory():
     # the series (8 MB) and its innovations; each temporary of the Pareto
     # transform added another 8 MB (25 MB in all)
-    peak = _peak_bytes(lambda: gen_series(parse_model("mma1:1,1,1"), 10 ** 6, seed=1))
+    peak = peak_bytes(lambda: gen_series(parse_model("mma1:1,1,1"), 10 ** 6, seed=1))
     assert peak < 18e6
 
 
