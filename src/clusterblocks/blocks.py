@@ -502,15 +502,13 @@ def sliding_stat(series: MagnitudeSeries, cfg: BlockConfig, h: ClusterFunctional
     variant: starts restricted to blocks j = 2..m-1, normalized by the
     truncated length.
     """
-    book = block_bookkeeping(series, cfg)
+    book = _blocks_of(series, cfg)
     n, m, r = len(series), book.m, cfg.r
     if cfg.interior_only:
         if m < 3:
             raise ConfigError("interior variant needs at least 3 blocks")
         total = window_sum(book, h, r + 1, (m - 1) * r)
         return float(total / (m * r * r * cfg.w))
-    if r > n:
-        raise ConfigError("block size exceeds series length")
     total = window_sum(book, h, 1, n - r + 1)
     return float(total / (n * r * cfg.w))
 

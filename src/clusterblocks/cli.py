@@ -47,6 +47,7 @@ def _build_parser() -> _Parser:
     sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("--out", required=True)
     sim.add_argument("--format", choices=("bin", "txt"), default="bin")
+    sim.set_defaults(run=_cmd_simulate)
 
     dec = sub.add_parser("decompose", help="exact SB-DB decomposition report")
     src = dec.add_mutually_exclusive_group(required=True)
@@ -61,6 +62,7 @@ def _build_parser() -> _Parser:
     dec.add_argument("--out")
     dec.add_argument("--verbose-blocks", action="store_true")
     dec.add_argument("--counterexamples", help="directory for mismatch artifacts")
+    dec.set_defaults(run=_cmd_decompose)
 
     rat = sub.add_parser("rates", help="run a rate experiment grid")
     rat.add_argument("--config", help="flat key=value config file")
@@ -74,6 +76,7 @@ def _build_parser() -> _Parser:
     rat.add_argument("--threads", type=int)
     rat.add_argument("--out", help="output prefix (<out>.csv, <out>_verdict.json)")
     rat.add_argument("--format", choices=("csv", "json"), default="csv")
+    rat.set_defaults(run=_cmd_rates)
 
     lim = sub.add_parser("limits", help="closed-form / Monte Carlo limit constants")
     lim.add_argument("--c0", type=float, required=True)
@@ -87,10 +90,12 @@ def _build_parser() -> _Parser:
     lim.add_argument("--seed", type=int, default=0)
     lim.add_argument("--format", choices=("table", "json", "csv"), default="table")
     lim.add_argument("--out")
+    lim.set_defaults(run=_cmd_limits)
 
     ver = sub.add_parser("verify", help="run identity and property suites")
     ver.add_argument("--quick", action="store_true")
     ver.add_argument("--seed", type=int, default=0)
+    ver.set_defaults(run=_cmd_verify)
     return p
 
 
@@ -272,17 +277,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.verb == "simulate":
-            return _cmd_simulate(args)
-        if args.verb == "decompose":
-            return _cmd_decompose(args)
-        if args.verb == "rates":
-            return _cmd_rates(args)
-        if args.verb == "limits":
-            return _cmd_limits(args)
-        if args.verb == "verify":
-            return _cmd_verify(args)
-        raise UsageError(f"unknown verb {args.verb!r}")
+        return args.run(args)
     except UsageError as exc:
         print(f"error:usage:{exc}", file=sys.stderr)
         return 2

@@ -173,7 +173,6 @@ class ExperimentConfig:
     seed: int
     targets: tuple
     threads: int = 1
-    max_bytes: int = MEMORY_BUDGET
 
     def __post_init__(self):
         if self.replicates < 1:
@@ -310,7 +309,7 @@ def run_experiment(cfg: ExperimentConfig) -> ConvergenceTable:
     points = cfg.resolve_grid()
     workers = max(1, min(cfg.threads, len(points) * cfg.replicates, os.cpu_count() or 1))
     n_max = max(p.n for p in points)
-    if n_max * 8 * 4 * workers > cfg.max_bytes:
+    if n_max * 8 * 4 * workers > MEMORY_BUDGET:
         raise ConfigError(
             f"n={n_max} with {workers} workers exceeds the memory budget")
 

@@ -29,24 +29,18 @@ def cluster_index_mc(h: ClusterFunctional, spec: ModelSpec, samples: int,
 
     Z windows are realized as (Z_0, Z_1) since Z_j = 0 for j >= 2 in
     MMA(1); theta enters exactly, the randomness is only in E[H(Z)].
-    H is evaluated once per distinct key and scattered back to every
-    sample, so the per-sample values, and with them the mean and standard
-    error, are those of a loop over all samples.  When H reads nothing but
-    the window's exceedance mask, the key is the mask code
-    2 [Z_0 > 1] + [Z_1 > 1], grouped in one pass with no sort (at most two
-    codes occur, evaluated in increasing order at their first sample), and
-    the per-sample values are read from a table indexed by the code with
-    `take`, so no sample-sized index array is built.  Otherwise the key is
-    the window itself, grouped by np.unique.
+    When H reads nothing but the window's exceedance mask, H is evaluated
+    once per mask code 2 [Z_0 > 1] + [Z_1 > 1] that occurs, in increasing
+    order at its first sample, and the per-sample values are read from a
+    table indexed by the code with `take`, so no sample-sized index array
+    is built.  Any other H is evaluated once per sample, in sample order:
+    Z is continuous, so its windows do not repeat.  Either way the mean
+    and standard error are those of a loop over all samples.
     """
     if samples < 1000:
         raise ModelError("need at least 1000 Monte Carlo samples")
     sampler = ZSampler(spec, seed)
     z0, z1 = sampler.sample_z_many(samples)
-
-    def evaluate(first):        # H at each key's first sample, in order
-        return np.array([h.evaluator(np.array((z0[i], z1[i]))) for i in first], dtype=float)
-
     if h.exceedance_only:
         code = (z0 > 1.0).view(np.int8)
         code <<= 1
@@ -54,13 +48,11 @@ def cluster_index_mc(h: ClusterFunctional, spec: ModelSpec, samples: int,
         present = np.flatnonzero(np.bincount(code, minlength=4))
         first = [int(np.argmax(code == c)) for c in present]
         table = np.zeros(4)
-        table[present] = evaluate(first)
+        table[present] = [h.evaluator(np.array((z0[i], z1[i]))) for i in first]
         vals = table.take(code)
     else:
-        _, first, inverse = np.unique(np.stack((z0, z1), axis=1), axis=0,
-                                      return_index=True, return_inverse=True)
-        first = first.tolist()
-        vals = evaluate(first)[inverse.reshape(-1)]     # numpy 2.0.0 returns a column
+        first = range(samples)
+        vals = np.array([h.evaluator(np.array(w)) for w in zip(z0, z1)], dtype=float)
     log.debug("cluster_index_mc %s: %d samples, %d Z draws, %d accepted, "
               "%d evaluator calls", h.name, samples, sampler.book.draws,
               sampler.book.accepted, len(first))
@@ -117,8 +109,11 @@ class LimitTable:
 def limit_table(spec: ModelSpec, h: ClusterFunctional, gamma: float = 1.0,
                 samples: int = 20000, seed: int = 0,
                 constants: frozenset | None = None) -> LimitTable:
-    """Fill the limit constants, using Monte Carlo only where no closed
-    form is available for the given functional.
+    """Fill the limit constants.  nu_ic and nu_bc are Monte Carlo
+    estimates, except for the indicator, whose closed form the Monte
+    Carlo would only approximate.  (A linear H such as count needs none:
+    its induced IC and BC values are exactly 0 on every window, so the
+    estimates are 0.0 with SE 0.0.)
 
     constants names the constants the caller reads (None: all of them).
     When it holds neither nu_ic nor nu_bc, the two Monte Carlo estimates
@@ -141,9 +136,6 @@ def limit_table(spec: ModelSpec, h: ClusterFunctional, gamma: float = 1.0,
 
     if h.name == "indicator":
         nu_ic, nu_bc = p_y1, -p_y1          # theta * E[L(Z)-1] and its negative
-        se_ic = se_bc = 0.0
-    elif h.name == "count":
-        nu_ic = nu_bc = 0.0                 # linear functional
         se_ic = se_bc = 0.0
     elif constants is not None and constants.isdisjoint(("nu_ic", "nu_bc")):
         for kind in ("ic", "bc"):

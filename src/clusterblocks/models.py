@@ -380,13 +380,17 @@ class ZBookkeeping:
 class ZSampler:
     """Tail process Y and the rejection sampler for Z = Y | Y*_{-inf,-1} <= 1.
 
-    Y_1 = B (c1/c0) Y_0 and Y_-1 = (1-B) (c0/c1) Y_0 with B Bernoulli of
-    mean c0^a / (c0^a + c1^a); a draw is accepted as Z when y_minus1 <= 1.
-    The running acceptance rate estimates the candidate extremal index.
+    Y_1 = B trail Y_0 and Y_-1 = (1-B) lead Y_0, with lead = c0/c1 and
+    trail = c1/c0 and B Bernoulli of mean c0^a / (c0^a + c1^a); a draw is
+    accepted as Z when y_minus1 <= 1.  lead is 0.0 at c1 = 0, where B
+    always holds, and trail is 0.0 at c0 = 0, where B never holds; an
+    infinite trail is multiplied only where B holds, so no 0 * inf puts a
+    NaN in Z_1.  The running acceptance rate estimates the candidate
+    extremal index.
 
     A batch draws its Pareto uniforms, then B's, and makes each
     batch-sized pass in a buffer it already holds: the Pareto transform in
-    its uniforms, (c0/c1) Y_0 in B's.  The accepted draws are gathered with
+    its uniforms, lead Y_0 in B's.  The accepted draws are gathered with
     `take` on their indices, about five times faster than a boolean-mask
     gather of the same values.  A Y_0 past the largest float (an alpha
     near 0) is refused with ModelError, as gen_series refuses an infinite
@@ -399,6 +403,8 @@ class ZSampler:
         self.alpha = spec.base.alpha
         self.theta, p_y1 = mma1_constants(self.c0, self.c1, self.alpha)  # the acceptance rate
         self.p_b = self.theta if self.c0 >= self.c1 else p_y1          # c0^a / (c0^a + c1^a)
+        self.lead = self.c0 / self.c1 if self.c1 > 0 else 0.0     # y_-1 / y_0 without B
+        self.trail = self.c1 / self.c0 if self.c0 > 0 else 0.0    # y_1 / y_0 with B
         self.rng = _rng(seed)
         self.book = ZBookkeeping()
 
@@ -410,20 +416,12 @@ class ZSampler:
             raise ModelError(f"Pareto draws overflow a float at alpha={self.alpha!r}")
         u = self.rng.random(k)
         b = u < self.p_b
-        if self.c1 > 0:             # y_-1 is 0 where B holds, else (c0/c1) y_0
-            keep = np.multiply(self.c0 / self.c1, y0, out=u) <= 1.0
-            del u                   # B's uniforms, overwritten and read
-            keep = np.flatnonzero(np.logical_or(keep, b, out=keep))
-            y0, b = y0.take(keep), b.take(keep)
-        # y0 * B is np.where(b, y0, 0.0) for a finite y0, at a third of its
-        # cost; all zeros at c0 = 0, where B never holds
-        z1 = y0 * b
-        if self.c0 > 0:
-            scale = self.c1 / self.c0
-            if np.isinf(scale):     # 0 * inf would put NaN where B fails
-                np.multiply(z1, scale, out=z1, where=b)
-            else:
-                z1 *= scale
+        keep = np.multiply(self.lead, y0, out=u) <= 1.0
+        del u                       # B's uniforms, overwritten and read
+        keep = np.flatnonzero(np.logical_or(keep, b, out=keep))
+        y0, b = y0.take(keep), b.take(keep)
+        z1 = np.zeros(y0.size)
+        np.multiply(y0, self.trail, out=z1, where=b)
         self.book.draws += k
         self.book.accepted += y0.size
         return y0, z1

@@ -6,8 +6,9 @@ exceedance masks on a small grid), the Z-sampler acceptance rate, and the
 serialization round-trips.
 
 `identity_reports` and `mask_bookkeepings` are the one place the seeded
-instances and the exceedance masks are built; acceptance criteria 1 and 2
-and the pinned mask-report test read them too.
+instances and the exceedance masks are built, and `z_acceptance_runs` the
+one place the Z sampler's acceptance runs are made; acceptance criteria 1,
+2 and 6 and the pinned mask-report test read them too.
 """
 
 from __future__ import annotations
@@ -23,8 +24,7 @@ from .expansion import decompose, expansion_report
 from .functionals import get_functional
 from .harness import ConvergenceTable, TableRow, load, persist
 from .models import (MagnitudeSeries, ModelSpec, ZSampler, _mask_seed, gen_series,
-                     marginal_tail, mma1_constants, read_series, threshold_for_w,
-                     write_series)
+                     marginal_tail, read_series, threshold_for_w, write_series)
 
 
 @dataclass
@@ -103,18 +103,23 @@ def check_exhaustive_masks(r: int = 3, blocks: int = 4) -> CheckResult:
                        f"{2 ** (r * blocks) - 1} masks x {len(hs)} functionals, {bad} failures")
 
 
+def z_acceptance_runs(draws: int, seed: int):
+    """(c0, c1, alpha, rate, theta, se) of one Z sampler per MMA(1) parameter
+    set: its acceptance rate after max(1, draws * theta) accepted draws, the
+    rate's target theta, and the binomial standard error of the rate."""
+    for c0, c1, alpha in ((1.0, 1.0, 1.0), (1.0, 2.0, 1.0), (1.0, 1.0, 2.0)):
+        sampler = ZSampler(ModelSpec.mma1(c0, c1, alpha), seed)
+        theta = sampler.theta
+        sampler.sample_z_many(max(1, int(draws * theta)))
+        se = math.sqrt(theta * (1 - theta) / sampler.book.draws)
+        yield c0, c1, alpha, sampler.book.acceptance_rate, theta, se
+
+
 def check_z_acceptance(draws: int = 20000, seed: int = 7) -> CheckResult:
-    params = [(1.0, 1.0, 1.0), (1.0, 2.0, 1.0), (1.0, 1.0, 2.0)]
     details = []
     ok = True
-    for c0, c1, alpha in params:
-        theta, _ = mma1_constants(c0, c1, alpha)
-        sampler = ZSampler(ModelSpec.mma1(c0, c1, alpha), seed)
-        sampler.sample_z_many(max(1, int(draws * theta)))
-        rate = sampler.book.acceptance_rate
-        se = math.sqrt(theta * (1 - theta) / sampler.book.draws)
-        good = abs(rate - theta) <= 3 * se + 1e-12
-        ok = ok and good
+    for c0, c1, alpha, rate, theta, se in z_acceptance_runs(draws, seed):
+        ok = ok and abs(rate - theta) <= 3 * se + 1e-12
         details.append(f"({c0:g},{c1:g},{alpha:g}): {rate:.4f} vs {theta:.4f}")
     return CheckResult("Z-sampler acceptance", ok, "; ".join(details))
 

@@ -11,17 +11,16 @@ import numpy as np
 import pytest
 
 from clusterblocks import (BlockConfig, ExperimentConfig, MagnitudeSeries,
-                           ModelSpec, ZSampler, cluster_index_mc,
-                           expansion_report, expected_targets, gen_series,
-                           get_functional, induced_functional, limit_table,
-                           load, mma1_constants, persist, read_series,
-                           run_experiment, summarize, threshold_for_w,
-                           write_series)
+                           ModelSpec, cluster_index_mc, expansion_report,
+                           expected_targets, gen_series, get_functional,
+                           induced_functional, limit_table, load, persist,
+                           read_series, run_experiment, summarize,
+                           threshold_for_w, write_series)
 from clusterblocks.expansion import (block_bookkeeping, boundary_cluster_stat,
                                      internal_cluster_stat, path_deviations)
 from clusterblocks.functionals import validate_functional
 from clusterblocks.harness import csv_text
-from clusterblocks.verify import identity_reports, mask_bookkeepings
+from clusterblocks.verify import identity_reports, mask_bookkeepings, z_acceptance_runs
 
 MMA1 = ModelSpec.mma1(1.0, 1.0, 1.0)
 IND = get_functional("indicator")
@@ -264,14 +263,8 @@ def test_criterion_5_large_block_limits():
 def test_criterion_6_z_process_oracles():
     details = []
     ok = True
-    for c0, c1, alpha in ((1.0, 1.0, 1.0), (1.0, 2.0, 1.0), (1.0, 1.0, 2.0)):
-        theta, _ = mma1_constants(c0, c1, alpha)
-        sampler = ZSampler(ModelSpec.mma1(c0, c1, alpha), seed=7)
-        sampler.sample_z_many(int(1e5 * theta))
-        rate = sampler.book.acceptance_rate
-        se = math.sqrt(theta * (1 - theta) / sampler.book.draws)
-        good = abs(rate - theta) <= 3 * se
-        ok = ok and good
+    for c0, c1, alpha, rate, theta, se in z_acceptance_runs(10 ** 5, seed=7):
+        ok = ok and abs(rate - theta) <= 3 * se
         details.append(f"accept({c0:g},{c1:g},{alpha:g})={rate:.4f}~{theta:.4f}")
     est_ic, se_ic = cluster_index_mc(induced_functional(IND, "ic"), MMA1,
                                      samples=10 ** 5, seed=13)

@@ -65,6 +65,14 @@ def test_config_validation():
         disjoint_stat(WORKED, BlockConfig(r=7, u=1.0, w=0.1), IND)
 
 
+@pytest.mark.parametrize("interior_only", [False, True])
+def test_every_estimator_refuses_a_series_shorter_than_a_block(interior_only):
+    cfg = BlockConfig(r=7, u=1.0, w=0.1, interior_only=interior_only)
+    for estimator in (block_values, disjoint_stat, sliding_stat, empirical_cluster_measure):
+        with pytest.raises(ConfigError, match="shorter than one block"):
+            estimator(WORKED, cfg, IND)
+
+
 def test_interior_variants():
     cfg = BlockConfig(r=2, u=1.0, w=0.1, interior_only=True)
     # only block 2 ([0.3, 0.4]) is interior: no exceedance

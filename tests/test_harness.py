@@ -14,6 +14,7 @@ from clusterblocks import (BlockConfig, ConfigError, ExperimentConfig, Magnitude
                            expected_targets, get_functional,
                            limit_table, load, persist, run_experiment,
                            summarize)
+from clusterblocks import harness
 from clusterblocks.harness import (CSV_HEADER, TARGETS, ConvergenceTable, TableRow,
                                    csv_text, limit_constants, parse_rule, parse_target)
 
@@ -51,7 +52,7 @@ def test_parse_target():
         small_config(targets=("clm_large(2000)",)).resolve_grid()
 
 
-def test_config_validation():
+def test_config_validation(monkeypatch):
     with pytest.raises(ConfigError):
         small_config(replicates=0)
     with pytest.raises(ConfigError):
@@ -60,8 +61,9 @@ def test_config_validation():
         small_config(targets=("bogus",))
     with pytest.raises(ConfigError):
         small_config(grid=((2000, "n^0.9", "n^-0.55"),)).resolve_grid()
+    monkeypatch.setattr(harness, "MEMORY_BUDGET", 1000)
     with pytest.raises(ConfigError):
-        run_experiment(small_config(max_bytes=1000))
+        run_experiment(small_config())
 
 
 def test_experiment_is_deterministic_and_thread_invariant():
@@ -104,9 +106,11 @@ def test_worker_pool_is_capped(monkeypatch):
     assert csv_text(one) == csv_text(three)
     # the memory budget counts the capped pool, not the requested one
     budget = 4000 * 8 * 4 * 4
-    run_experiment(small_config(replicates=3, threads=10 ** 6, max_bytes=budget))
+    monkeypatch.setattr(harness, "MEMORY_BUDGET", budget)
+    run_experiment(small_config(replicates=3, threads=10 ** 6))
+    monkeypatch.setattr(harness, "MEMORY_BUDGET", budget - 1)
     with pytest.raises(ConfigError):
-        run_experiment(small_config(replicates=3, threads=10 ** 6, max_bytes=budget - 1))
+        run_experiment(small_config(replicates=3, threads=10 ** 6))
 
 
 def test_seed_changes_output():

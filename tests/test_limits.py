@@ -239,15 +239,18 @@ def test_one_evaluator_call_per_mask(caplog):
 
 
 # (draws, sha256 of the z_0 and z_1 bytes) of 5000 Z samples at seed 7,
-# recorded while the sampler still computed theta itself and, for the
-# c0 = 0 row, while it still built z_1 for every draw; listed in the order
-# of the test ids
+# recorded while the sampler still computed theta itself, for the c0 = 0
+# row while it still built z_1 for every draw, and for the two 5e-324 rows
+# (c1/c0 and c0/c1 overflow to inf) while it still branched on the
+# coefficients; listed in the order of the test ids
 GOLDEN_Z = {
     (1.0, 0.0, 0.7): (6500, "5a91f11bd53a575f0364914e55408a77a93f7e7e559a5fc22b505d7a8b38362f"),
     (1.0, 1.0, 1.0): (13000, "8cf3808374623f6c4717a740161ce6a938851c7a44097c6ef5a74420505c4e92"),
     (1.0, 2.0, 1.0): (9750, "b24caedc53a6319c9d96ac0e411869cf46afa1cdbb033a9b8143e2cc54b62f21"),
     (2.0, 1.0, 1.5): (8798, "a85b1da7928d5026530b5fb1390219694a98f89d13b831a1604d8fba1e95c089"),
     (0.0, 1.0, 1.0): (6500, "07399dc995122a7c138b727edc68b2be20a0eae6cefa98bcb957cd815d4d4c9a"),
+    (5e-324, 1.0, 1.0): (6500, "07399dc995122a7c138b727edc68b2be20a0eae6cefa98bcb957cd815d4d4c9a"),
+    (1.0, 5e-324, 1.0): (6500, "cfc1ac16ae71e85085ef338161e6f60563f226a0cd24af0f5a40951aef52e0c6"),
 }
 
 
