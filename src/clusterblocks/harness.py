@@ -9,7 +9,6 @@ configuration regardless of worker count.
 
 from __future__ import annotations
 
-import concurrent.futures
 import hashlib
 import json
 import math
@@ -303,11 +302,36 @@ def _worker(args):
     return _replicate_values(model, point, functional, targets, seed)
 
 
+# -- process pool --------------------------------------------------------------
+
+
+def pool_size(requested: int, jobs: int) -> int:
+    """The workers that run `jobs` jobs: min(requested, jobs, CPU count), >= 1."""
+    return max(1, min(requested, jobs, os.cpu_count() or 1))
+
+
+def pool_map(fn: Callable, jobs: list, workers: int, chunksize: int = 1) -> list:
+    """[fn(job) for job in jobs] on pool_size(workers, len(jobs)) processes.
+
+    fn must be a module-level function.  At one worker the jobs run
+    in-process; otherwise they run on a process pool of the platform's
+    default start method, which is shut down (every worker joined) before
+    the results return, in job order.
+    """
+    workers = pool_size(workers, len(jobs))
+    if workers == 1:
+        return [fn(job) for job in jobs]
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, jobs, chunksize=chunksize))
+
+
 def run_experiment(cfg: ExperimentConfig) -> ConvergenceTable:
     """Run all replicates over the grid and aggregate per-target moments."""
     t0 = time.monotonic()
     points = cfg.resolve_grid()
-    workers = max(1, min(cfg.threads, len(points) * cfg.replicates, os.cpu_count() or 1))
+    workers = pool_size(cfg.threads, len(points) * cfg.replicates)
     n_max = max(p.n for p in points)
     if n_max * 8 * 4 * workers > MEMORY_BUDGET:
         raise ConfigError(
@@ -323,11 +347,7 @@ def run_experiment(cfg: ExperimentConfig) -> ConvergenceTable:
             seeds_seen[s] = (g, k)
             jobs.append((cfg.model, points[g], cfg.functional, cfg.targets, s))
 
-    if workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_worker, jobs, chunksize=8))
-    else:
-        results = [_worker(j) for j in jobs]
+    results = pool_map(_worker, jobs, workers, chunksize=8)
 
     rows = []
     for g, point in enumerate(points):

@@ -23,6 +23,12 @@ from .models import ModelSpec, ZSampler, marginal_tail, mma1_constants
 log = logging.getLogger("clusterblocks")
 
 
+def check_samples(samples: int) -> None:
+    """ModelError unless a Monte Carlo estimate may use `samples` samples."""
+    if samples < 1000:
+        raise ModelError("need at least 1000 Monte Carlo samples")
+
+
 def cluster_index_mc(h: ClusterFunctional, spec: ModelSpec, samples: int,
                      seed: int) -> tuple[float, float]:
     """Monte Carlo cluster index theta * E[H(Z)] with its standard error.
@@ -37,8 +43,7 @@ def cluster_index_mc(h: ClusterFunctional, spec: ModelSpec, samples: int,
     Z is continuous, so its windows do not repeat.  Either way the mean
     and standard error are those of a loop over all samples.
     """
-    if samples < 1000:
-        raise ModelError("need at least 1000 Monte Carlo samples")
+    check_samples(samples)
     sampler = ZSampler(spec, seed)
     z0, z1 = sampler.sample_z_many(samples)
     if h.exceedance_only:
@@ -120,8 +125,10 @@ def limit_table(spec: ModelSpec, h: ClusterFunctional, gamma: float = 1.0,
     are not run and those two constants and their SEs are NaN.  The
     induced IC and BC forms of H are still evaluated once on each Z
     window mask, (1, 0) and (1, 1), so a functional whose estimates would
-    overflow a float is refused either way.
+    overflow a float is refused either way.  Too few samples are refused
+    whether or not an estimate runs.
     """
+    check_samples(samples)
     g = float(gamma)
     if not (np.isfinite(g) and g >= 0):
         raise ConfigError(f"gamma must be finite and >= 0, got {gamma!r}")

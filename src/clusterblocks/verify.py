@@ -9,6 +9,11 @@ serialization round-trips.
 instances and the exceedance masks are built, and `z_acceptance_runs` the
 one place the Z sampler's acceptance runs are made; acceptance criteria 1,
 2 and 6 and the pinned mask-report test read them too.
+
+The exhaustive enumeration runs its masks in contiguous ranges on a
+process pool of one worker per CPU (`harness.pool_map`, as `rates` uses)
+and prints only the total failure count, so its output is the same at any
+worker count.  The other checks run in-process.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ import numpy as np
 from .blocks import BlockConfig, block_bookkeeping
 from .expansion import decompose, expansion_report
 from .functionals import get_functional
-from .harness import ConvergenceTable, TableRow, load, persist
+from .harness import ConvergenceTable, TableRow, load, persist, pool_map, pool_size
 from .models import (MagnitudeSeries, ModelSpec, ZSampler, _mask_seed, gen_series,
                      marginal_tail, read_series, threshold_for_w, write_series)
 
@@ -59,12 +64,13 @@ def identity_reports(count: int, seed: int, counterexample_dir=None):
                                w_source="exact", counterexample_dir=counterexample_dir)
 
 
-def mask_bookkeepings(r: int, blocks: int):
-    """(mask, bookkeeping) for masks 1..2^(r*blocks) - 1 over `blocks` blocks of
-    size r: X_i is 2 where bit i of the mask is set and 0.5 elsewhere, at u = 1."""
+def mask_bookkeepings(r: int, blocks: int, masks: range | None = None):
+    """(mask, bookkeeping) for each mask in `masks` (default: all masks
+    1..2^(r*blocks) - 1) over `blocks` blocks of size r: X_i is 2 where bit i
+    of the mask is set and 0.5 elsewhere, at u = 1."""
     bits = np.arange(r * blocks)
     cfg = BlockConfig(r=r, u=1.0, w=0.5)
-    for mask in range(1, 2 ** bits.size):
+    for mask in range(1, 2 ** bits.size) if masks is None else masks:
         values = np.where((mask >> bits) & 1, 2.0, 0.5)
         yield mask, block_bookkeeping(MagnitudeSeries(values=values), cfg)
 
@@ -83,24 +89,45 @@ def check_identities(count: int = 60, seed: int = 20240) -> CheckResult:
                        f"max path deviation {worst_path:g}")
 
 
-def check_exhaustive_masks(r: int = 3, blocks: int = 4) -> CheckResult:
-    """Every exceedance placement over `blocks` blocks of size r.
+MASK_FUNCTIONALS = ("indicator", "length", "count")
+# Contiguous mask ranges per worker: masks with more bits set cost more, so
+# several ranges each let the pool even out the load.
+RANGES_PER_WORKER = 4
 
-    One bookkeeping per mask; the whole decomposition (identity,
-    remainder enumeration and the two-route agreement, whose reference
-    route runs once per event in `path_deviations`) per functional.
-    """
-    hs = [get_functional(nm) for nm in ("indicator", "length", "count")]
+
+def _failing_decompositions(job) -> int:
+    """How many of the decompositions of the masks in one (r, blocks, masks)
+    range fail: a nonzero residual or a nonzero path deviation."""
+    r, blocks, masks = job
+    hs = [get_functional(nm) for nm in MASK_FUNCTIONALS]
     bad = 0
-    for _, book in mask_bookkeepings(r, blocks):
+    for _, book in mask_bookkeepings(r, blocks, masks):
         for h in hs:
             rep = decompose(book, h)
             if (rep.residual_identity != 0.0 or rep.residual_paper != 0.0
                     or rep.ic_path_deviation != 0.0
                     or rep.bc_path_deviation != 0.0):
                 bad += 1
+    return bad
+
+
+def check_exhaustive_masks(r: int = 3, blocks: int = 4) -> CheckResult:
+    """Every exceedance placement over `blocks` blocks of size r.
+
+    One bookkeeping per mask; the whole decomposition (identity,
+    remainder enumeration and the two-route agreement, whose reference
+    route runs once per event in `path_deviations`) per functional.  The
+    masks are split into contiguous ranges that run on as many workers as
+    `rates` would start at one per CPU (`harness.pool_map`); the check
+    reports the sum of the ranges' failure counts, the same at any count.
+    """
+    count = 2 ** (r * blocks) - 1
+    parts = min(count, RANGES_PER_WORKER * pool_size(count, count))   # 1 worker per CPU
+    edges = [1 + count * i // parts for i in range(parts + 1)]
+    jobs = [(r, blocks, range(lo, hi)) for lo, hi in zip(edges, edges[1:])]
+    bad = sum(pool_map(_failing_decompositions, jobs, len(jobs)))
     return CheckResult("exhaustive mask enumeration", bad == 0,
-                       f"{2 ** (r * blocks) - 1} masks x {len(hs)} functionals, {bad} failures")
+                       f"{count} masks x {len(MASK_FUNCTIONALS)} functionals, {bad} failures")
 
 
 def z_acceptance_runs(draws: int, seed: int):

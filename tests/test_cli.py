@@ -149,13 +149,6 @@ def test_rates_config_file_with_flag_override(capsys, tmp_path):
     assert v1["rows"]["ic_norm"]["final_mean"] != v2["rows"]["ic_norm"]["final_mean"]
 
 
-def test_verify_quick(capsys):
-    code, out, _ = run(capsys, "verify", "--quick")
-    assert code == 0
-    assert "decomposition identities" in out
-    assert "FAIL" not in out
-
-
 # sha256 of `verify --quick --seed s` stdout
 GOLDEN_VERIFY = {
     0: "e5aca88e27187157f516b3d752bb28b20bf6fa6902d0507ec7ac18d1f6ed6d3f",
@@ -164,10 +157,15 @@ GOLDEN_VERIFY = {
 
 
 @pytest.mark.parametrize("seed", sorted(GOLDEN_VERIFY))
-def test_verify_quick_stdout_is_pinned(capsys, seed):
-    code, out, _ = run(capsys, "verify", "--quick", "--seed", str(seed))
-    assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_VERIFY[seed]
+def test_verify_quick_stdout_is_pinned(capsys, monkeypatch, seed):
+    # the exhaustive masks run in-process at 1 CPU and on a pool at 3
+    for cpus in (1, 3):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        code, out, _ = run(capsys, "verify", "--quick", "--seed", str(seed))
+        assert code == 0
+        assert "decomposition identities" in out
+        assert "FAIL" not in out
+        assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_VERIFY[seed]
 
 
 def test_verify_seeds_below_the_offsets_are_masked_to_64_bits():
@@ -191,6 +189,22 @@ def test_exhaustive_mask_check_counts_a_disagreeing_mask(monkeypatch):
         return rep
 
     monkeypatch.setattr(verify, "decompose", perturbed)
+    res = verify.check_exhaustive_masks(r=2, blocks=3)
+    assert not res.passed
+    assert res.detail == "63 masks x 3 functionals, 3 failures"
+
+
+def test_exhaustive_mask_check_sums_the_failures_of_every_range(monkeypatch):
+    decompose = verify.decompose
+
+    def perturbed(book, h):
+        rep = decompose(book, h)
+        if book.pos.tolist() == [1, 2, 3, 4, 5, 6]:   # the last mask, all bits set
+            rep = dataclasses.replace(rep, ic_path_deviation=1.0)
+        return rep
+
+    monkeypatch.setattr(verify, "decompose", perturbed)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)     # 12 ranges on 3 workers
     res = verify.check_exhaustive_masks(r=2, blocks=3)
     assert not res.passed
     assert res.detail == "63 masks x 3 functionals, 3 failures"
@@ -325,6 +339,9 @@ def no_replicate(*args):
       "--functional", "length"], None, 1, "model"),
     (["limits", "--c0", "1", "--c1", "1", "--alpha", "1e-300", "--samples", "1000",
       "--functional", "length"], None, 1, "model"),
+    # too few Monte Carlo samples, even where the indicator needs none
+    (LIMITS + ["--samples", "-5"], None, 1, "model"),
+    (LIMITS + ["--samples", "5"], None, 1, "model"),
 ])
 def test_parse_errors_fail_closed(capsys, monkeypatch, argv, env, code, category):
     if env is not None:

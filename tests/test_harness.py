@@ -2,6 +2,7 @@ import concurrent.futures
 import dataclasses
 import hashlib
 import math
+import multiprocessing
 import os
 
 import numpy as np
@@ -111,6 +112,25 @@ def test_worker_pool_is_capped(monkeypatch):
     monkeypatch.setattr(harness, "MEMORY_BUDGET", budget - 1)
     with pytest.raises(ConfigError):
         run_experiment(small_config(replicates=3, threads=10 ** 6))
+
+
+def test_no_worker_outlives_a_call(monkeypatch):
+    from clusterblocks import verify
+
+    sizes = []
+
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert verify.check_exhaustive_masks(r=2, blocks=3).passed
+    assert multiprocessing.active_children() == []
+    run_experiment(small_config(threads=2))
+    assert multiprocessing.active_children() == []
+    assert sizes == [2, 2]
 
 
 def test_seed_changes_output():
