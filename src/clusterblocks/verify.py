@@ -89,17 +89,17 @@ def check_identities(count: int = 60, seed: int = 20240) -> CheckResult:
                        f"max path deviation {worst_path:g}")
 
 
-MASK_FUNCTIONALS = ("indicator", "length", "count")
-# Contiguous mask ranges per worker: masks with more bits set cost more, so
-# several ranges each let the pool even out the load.
-RANGES_PER_WORKER = 4
+_MASK_FUNCTIONALS = ("indicator", "length", "count")
+# Contiguous mask ranges per worker: with several each, a worker that
+# finishes early takes another range instead of waiting on a slow one.
+_RANGES_PER_WORKER = 4
 
 
 def _failing_decompositions(job) -> int:
     """How many of the decompositions of the masks in one (r, blocks, masks)
     range fail: a nonzero residual or a nonzero path deviation."""
     r, blocks, masks = job
-    hs = [get_functional(nm) for nm in MASK_FUNCTIONALS]
+    hs = [get_functional(nm) for nm in _MASK_FUNCTIONALS]
     bad = 0
     for _, book in mask_bookkeepings(r, blocks, masks):
         for h in hs:
@@ -117,17 +117,17 @@ def check_exhaustive_masks(r: int = 3, blocks: int = 4) -> CheckResult:
     One bookkeeping per mask; the whole decomposition (identity,
     remainder enumeration and the two-route agreement, whose reference
     route runs once per event in `path_deviations`) per functional.  The
-    masks are split into contiguous ranges that run on as many workers as
-    `rates` would start at one per CPU (`harness.pool_map`); the check
-    reports the sum of the ranges' failure counts, the same at any count.
+    masks are split into contiguous ranges that run on one worker per CPU
+    (`harness.pool_map`); the check reports the sum of the ranges' failure
+    counts, which is the same at any worker count.
     """
     count = 2 ** (r * blocks) - 1
-    parts = min(count, RANGES_PER_WORKER * pool_size(count, count))   # 1 worker per CPU
+    parts = min(count, _RANGES_PER_WORKER * pool_size(count, count))   # 1 worker per CPU
     edges = [1 + count * i // parts for i in range(parts + 1)]
     jobs = [(r, blocks, range(lo, hi)) for lo, hi in zip(edges, edges[1:])]
     bad = sum(pool_map(_failing_decompositions, jobs, len(jobs)))
     return CheckResult("exhaustive mask enumeration", bad == 0,
-                       f"{count} masks x {len(MASK_FUNCTIONALS)} functionals, {bad} failures")
+                       f"{count} masks x {len(_MASK_FUNCTIONALS)} functionals, {bad} failures")
 
 
 def z_acceptance_runs(draws: int, seed: int):
