@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import functools
 import hashlib
 import io
 import json
@@ -156,15 +157,32 @@ GOLDEN_VERIFY = {
 }
 
 
+@functools.cache
+def verify_quick(seed, cpus):
+    """Exit code and stdout of `verify --quick --seed seed` at `cpus` CPUs.
+
+    Cached, so the tests that read the same run share one call.
+    """
+    out = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(out):
+        mp.setattr(os, "cpu_count", lambda: cpus)
+        code = main(["verify", "--quick", "--seed", str(seed)])
+    return code, out.getvalue()
+
+
+def test_verify_quick():
+    code, out = verify_quick(0, 1)
+    assert code == 0
+    assert "decomposition identities" in out
+    assert "FAIL" not in out
+
+
 @pytest.mark.parametrize("seed", sorted(GOLDEN_VERIFY))
-def test_verify_quick_stdout_is_pinned(capsys, monkeypatch, seed):
+def test_verify_quick_stdout_is_pinned(seed):
     # the exhaustive masks run in-process at 1 CPU and on a pool at 3
     for cpus in (1, 3):
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        code, out, _ = run(capsys, "verify", "--quick", "--seed", str(seed))
+        code, out = verify_quick(seed, cpus)
         assert code == 0
-        assert "decomposition identities" in out
-        assert "FAIL" not in out
         assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_VERIFY[seed]
 
 
