@@ -31,7 +31,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -75,6 +74,23 @@ def _cache():
     return field(default_factory=dict, init=False, repr=False, compare=False)
 
 
+class _once:
+    """A value computed from the bookkeeping on first use and kept in its
+    `__dict__`: `functools.cached_property` without the lock that Python
+    3.11 takes on every first access."""
+
+    def __init__(self, func):
+        self.func = func
+        self.name = func.__name__
+        self.__doc__ = func.__doc__
+
+    def __get__(self, book, owner=None):
+        if book is None:
+            return self
+        value = book.__dict__[self.name] = self.func(book)
+        return value
+
+
 @dataclass
 class BlockBookkeeping:
     """Per-block exceedance data for a series of n values cut into m blocks of size r.
@@ -96,11 +112,15 @@ class BlockBookkeeping:
     routes build equal bookkeepings.  Every window that holds an
     exceedance lies in these blocks; `window` is the one way to read them.
 
-    The cached properties, `segments`, `window_keys` and the dicts below
-    keep what the readers derive from `pos`, `active` and r, in O(k r)
-    time and memory, filled on first use and shared by every functional
-    evaluated on the bookkeeping.  Nothing is recomputed, so a bookkeeping
-    is not to be mutated once read.
+    What the readers derive from `pos`, `active` and r (the `_once`
+    values, `segments`, the window keys and the dicts below) is kept in
+    O(k r) time and memory, filled on first use and shared by every
+    functional evaluated on the bookkeeping.  The window keys come in key
+    tables: each `key` call searches `pos` once for all the start arrays
+    it is given, and a pattern-backed H is evaluated once per table and
+    functional, each start array reading back its own slice.  Nothing is
+    recomputed, so a bookkeeping, and an array it returns, is not to be
+    mutated once read.
     """
 
     r: int
@@ -116,46 +136,50 @@ class BlockBookkeeping:
     sums: dict = _cache()       # id(h): (h, reference_sums)
     events: dict = _cache()     # kind: event rows
     _segments: dict = _cache()  # (lo, hi): window_segments(pos, r, lo, hi)
-    _keys: dict = _cache()      # id(starts): (starts, counts, lengths)
+    _keys: dict = _cache()      # id(starts): (starts, key table, slice of starts in it)
 
-    @cached_property
+    @_once
     def active_list(self) -> list:
         return self.active.tolist()
 
-    @cached_property
+    @_once
     def active_set(self) -> set:
         return set(self.active_list)
 
-    @cached_property
+    @_once
     def pos_list(self) -> list:
         return self.pos.tolist()
 
-    @cached_property
+    @_once
     def _padded(self) -> np.ndarray:
         """`pos` between a 0 and a value past every window's end."""
-        return np.concatenate(([0], self.pos, [_PAST]))
+        padded = np.empty(self.pos.size + 2, dtype=np.int64)
+        padded[0], padded[-1] = 0, _PAST
+        padded[1:-1] = self.pos
+        return padded
 
-    @cached_property
+    @_once
+    def sb_runs(self) -> np.ndarray:
+        """The first starts of the runs of `window_segments` over the SB
+        starts 1..(m-1)r."""
+        return self.segments(1, (self.m - 1) * self.r)[0]
+
+    @_once
     def active_starts(self) -> np.ndarray:
-        """The first positions of the active blocks.  They are keyed
-        (`window_keys`) in one pass with the SB runs over 1..(m-1)r: the two
-        start sets that `expansion.raw_sums` reads."""
-        runs = self.segments(1, (self.m - 1) * self.r)[0]
-        starts = (self.active - 1) * self.r + 1
-        self._key((runs, starts))
-        return starts
+        """The first positions of the active blocks."""
+        return self.active * self.r - (self.r - 1)
 
-    @cached_property
+    @_once
     def reference(self) -> tuple:
         """(SB blocks, their window starts, DB blocks) of the reference sums:
         the blocks j <= m-1 where block j or j+1 is active, their r starts
         each, block after block, and the active blocks j <= m-1."""
         m, r, on = self.m, self.r, self.active_set
         sb = sorted(j for j in on.union(j - 1 for j in on) if 0 < j < m)
-        starts = ((np.array(sb, dtype=np.int64) - 1) * r + 1)[:, None] + np.arange(r)
+        starts = np.array(sb, dtype=np.int64)[:, None] * r + np.arange(1 - r, 1)
         return sb, starts.ravel(), [j for j in self.active_list if j < m]
 
-    @cached_property
+    @_once
     def block_runs(self) -> list:
         """Rows (j, before, after), ascending: the blocks j in 2..m-2 where
         blocks j and j+1 are active and block j-1 (before) or block j+2
@@ -170,35 +194,61 @@ class BlockBookkeeping:
             self._segments[lo, hi] = window_segments(self.pos, self.r, lo, hi)
         return self._segments[lo, hi]
 
-    def window_keys(self, starts: np.ndarray) -> tuple:
-        """(counts, lengths): the number of exceedances in each window
-        [s, s+r-1], s in the int64 array `starts`, and their cluster length
-        (0 without one).  Kept per array, which is therefore not to be
-        mutated after the call."""
-        if id(starts) not in self._keys:
-            self._key((starts,))
-        return self._keys[id(starts)][1:]
+    def key(self, *sets: np.ndarray) -> None:
+        """Key those of the int64 start arrays `sets` not keyed yet into one
+        table, with one binary search of `pos` each way.  A key is kept per
+        array, which is therefore not to be mutated after the call."""
+        keys = self._keys
+        sets = [a for a in sets if id(a) not in keys]
+        if sets:
+            self._key(sets)
 
-    def _key(self, sets: tuple) -> None:
-        """Key the start arrays `sets` with one binary search of `pos` each way."""
+    def _key(self, sets: list) -> None:
+        """Key the start arrays `sets` into one table."""
         starts = np.concatenate(sets) if len(sets) > 1 else sets[0]
         lo = self.pos.searchsorted(starts, side="left")
         hi = self.pos.searchsorted(starts + (self.r - 1), side="right")
-        # last minus first exceedance, or at most -1 for an empty window (lo = hi)
+        # last minus first exceedance (padded[1:][lo] is pos[lo]), or at
+        # most -1 for an empty window (lo = hi)
         padded = self._padded
-        spread = padded[hi] - padded[lo + 1]
-        counts, lengths = hi - lo, np.maximum(spread + 1, 0)
+        lengths = padded[hi] - padded[1:][lo]
+        lengths += 1
+        table = (hi - lo, np.maximum(lengths, 0, out=lengths), {})
         at = 0
         for a in sets:
             # The entry holds the array, so its id is not reused while it exists.
-            self._keys[id(a)] = (a, counts[at:at + a.size], lengths[at:at + a.size])
+            self._keys[id(a)] = (a, table, slice(at, at + a.size))
             at += a.size
+
+    def _entry(self, starts: np.ndarray) -> tuple:
+        """The key-table entry of `starts`, keyed alone if it was not yet."""
+        if id(starts) not in self._keys:
+            self.key(starts)
+        return self._keys[id(starts)]
+
+    def window_keys(self, starts: np.ndarray) -> tuple:
+        """(counts, lengths): the number of exceedances in each window
+        [s, s+r-1], s in the int64 array `starts`, and their cluster length
+        (0 without one)."""
+        _, (counts, lengths, _), at = self._entry(starts)
+        return counts[at], lengths[at]
+
+    def pattern_values(self, starts: np.ndarray, h: ClusterFunctional) -> np.ndarray:
+        """H over the windows of `starts` for a pattern-backed h, from one
+        `pattern_value` call per key table and functional."""
+        entry = self._keys.get(id(starts))
+        _, (counts, lengths, values), at = entry if entry is not None else self._entry(starts)
+        # Keyed by id, as `expansion.reference_sums` keys; the entry holds h.
+        entry = values.get(id(h))
+        if entry is None:
+            entry = values[id(h)] = (h, np.asarray(h.pattern_value(counts, lengths), dtype=float))
+        return entry[1][at]
 
     def window(self, lo: int, hi: int) -> np.ndarray:
         """X/u at the 1-based positions lo..hi; IndexError outside the stored blocks."""
         r, blocks = self.r, self.blocks
         j, k = (lo - 1) // r + 1, (hi - 1) // r + 1     # first and last block read
-        i = int(blocks.searchsorted(j))
+        i = bisect_left(blocks, j)      # a few scalar reads: cheaper than a searchsorted call
         last = i + k - j
         if (not 1 <= lo <= hi <= self.n_eff + self.discarded or last >= blocks.size
                 or blocks[i] != j or blocks[last] != k):
@@ -216,7 +266,7 @@ class BlockBookkeeping:
 def _positions(blocks: np.ndarray, r: int, n: int) -> np.ndarray:
     """The 0-based positions of the sorted 0-based blocks, cut at n."""
     p = (blocks[:, None] * r + np.arange(min(r, n))).ravel()
-    return p[:p.searchsorted(n)]
+    return p[:p.searchsorted(n)] if n % r else p        # only a partial tail block is cut
 
 
 def _distinct(a: np.ndarray) -> np.ndarray:
@@ -374,18 +424,20 @@ def window_values_at(book: BlockBookkeeping, pos: np.ndarray, starts: np.ndarray
 
     `pos` and `r` must be the bookkeeping's.  A window's exceedances are
     found by a binary search of `pos`, once per start array and
-    bookkeeping (`BlockBookkeeping.window_keys`): pattern-backed functionals are
-    computed from them alone, anything else is evaluated on the magnitudes
-    of each window that holds one and is 0 elsewhere.
+    bookkeeping (`BlockBookkeeping.key`): a pattern-backed H is computed
+    from them alone, once per key table (`BlockBookkeeping.pattern_values`,
+    a slice of which is returned, not to be mutated); anything else is
+    evaluated on the magnitudes of each window that holds one and is 0
+    elsewhere.
     """
     if pos is not book.pos or r != book.r:
         raise ValueError("window_values_at reads the bookkeeping's own positions and r")
     starts = np.asarray(starts, dtype=np.int64)
-    counts, lengths = book.window_keys(starts)
     if h.pattern_value is not None:
-        return np.asarray(h.pattern_value(counts, lengths), dtype=float)
+        return book.pattern_values(starts, h)
+    counts, _ = book.window_keys(starts)
     out = np.zeros(starts.size)
-    hit = np.flatnonzero(counts)
+    hit = counts.nonzero()[0]
     for i, s in zip(hit.tolist(), starts[hit].tolist()):
         out[i] = h.evaluator(book.window(s, s + r - 1))
     return out
@@ -399,7 +451,11 @@ def window_segments(pos: np.ndarray, r: int, lo: int, hi: int):
     at most 2k + 1 runs for k exceedances.  Returns the first start of each
     run and the run lengths.
     """
-    cuts = np.concatenate(([lo, hi + 1], pos - (r - 1), pos + 1))
+    k = pos.size
+    cuts = np.empty(2 * k + 2, dtype=np.int64)
+    cuts[0], cuts[1] = lo, hi + 1
+    np.subtract(pos, r - 1, out=cuts[2:k + 2])
+    np.add(pos, 1, out=cuts[k + 2:])
     np.maximum(cuts, lo, out=cuts)
     np.minimum(cuts, hi + 1, out=cuts)
     cuts.sort()
@@ -431,10 +487,10 @@ def padded_sum(values: np.ndarray, size: int, at: np.ndarray | None = None,
             and float(np.abs(values).max()) * size < 2.0 ** 53):
         return float((values if lengths is None else values * lengths).sum())
     if lengths is not None:
-        return float(np.repeat(values, lengths).sum())
+        return float(np.add.reduce(values.repeat(lengths)))
     dense = np.zeros(size)
     dense[at] = values
-    return float(dense.sum())
+    return float(np.add.reduce(dense))
 
 
 def window_sum(book: BlockBookkeeping, h: ClusterFunctional, lo: int, hi: int) -> float:

@@ -104,7 +104,7 @@ def reference_sums(book: BlockBookkeeping, h: ClusterFunctional) -> ReferenceSum
     r = book.r
     sb_blocks, starts, db_blocks = book.reference
     vals = window_values_at(book, book.pos, starts, r, h).reshape(len(sb_blocks), r)
-    sb = dict(zip(sb_blocks, vals.sum(axis=1).tolist()))
+    sb = dict(zip(sb_blocks, np.add.reduce(vals, axis=1).tolist()))
     # eval_functional without its exceedance test: these blocks exceed
     db = {k: r * float(h.evaluator(book.block_window(k))) for k in db_blocks}
     sums = ReferenceSums(sb, db)
@@ -147,17 +147,18 @@ class _Pieces:
     def __init__(self, book: BlockBookkeeping, h: ClusterFunctional):
         self.pos = book.pos_list
         self.window = book.window
-        self.h = h
+        self.evaluator = h.evaluator
         self.memo = {} if h.pattern_value is not None else None
 
     def value(self, a: int, b: int) -> float:
+        # A piece holds its end exceedances: the evaluator is called directly.
         pos = self.pos
         if self.memo is None:
-            return eval_functional(self.h, self.window(pos[a], pos[b]))
+            return float(self.evaluator(self.window(pos[a], pos[b])))
         key = (b - a + 1, pos[b] - pos[a] + 1)
         v = self.memo.get(key)
         if v is None:
-            v = self.memo[key] = eval_functional(self.h, self.window(pos[a], pos[b]))
+            v = self.memo[key] = float(self.evaluator(self.window(pos[a], pos[b])))
         return v
 
     def ic_sum(self, a: int, b: int) -> float:
@@ -262,15 +263,17 @@ def boundary_event_blocks(book: BlockBookkeeping) -> list:
 
 
 def _bc1(book: BlockBookkeeping, h: ClusterFunctional, merged, left, right) -> float:
-    """r * (H(merged) - H(left) - H(right)) for a pair's windows."""
-    return book.r * (eval_functional(h, merged) - eval_functional(h, left)
-                     - eval_functional(h, right))
+    """r * (H(merged) - H(left) - H(right)) for a pair's windows, each of
+    which holds an exceedance, so the evaluator is called directly."""
+    ev = h.evaluator
+    return book.r * (float(ev(merged)) - float(ev(left)) - float(ev(right)))
 
 
 def _bc2_reference(book: BlockBookkeeping, h: ClusterFunctional, j: int) -> float:
     sb = reference_sums(book, h).sb
+    # blocks j and j+1 of a pair are active: the evaluator is called directly
     return ((sb.get(j - 1, 0.0) + sb.get(j, 0.0) + sb.get(j + 1, 0.0))
-            - book.r * eval_functional(h, book.merged_window(j)))
+            - book.r * float(h.evaluator(book.merged_window(j))))
 
 
 def boundary_cluster_stat(book: BlockBookkeeping, h: ClusterFunctional) -> BoundaryParts:
@@ -447,6 +450,8 @@ def decompose(book: BlockBookkeeping, h: ClusterFunctional, w_source: str = "sup
     m, r, w, n_eff = book.m, book.r, book.w, book.n_eff
     if m < 3:
         raise ConfigError(f"need at least 3 blocks, got m={m}")
+    # the three start sets the two routes read, in one pass
+    book.key(book.sb_runs, book.active_starts, book.reference[1])
     with np.errstate(over="ignore", invalid="ignore"):
         sb, db = raw_sums(book, h)
         # The pathwise identity always uses the neighbour-excluded events;

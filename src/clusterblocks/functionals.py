@@ -89,7 +89,7 @@ class ClusterFunctional:
 def eval_functional(h: ClusterFunctional, window) -> float:
     """Evaluate H on a scaled window; exceedance-free windows give 0."""
     w = np.asarray(window, dtype=float)
-    if not np.any(w > 1.0):
+    if not (w > 1.0).any():
         return 0.0
     return float(h.evaluator(w))
 
@@ -181,11 +181,11 @@ def induced_functional(h: ClusterFunctional, kind: str, p: float | None = None) 
 
 
 def _indicator(w: np.ndarray) -> float:
-    return 1.0 if np.any(w > 1.0) else 0.0
+    return 1.0 if (w > 1.0).any() else 0.0
 
 
 def _length(w: np.ndarray) -> float:
-    pos = np.flatnonzero(w > 1.0)
+    pos = (w > 1.0).nonzero()[0]
     if pos.size == 0:
         return 0.0
     return float(pos[-1] - pos[0] + 1)
@@ -197,7 +197,7 @@ def _count(w: np.ndarray) -> float:
 
 def _length_pow(g: float):
     def ev(w: np.ndarray) -> float:
-        return _power(f"length^{g:g}", _length(w), g) if np.any(w > 1.0) else 0.0
+        return _power(f"length^{g:g}", _length(w), g) if (w > 1.0).any() else 0.0
     return ev
 
 

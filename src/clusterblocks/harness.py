@@ -73,6 +73,7 @@ def _pair_rate(book, h, spec):
 
 
 def _block_sums(book, h, spec):
+    book.key(book.sb_runs, book.active_starts)     # the two start sets raw_sums reads, in one pass
     vals = active_block_values(book, h)
     return (*raw_sums(book, h, vals), vals)     # (SB, DB, active blocks' values)
 

@@ -24,12 +24,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import BlockConfig, block_bookkeeping
+from .blocks import BlockConfig, _bookkeeping
 from .expansion import decompose, expansion_report
 from .functionals import get_functional
 from .harness import ConvergenceTable, TableRow, load, persist, pool_map, pool_size
-from .models import (MagnitudeSeries, ModelSpec, ZSampler, _mask_seed, gen_series,
-                     marginal_tail, read_series, threshold_for_w, write_series)
+from .models import (ModelSpec, ZSampler, _mask_seed, gen_series, marginal_tail,
+                     read_series, threshold_for_w, write_series)
 
 
 @dataclass
@@ -67,12 +67,17 @@ def identity_reports(count: int, seed: int, counterexample_dir=None):
 def mask_bookkeepings(r: int, blocks: int, masks: range | None = None):
     """(mask, bookkeeping) for each mask in `masks` (default: all masks
     1..2^(r*blocks) - 1) over `blocks` blocks of size r: X_i is 2 where bit i
-    of the mask is set and 0.5 elsewhere, at u = 1."""
-    bits = np.arange(r * blocks)
+    of the mask is set and 0.5 elsewhere, at u = 1.
+
+    Each is `block_bookkeeping(MagnitudeSeries(values), cfg)` of those
+    values, built from the mask's set bits (the exceedance positions) by
+    the constructor that route shares, without a series to scan."""
+    n = r * blocks
     cfg = BlockConfig(r=r, u=1.0, w=0.5)
-    for mask in range(1, 2 ** bits.size) if masks is None else masks:
-        values = np.where((mask >> bits) & 1, 2.0, 0.5)
-        yield mask, block_bookkeeping(MagnitudeSeries(values=values), cfg)
+    for mask in range(1, 2 ** n) if masks is None else masks:
+        pos = np.array([i + 1 for i in range(n) if mask >> i & 1], dtype=np.int64)
+        yield mask, _bookkeeping(cfg, n, pos, lambda p, mask=mask: np.where(
+            (mask >> p) & 1, 2.0, 0.5))
 
 
 def check_identities(count: int = 60, seed: int = 20240) -> CheckResult:

@@ -1,6 +1,7 @@
 """Test-only functionals that read magnitudes, with no pattern_value (so every
-window sum goes through the evaluator), and a memory probe.  The functionals'
-names appear in pinned digests."""
+window sum goes through the evaluator), a memory probe and an in-process
+stand-in for the process pool.  The functionals' names appear in pinned
+digests."""
 
 import math
 import tracemalloc
@@ -33,3 +34,32 @@ def peak_bytes(fn):
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+class InProcessPool:
+    """`ProcessPoolExecutor` stand-in: records its size in `sizes` and maps
+    in-process, so a patch of the package reaches every job under any
+    start method."""
+
+    def __init__(self, sizes: list, max_workers: int):
+        sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs, chunksize=1):
+        return map(fn, jobs)
+
+
+def in_process_pool(monkeypatch) -> list:
+    """Replace the process pool by `InProcessPool`; returns the sizes it records."""
+    import concurrent.futures
+    import functools
+
+    sizes = []
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        functools.partial(InProcessPool, sizes))
+    return sizes

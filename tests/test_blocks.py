@@ -306,6 +306,51 @@ def test_raw_sums_leave_the_reference_batch_unbuilt():
     for h in SEGMENT_FUNCTIONALS:
         raw_sums(book, h)
     assert book.sums == {}
+    # nor are the reference windows built or keyed: only `decompose` reads them
+    assert "reference" not in vars(book)
+    assert set(book._keys) == {id(book.sb_runs), id(book.active_starts)}
+
+
+@pytest.mark.parametrize("name", ["indicator", "length", "count",
+                                  "length^0.5", "length^1.5", "length^2.7"])
+def test_pattern_value_on_a_key_table_equals_the_calls_per_array(name):
+    # a key table evaluates H once over several start arrays' keys; each
+    # array's slice must hold the bytes of a call on that array alone,
+    # whatever its size and place (numpy's SIMD loops treat a tail apart)
+    pattern = get_functional(name).pattern_value
+    rng = np.random.default_rng(22)
+
+    def keys(size):
+        counts = rng.integers(0, 6, size)
+        return counts, np.where(counts > 0, counts + rng.integers(0, 5000, size), 0)
+
+    for size in range(1, 301):
+        parts = [keys(int(rng.integers(1, 301))), keys(size), keys(int(rng.integers(1, 301)))]
+        table = np.asarray(pattern(np.concatenate([c for c, _ in parts]),
+                                   np.concatenate([n for _, n in parts])), dtype=float)
+        at = 0
+        for counts, lengths in parts:
+            alone = np.asarray(pattern(counts, lengths), dtype=float)
+            assert table[at:at + counts.size].tobytes() == alone.tobytes()
+            at += counts.size
+
+
+def test_a_key_table_gives_each_start_array_its_own_windows():
+    # three start arrays keyed in one pass read what each keyed alone reads
+    spec = ModelSpec.mma1(1.0, 2.0, 1.5)
+    cfg = BlockConfig(r=6, u=threshold_for_w(spec, 0.05), w=0.05)
+    series = gen_series(spec, 3000, seed=8)
+    rng = np.random.default_rng(3)
+    sets = [np.sort(rng.integers(1, 2996, size)) for size in (1, 7, 300)]
+    joint = block_bookkeeping(series, cfg)
+    joint.key(*sets)
+    for h in (IND, get_functional("length^1.5"), LOG_SUM):
+        for starts in sets:
+            alone = block_bookkeeping(series, cfg)
+            assert (window_values_at(joint, joint.pos, starts, cfg.r, h).tobytes()
+                    == window_values_at(alone, alone.pos, starts, cfg.r, h).tobytes())
+            assert all(a.tobytes() == b.tobytes() for a, b in
+                       zip(joint.window_keys(starts), alone.window_keys(starts)))
 
 
 @pytest.mark.parametrize("n,r,positions", [

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from clusterblocks import limits, read_series, verify
 from clusterblocks.cli import _build_parser, main
+from helpers import in_process_pool
 
 
 def run(capsys, *argv):
@@ -197,6 +198,11 @@ def test_verify_seeds_below_the_offsets_are_masked_to_64_bits():
     assert check_threshold_roundtrip(-1).passed
 
 
+# The failing-mask tests run the ranges on an in-process stand-in for the
+# pool, so the patched decompose reaches every range under any start
+# method; GOLDEN_VERIFY at 3 CPUs checks the real pool.
+
+
 def test_exhaustive_mask_check_counts_a_disagreeing_mask(monkeypatch):
     decompose = verify.decompose
 
@@ -206,6 +212,7 @@ def test_exhaustive_mask_check_counts_a_disagreeing_mask(monkeypatch):
             rep = dataclasses.replace(rep, bc_path_deviation=1.0)
         return rep
 
+    in_process_pool(monkeypatch)
     monkeypatch.setattr(verify, "decompose", perturbed)
     res = verify.check_exhaustive_masks(r=2, blocks=3)
     assert not res.passed
@@ -221,11 +228,38 @@ def test_exhaustive_mask_check_sums_the_failures_of_every_range(monkeypatch):
             rep = dataclasses.replace(rep, ic_path_deviation=1.0)
         return rep
 
+    sizes = in_process_pool(monkeypatch)
     monkeypatch.setattr(verify, "decompose", perturbed)
     monkeypatch.setattr(os, "cpu_count", lambda: 3)     # 12 ranges on 3 workers
     res = verify.check_exhaustive_masks(r=2, blocks=3)
+    assert sizes == [3]
     assert not res.passed
     assert res.detail == "63 masks x 3 functionals, 3 failures"
+
+
+@pytest.mark.parametrize("r,blocks", [(2, 3), (3, 4)])
+def test_mask_bookkeepings_equal_the_scanned_series(r, blocks):
+    # built from the mask's bits, each bookkeeping equals the one scanned
+    # from its series of 2s and 0.5s, field by field and byte for byte
+    import numpy as np
+
+    from clusterblocks import BlockConfig, MagnitudeSeries, block_bookkeeping
+
+    bits = np.arange(r * blocks)
+    cfg = BlockConfig(r=r, u=1.0, w=0.5)
+    count = 0
+    for mask, book in verify.mask_bookkeepings(r, blocks):
+        values = np.where((mask >> bits) & 1, 2.0, 0.5)
+        want = block_bookkeeping(MagnitudeSeries(values=values), cfg)
+        for f in dataclasses.fields(want):
+            got, ref = getattr(book, f.name), getattr(want, f.name)
+            assert type(got) is type(ref), (mask, f.name)
+            if isinstance(ref, np.ndarray):
+                assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes(), (mask, f.name)
+            else:
+                assert got == ref, (mask, f.name)
+        count += 1
+    assert count == 2 ** (r * blocks) - 1
 
 
 def test_verify_prints_fail_and_exits_1_when_a_check_fails(capsys, monkeypatch):

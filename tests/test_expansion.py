@@ -474,6 +474,8 @@ def test_exceedance_time_route_equals_window_route():
 def test_exceedance_time_route_skips_window_scans(monkeypatch):
     # a pattern-backed H is evaluated at most once per distinct (count,
     # length) of the pieces, and no window is scanned for its exceedances
+    import dataclasses
+
     import clusterblocks.expansion as expansion
     import clusterblocks.functionals as functionals
 
@@ -481,14 +483,15 @@ def test_exceedance_time_route_skips_window_scans(monkeypatch):
         raise AssertionError("window rescan on the exceedance-time route")
 
     calls = []
+    base = get_functional("length^1.5")
 
-    def counting(h, window):
+    def counting(window):
         calls.append(1)
-        return eval_functional(h, window)
+        return base.evaluator(window)
 
     monkeypatch.setattr(functionals, "exceedance_pattern", forbidden)
     monkeypatch.setattr(functionals, "induced_ic", forbidden)
-    monkeypatch.setattr(expansion, "eval_functional", counting)
+    monkeypatch.setattr(expansion, "eval_functional", forbidden)
 
     def piece_keys(t):
         # (count, length) of the whole run, of every prefix and every suffix
@@ -499,11 +502,15 @@ def test_exceedance_time_route_skips_window_scans(monkeypatch):
 
     rng = np.random.default_rng(5)
     book = _random_book(rng, 9, 400, 0.08)
-    h = get_functional("length^1.5")
+    # the pieces hold exceedances, so the route calls the evaluator itself
+    h = dataclasses.replace(base, evaluator=counting)
     _, per = internal_cluster_stat(book, h, "piecewise")
     keys = set().union(*(piece_keys(block_times(book, j).tolist()) for j in per))
     assert len(per) > 150 and 0 < len(calls) <= len(keys)
 
+    # a long pair's bc2 reads the reference sums, whose DB_j evaluate the
+    # active blocks: computed here, before the count, as they are no piece
+    reference_sums(book, h)
     calls.clear()
     pairs = boundary_cluster_stat(book, h).per_pair
     keys = set()
@@ -551,7 +558,9 @@ def test_event_blocks_are_computed_once_per_bookkeeping(monkeypatch):
 def test_position_work_is_done_once_per_bookkeeping(monkeypatch):
     # the active blocks as ints, the SB runs and the window keys depend on
     # pos, active and r alone: three functionals decomposed on one
-    # bookkeeping compute each once
+    # bookkeeping compute each once, and a pattern-backed H is evaluated
+    # by one pattern_value call per functional
+    import dataclasses
     from functools import cached_property
 
     import clusterblocks.blocks as blocks
@@ -580,11 +589,20 @@ def test_position_work_is_done_once_per_bookkeeping(monkeypatch):
     spec = ModelSpec.mma1(1.0, 1.0, 1.0)
     cfg = BlockConfig(r=5, u=threshold_for_w(spec, 0.05), w=0.05)
     book = block_bookkeeping(gen_series(spec, 3000, 4), cfg)
-    for h in (IND, get_functional("length^1.5"), LOG_SUM):
+    patterns = []
+
+    def counted_pattern(h):
+        def pattern_value(n, length):
+            patterns.append(h.name)
+            return h.pattern_value(n, length)
+        return dataclasses.replace(h, pattern_value=pattern_value)
+
+    for h in (counted_pattern(IND), counted_pattern(get_functional("length^1.5")), LOG_SUM):
         decompose(book, h)
     assert runs == [(1, (book.m - 1) * book.r)]
-    # SB runs with the active blocks' starts, then the reference windows
-    assert passes == [2, 1]
+    # SB runs, the active blocks' starts and the reference windows, together
+    assert passes == [3]
+    assert patterns == ["indicator", "length^1.5"]
     assert lists == [1]
 
 

@@ -18,6 +18,7 @@ from clusterblocks import (BlockConfig, ConfigError, ExperimentConfig, Magnitude
 from clusterblocks import harness
 from clusterblocks.harness import (CSV_HEADER, TARGETS, ConvergenceTable, TableRow,
                                    csv_text, limit_constants, parse_rule, parse_target)
+from helpers import in_process_pool
 
 MMA1 = ModelSpec.mma1(1.0, 1.0, 1.0)
 
@@ -79,24 +80,7 @@ def test_experiment_is_deterministic_and_thread_invariant():
 
 
 def test_worker_pool_is_capped(monkeypatch):
-    sizes = []
-
-    class InProcessPool:
-        """ProcessPoolExecutor stand-in: records its size, maps in-process."""
-
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, jobs, chunksize=1):
-            return map(fn, jobs)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    sizes = in_process_pool(monkeypatch)
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
     one = run_experiment(small_config(replicates=3, threads=1))
     three = run_experiment(small_config(replicates=3, threads=3))
