@@ -207,8 +207,9 @@ def _event_blocks(book: BlockBookkeeping, kind: str) -> list:
         j = _event_starts(book, kind)
         rows = []
         if j:               # most tiny series have no event of a kind: skip the search
-            edges = (np.array(j)[:, None] + np.arange(-1, 2 if kind == "boundary" else 1)) * book.r
-            rows = np.column_stack((j, book.pos.searchsorted(edges, side="right"))).tolist()
+            j = np.array(j)[:, None]
+            edges = (j + np.arange(-1, 2 if kind == "boundary" else 1)) * book.r
+            rows = np.concatenate((j, book.pos.searchsorted(edges, side="right")), axis=1).tolist()
         book.events[kind] = rows
     return rows
 
