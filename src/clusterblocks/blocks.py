@@ -16,7 +16,9 @@ built in O(k r) by one constructor that two routes share:
 `block_bookkeeping` scans a given series, and `model_bookkeeping` (what
 `rates` and `decompose --model` use) makes one O(n) pass over a model's
 uniform stream and computes X only on the blocks an exceedance can
-reach.  Both give equal bookkeepings.
+reach.  Both give equal bookkeepings, and so does `verify`'s exhaustive
+enumeration, which builds each mask's bookkeeping from the mask's bits
+with the same constructor.
 
 What the readers derive from the positions, the active blocks and r
 alone (the runs of window starts, the exceedance count and cluster
@@ -77,7 +79,7 @@ def _cache():
 class _once:
     """A value computed from the bookkeeping on first use and kept in its
     `__dict__`: `functools.cached_property` without the lock that Python
-    3.11 takes on every first access."""
+    3.11 takes on each first access."""
 
     def __init__(self, func):
         self.func = func
@@ -236,8 +238,7 @@ class BlockBookkeeping:
     def pattern_values(self, starts: np.ndarray, h: ClusterFunctional) -> np.ndarray:
         """H over the windows of `starts` for a pattern-backed h, from one
         `pattern_value` call per key table and functional."""
-        entry = self._keys.get(id(starts))
-        _, (counts, lengths, values), at = entry if entry is not None else self._entry(starts)
+        _, (counts, lengths, values), at = self._entry(starts)
         # Keyed by id, as `expansion.reference_sums` keys; the entry holds h.
         entry = values.get(id(h))
         if entry is None:

@@ -22,9 +22,11 @@ by definition), which runs only in `path_deviations`, once per event.
 Reports carry the maximal deviation between routes.  The fast path reads
 nothing but the exceedance times: every IC and BC term is H on a piece
 t_a..t_b of one event's times, and H of a pattern-backed functional is
-evaluated once per distinct (count, length) of a piece.  An event's times
-are a slice of the sorted positions, found by one binary search per
-event kind and bookkeeping.
+evaluated by its evaluator once per distinct (count, length) of a piece
+of one statistic.  An event's times are a slice of the sorted positions,
+found by one binary search per event kind and bookkeeping.  A piece, and
+every event block or merged window the reference route reads, holds an
+exceedance by construction, so the evaluator is called on it directly.
 
 Cost: one O(n) pass to build the bookkeeping (`blocks.model_bookkeeping`
 over a model's uniform stream, computing X only on the blocks an
@@ -42,10 +44,14 @@ can reach, once per functional, for the reference routes and the
 remainder only.  `decompose` reads everything from one bookkeeping, so
 several functionals share one pass and what the bookkeeping derives from
 its positions alone (window runs and keys, reference blocks, event rows;
-see `blocks.BlockBookkeeping`).  Each functional then evaluates H on
-them: a pattern-backed H once per start set, any other H on every
-window that holds an exceedance.  The two routes read separate entries,
-and no value of H passes from one route, or one functional, to another.
+see `blocks.BlockBookkeeping`).  It keys the three start sets its routes
+read (the SB runs, the active blocks' starts and the reference windows'
+starts) in one binary search of the positions.  Each functional then
+evaluates H on them: a pattern-backed H in one `pattern_value` call over
+that key table, of which each start set reads its own slice, any other
+H on every window that holds an exceedance.  The two routes read
+separate entries, and no value of H passes from one route, or one
+functional, to another.
 """
 
 from __future__ import annotations
@@ -64,7 +70,7 @@ from .blocks import (BlockBookkeeping, BlockConfig, active_block_values,
                      block_bookkeeping, block_sum, model_bookkeeping, window_sum,
                      window_values_at)
 from .errors import ConfigError, FunctionalContractError
-from .functionals import ClusterFunctional, eval_functional
+from .functionals import ClusterFunctional
 from .models import MagnitudeSeries, ModelSpec, gen_series
 
 log = logging.getLogger("clusterblocks")

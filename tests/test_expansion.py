@@ -476,7 +476,6 @@ def test_exceedance_time_route_skips_window_scans(monkeypatch):
     # length) of the pieces, and no window is scanned for its exceedances
     import dataclasses
 
-    import clusterblocks.expansion as expansion
     import clusterblocks.functionals as functionals
 
     def forbidden(*args, **kwargs):
@@ -491,7 +490,7 @@ def test_exceedance_time_route_skips_window_scans(monkeypatch):
 
     monkeypatch.setattr(functionals, "exceedance_pattern", forbidden)
     monkeypatch.setattr(functionals, "induced_ic", forbidden)
-    monkeypatch.setattr(expansion, "eval_functional", forbidden)
+    monkeypatch.setattr(functionals, "eval_functional", forbidden)
 
     def piece_keys(t):
         # (count, length) of the whole run, of every prefix and every suffix
