@@ -173,13 +173,16 @@ class BlockBookkeeping:
 
     @_once
     def reference(self) -> tuple:
-        """(SB blocks, their window starts, DB blocks) of the reference sums:
-        the blocks j <= m-1 where block j or j+1 is active, their r starts
-        each, block after block, and the active blocks j <= m-1."""
+        """(SB blocks, their window starts, DB blocks, where the DB blocks'
+        values start in `values`) of the reference sums: the blocks j <= m-1
+        where block j or j+1 is active, their r starts each, block after
+        block, and the active blocks j <= m-1, each of which `block_window`
+        reads at its offset."""
         m, r, on = self.m, self.r, self.active_set
         sb = sorted(j for j in on.union(j - 1 for j in on) if 0 < j < m)
         starts = np.array(sb, dtype=np.int64)[:, None] * r + np.arange(1 - r, 1)
-        return sb, starts.ravel(), [j for j in self.active_list if j < m]
+        db = self.active[:self.active.searchsorted(m)]
+        return sb, starts.ravel(), db.tolist(), (self.blocks.searchsorted(db) * r).tolist()
 
     @_once
     def block_runs(self) -> list:

@@ -108,11 +108,13 @@ def reference_sums(book: BlockBookkeeping, h: ClusterFunctional) -> ReferenceSum
     if entry is not None:
         return entry[1]
     r = book.r
-    sb_blocks, starts, db_blocks = book.reference
+    sb_blocks, starts, db_blocks, db_at = book.reference
     vals = window_values_at(book, book.pos, starts, r, h).reshape(len(sb_blocks), r)
     sb = dict(zip(sb_blocks, np.add.reduce(vals, axis=1).tolist()))
-    # eval_functional without its exceedance test: these blocks exceed
-    db = {k: r * float(h.evaluator(book.block_window(k))) for k in db_blocks}
+    # eval_functional without its exceedance test: these blocks exceed.
+    # Block k's window, `book.block_window(k)`, starts at its offset.
+    ev, x = h.evaluator, book.values
+    db = {k: r * float(ev(x[a:a + r])) for k, a in zip(db_blocks, db_at)}
     sums = ReferenceSums(sb, db)
     book.sums[id(h)] = (h, sums)
     return sums
