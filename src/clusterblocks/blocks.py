@@ -9,7 +9,8 @@ threshold never reaches the functionals themselves.
 A `BlockBookkeeping` holds everything the statistics here and the
 decomposition in `expansion` read: the sorted exceedance positions, the
 active blocks and the scaled magnitudes X/u of the blocks within one
-block of an exceedance, read through `BlockBookkeeping.window` only.
+block of an exceedance, read through `BlockBookkeeping.window` or, for
+the DB blocks of `expansion.reference_sums`, at `reference`'s offsets.
 Nothing else per block is stored; a reader finds a block's exceedances
 by a binary search of the positions, at the blocks it needs.  It is
 built in O(k r) by one constructor that two routes share:
@@ -39,7 +40,7 @@ import numpy as np
 from .errors import ConfigError, ModelError
 from .functionals import ClusterFunctional
 from .models import (MagnitudeSeries, ModelSpec, _moving_maxima,
-                     _pareto_from_uniforms, _rng, gen_series, series_layout)
+                     _pareto_from_uniforms, _rng, series_layout)
 
 MEMORY_BUDGET = 8_000_000_000   # bytes an experiment may use; also the most blocks a model pass may span
 
@@ -112,7 +113,8 @@ class BlockBookkeeping:
     its n - m r values only.  `active` and `blocks` follow from `pos`, r
     and n, `values` from the series as well (`_bookkeeping`), so the two
     routes build equal bookkeepings.  Every window that holds an
-    exceedance lies in these blocks; `window` is the one way to read them.
+    exceedance lies in these blocks; `window` reads them, and so does
+    `expansion.reference_sums` its DB blocks, at `reference`'s offsets.
 
     What the readers derive from `pos`, `active` and r (the `_once`
     values, `segments`, the window keys and the dicts below) is kept in
@@ -344,13 +346,10 @@ def model_bookkeeping(spec: ModelSpec, n: int, seed: int, cfg: BlockConfig) -> B
     for large alpha and by the 2^-50 for small alpha (1 - U is exact for
     the multiples of 2^-53 that `random` returns).  So no position the cut
     skips can have X/u > 1.  When t <= 0 every uniform is a candidate:
-    correct, at dense cost.  A non-finite X can only come from a
+    correct, at dense cost.  U = 0 (xi = 1.0) is no special case: at
+    t > 0 the bound above covers it.  A non-finite X can only come from a
     candidate, so the check of `MagnitudeSeries` is made on the touched
     values.
-
-    `gen_series` redraws a U = 0 draw only after all n + q uniforms (with
-    probability 2^-53 per draw); a step that holds one falls back to the
-    dense route.  That is the only fallback.
 
     An n whose nb blocks (the tail block counted) plus a pad block on each
     side exceed `MEMORY_BUDGET` is refused with ConfigError before anything
@@ -392,8 +391,6 @@ def model_bookkeeping(spec: ModelSpec, n: int, seed: int, cfg: BlockConfig) -> B
         buf[:kept.size] = kept
         fresh = buf[hi - keep: need - keep]
         rng.random(out=fresh)
-        if fresh.size and fresh.min() == 0.0:
-            return block_bookkeeping(gen_series(spec, n, seed), cfg)
         lo, hi = keep, need
         a = innovation(b0 * r)
         cand = np.flatnonzero(buf[a - lo: block_end(b1 - 1) - lo] >= t) + a

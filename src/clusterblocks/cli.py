@@ -116,6 +116,8 @@ def _cmd_decompose(args) -> int:
         if args.n is None:
             raise UsageError("--model needs --n")
         model = parse_model(args.model)
+        if model.block_size is None:    # piecewise ":r" takes --r
+            model = model.with_block_size(args.r)
         series_layout(model, args.n)    # the generation errors come first
         series = (model, args.n, args.seed)
     if args.u is None and args.w is None:

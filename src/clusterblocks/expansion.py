@@ -32,10 +32,11 @@ Cost: one O(n) pass to build the bookkeeping (`blocks.model_bookkeeping`
 over a model's uniform stream, computing X only on the blocks an
 exceedance can reach, or `blocks.block_bookkeeping` over a given series),
 which keeps X/u in O(k r) memory next to the exceedances only, then
-O(k r) work and memory.  Every magnitude is read through
-`BlockBookkeeping.window`.  SB is summed over the at most 2k + 1 runs of
-window starts that see the same exceedances and DB over the active
-blocks' values, both by `blocks.padded_sum`, which gives the bits of the
+O(k r) work and memory.  Magnitudes are read through
+`BlockBookkeeping.window`, or at `reference`'s offsets for the DB blocks
+of `reference_sums`.  SB is summed over the at most 2k + 1 runs of window
+starts that see the same exceedances and DB over the active blocks'
+values, both by `blocks.padded_sum`, which gives the bits of the
 dense reduction: a real-valued H (values not integral) still falls back
 to that reduction and its per-start (SB) or per-block (DB) vector.  The
 raw sums share nothing with the reference sums SB_j, DB_j, which are
@@ -71,9 +72,10 @@ from .blocks import (BlockBookkeeping, BlockConfig, active_block_values,
                      window_values_at)
 from .errors import ConfigError, FunctionalContractError
 from .functionals import ClusterFunctional
-from .models import MagnitudeSeries, ModelSpec, gen_series
+from .models import MagnitudeSeries, ModelSpec, _mask_seed, gen_series
 
 log = logging.getLogger("clusterblocks")
+_ARTIFACT_VALUES = 5000     # the longest series whose values a counterexample keeps
 
 
 # -- elementary sums ---------------------------------------------------------
@@ -503,32 +505,36 @@ def expansion_report(series: MagnitudeSeries | tuple[ModelSpec, int, int], cfg: 
 
     `series` is a series or the (spec, n, seed) that `gen_series` would
     generate it from; the latter is decomposed through `model_bookkeeping`
-    and generated densely only for a counterexample.  A residual_paper
-    beyond the tolerance (0 for integer-valued H, else relative 1e-9) is
-    reported and optionally dumped as a counterexample artifact with the
-    series, never patched over.
+    and generated only for a counterexample's values, kept at n <= 5000.
+    A residual_paper beyond the tolerance (0 for integer-valued H, else
+    relative 1e-9) is reported and optionally dumped as a counterexample
+    artifact with the model and seed, never patched over.
     """
-    if isinstance(series, MagnitudeSeries):
-        book = block_bookkeeping(series, cfg)
-    else:
-        book = model_bookkeeping(*series, cfg)
+    dense = isinstance(series, MagnitudeSeries)
+    book = block_bookkeeping(series, cfg) if dense else model_bookkeeping(*series, cfg)
     report = decompose(book, h, w_source, verbose)
     scale = max(abs(report.sb - report.db), abs(report.ic), abs(report.bc))
     tol = 0.0 if h.integer_valued else 1e-9 * max(1.0, scale)
     if abs(report.residual_paper) > tol:
-        if not isinstance(series, MagnitudeSeries):
-            series = gen_series(*series)
-        _record_counterexample(report, series, counterexample_dir)
+        if dense:
+            model, seed, n = series.model, series.seed, len(series)
+        else:
+            model, n, seed = series
+            seed = _mask_seed(seed)
+        values = None
+        if n <= _ARTIFACT_VALUES:
+            values = (series if dense else gen_series(*series)).values
+        _record_counterexample(report, model, seed, values, counterexample_dir)
     return report
 
 
-def _record_counterexample(report: DecompositionReport, series: MagnitudeSeries,
-                           directory) -> None:
+def _record_counterexample(report: DecompositionReport, model: ModelSpec | None,
+                           seed: int | None, values: np.ndarray | None, directory) -> None:
     payload = report.to_dict()
-    payload["model"] = series.model.format() if series.model is not None else None
-    payload["seed"] = series.seed
-    if len(series) <= 5000:
-        payload["values"] = [float(v) for v in series.values]
+    payload["model"] = model.format() if model is not None else None
+    payload["seed"] = seed
+    if values is not None:
+        payload["values"] = [float(v) for v in values]
     blob = json.dumps(payload, sort_keys=True)
     digest = hashlib.sha256(blob.encode()).hexdigest()[:16]
     log.warning("remainder enumeration mismatch (residual_paper=%s); "

@@ -202,6 +202,8 @@ class ExperimentConfig:
                 raise ConfigError(f"rule {w_rule!r} gives w={w} outside (0,1) at n={n}")
             if r > n // 4:
                 raise ConfigError(f"r={r} leaves fewer than 4 blocks at n={n}")
+            if self.model.block_size not in (None, r):
+                raise ConfigError(f"piecewise size {self.model.block_size} is not r={r} at n={n}")
             for t in self.targets:         # no replicate may divide by 0 or overflow
                 name, g = parse_target(t)
                 try:

@@ -210,23 +210,15 @@ def _pareto_from_uniforms(u: np.ndarray, alpha: float) -> np.ndarray:
     six times the arithmetic in minor page faults.  `**=` takes numpy's
     power path, fast exponents (-1, -2, -0.5) included, so the bits are
     those of `(1.0 - u) ** e`.
+
+    U = 0, a point of the 2^-53 grid of `Generator.random`, gives xi = 1.0
+    exactly, so the draws lie on [1, inf).  No statistic sees the atom: at
+    every u above c_max, which covers every threshold `threshold_for_w` or
+    `marginal_tail` admits, c_k * 1.0 / u < 1 feeds no exceedance.
     """
     np.subtract(1.0, u, out=u)
     u **= -1.0 / alpha
     return u
-
-
-def _pareto(rng: np.random.Generator, n: int, alpha: float) -> np.ndarray:
-    """n Pareto(alpha) draws, transformed in the buffer of their uniforms.
-
-    (1 - U)^(-1/alpha) with U in [0,1) lands on (1, inf) except for the
-    measure-zero U=0 corner, which is redrawn to keep the support open.
-    """
-    u = rng.random(n)
-    while u.min() == 0.0:
-        zero = u == 0.0
-        u[zero] = rng.random(int(zero.sum()))
-    return _pareto_from_uniforms(u, alpha)
 
 
 def _moving_maxima(xi: np.ndarray, coeffs, size: int) -> np.ndarray:
@@ -282,8 +274,8 @@ def gen_series(spec: ModelSpec, n: int, seed: int) -> MagnitudeSeries:
     base = spec.base
     width = size + spec.order
     with np.errstate(over="ignore"):        # an infinite value is refused, not warned of
-        xi = _pareto(_rng(seed), rows * width, base.alpha).reshape(rows, width)
-        values = _moving_maxima(xi, base.coeffs, size)
+        xi = _pareto_from_uniforms(_rng(seed).random(rows * width), base.alpha)
+        values = _moving_maxima(xi.reshape(rows, width), base.coeffs, size)
     return MagnitudeSeries(values=values, model=spec, seed=_mask_seed(seed))
 
 
@@ -411,7 +403,7 @@ class ZSampler:
     def _draw(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         """(z_0, z_1) of the draws accepted among k; z_1 is built for those only."""
         with np.errstate(over="ignore"):    # an infinite draw is refused, not warned of
-            y0 = _pareto(self.rng, k, self.alpha)
+            y0 = _pareto_from_uniforms(self.rng.random(k), self.alpha)
         if not np.isfinite(y0.max()):
             raise ModelError(f"Pareto draws overflow a float at alpha={self.alpha!r}")
         u = self.rng.random(k)

@@ -288,6 +288,13 @@ def test_decompose_with_model_and_u(capsys):
     assert rep["w"] == pytest.approx(0.0975, rel=1e-12)
 
 
+def test_decompose_resolves_a_piecewise_block_size_of_r(capsys):
+    args = ["--n", "2000", "--seed", "4", "--r", "10", "--w", "0.05", "--verbose-blocks"]
+    code, out, err = run(capsys, "decompose", "--model", "piecewise(mma1:1,1,1):r", *args)
+    assert (code, err) == (0, "")
+    assert run(capsys, "decompose", "--model", "piecewise(mma1:1,1,1):10", *args) == (0, out, "")
+
+
 def test_threads_env_default(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("CLBLK_THREADS", "2")
     args = ["rates", "--model", "mma1:1,1,1", "--grid", "2000:n^0.2:n^-0.55",
@@ -394,6 +401,12 @@ def no_replicate(*args):
     # too few Monte Carlo samples, even where the indicator needs none
     (LIMITS + ["--samples", "-5"], None, 1, "model"),
     (LIMITS + ["--samples", "5"], None, 1, "model"),
+    # a piecewise block size other than the grid point's r (5 at n = 2000),
+    # and one deferred to an r that simulate does not have
+    (["rates", "--model", "piecewise(mma1:1,1,1):7", "--grid", "2000:n^0.2:n^-0.55"],
+     None, 1, "config"),
+    (["simulate", "--model", "piecewise(mma1:1,1,1):r", "--n", "100", "--out", os.devnull],
+     None, 1, "model"),
 ])
 def test_parse_errors_fail_closed(capsys, monkeypatch, argv, env, code, category):
     if env is not None:

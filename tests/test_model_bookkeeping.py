@@ -155,18 +155,46 @@ class _ZeroAt:
 
 
 @pytest.mark.parametrize("at", [0, 1000, 2403])
-def test_a_zero_uniform_falls_back_to_the_dense_route(monkeypatch, at):
+def test_a_zero_uniform_takes_no_dense_route(monkeypatch, at):
+    # U = 0 at the first, a middle and the last of the n + q uniforms
     spec = parse_model("mma1:1,1,1")
     n, seed = 2403, 5               # n + q = 2404 uniforms
     cfg = BlockConfig(r=6, u=threshold_for_w(spec, 0.05), w=0.05)
     monkeypatch.setattr(models, "_rng", lambda s: _ZeroAt(s, at))
     monkeypatch.setattr(blocks, "_rng", lambda s: _ZeroAt(s, at))
     monkeypatch.setattr(blocks, "_CHUNK", 600)
-    dense = []
-    monkeypatch.setattr(blocks, "gen_series", lambda *a: dense.append(a) or gen_series(*a))
+    assert not hasattr(blocks, "gen_series")
+    assert_same_bookkeeping(*both_routes(spec, n, seed, cfg))
+
+
+@pytest.mark.parametrize("text", ["mma1:1,1,1", "mmaq:0.5,0,3,2", "piecewise(mma1:1,1,1):40"])
+def test_a_zero_uniform_inside_a_stored_block(monkeypatch, text):
+    # U = 0 at the lag-0 innovation of a stored position: one that sets the
+    # position's magnitude (lag 0 attains the maximum) but feeds no
+    # exceedance (c_max xi < u), so the zero moves a stored value and
+    # neither a position nor a stored block
+    spec, n, seed = parse_model(text), 4000, 3
+    cfg = BlockConfig(r=8, u=threshold_for_w(spec, 0.02), w=0.02)
+    plain = block_bookkeeping(gen_series(spec, n, seed), cfg)
+    base, q = spec.base, spec.order
+    size, rows = models.series_layout(spec, n)
+    xi = (1.0 - models._rng(seed).random(rows * (size + q))) ** (-1.0 / base.alpha)
+    stored = blocks._positions(plain.blocks - 1, cfg.r, n)          # 0-based
+    lag0 = stored + q * (stored // size)
+    terms = np.array(base.coeffs) * xi[lag0[:, None] + np.arange(q + 1)]
+    free = (terms.argmax(axis=1) == 0) & (xi[lag0] * max(base.coeffs) < cfg.u)
+    k = np.flatnonzero(free)[free.sum() // 2]
+    p, at = int(stored[k]), int(lag0[k])
+    monkeypatch.setattr(models, "_rng", lambda s: _ZeroAt(s, at))
+    monkeypatch.setattr(blocks, "_rng", lambda s: _ZeroAt(s, at))
+    monkeypatch.setattr(blocks, "_CHUNK", 600)
     got, want = both_routes(spec, n, seed, cfg)
-    assert dense == [(spec, n, seed)]
     assert_same_bookkeeping(got, want)
+    assert want.pos.tobytes() == plain.pos.tobytes()
+    assert want.blocks.tobytes() == plain.blocks.tobytes()
+    assert want.values.tobytes() != plain.values.tobytes()
+    terms[k, 0] = base.coeffs[0]        # xi = 1.0 at lag 0
+    assert got.window(p + 1, p + 1)[0] == terms[k].max() / cfg.u
 
 
 def test_non_finite_values_fail_like_the_dense_route():
@@ -214,7 +242,8 @@ def test_counterexample_artifact_equals_the_dense_one(monkeypatch, tmp_path, n):
 
     monkeypatch.setattr(expansion, "remainder_stat", off_by_one)
     expansion_report((spec, n, seed), cfg, h, "exact", counterexample_dir=tmp_path / "model")
-    assert generated == [(spec, n, seed)]
+    # the series is generated only for the values a short one's artifact keeps
+    assert generated == ([(spec, n, seed)] if n <= 5000 else [])
     expansion_report(gen_series(spec, n, seed), cfg, h, "exact",
                      counterexample_dir=tmp_path / "dense")
     assert main(["decompose", "--model", spec.format(), "--n", str(n), "--seed", str(seed),

@@ -12,6 +12,7 @@ from clusterblocks import (MagnitudeSeries, ModelError, ModelSpec,
                            PersistError, ZSampler, gen_series, marginal_tail,
                            mma1_constants, parse_model, read_series,
                            threshold_for_w, write_series)
+from clusterblocks import models
 from clusterblocks.models import _pareto_from_uniforms
 from helpers import peak_bytes
 
@@ -165,13 +166,7 @@ def test_z_degenerate_coefficient_accepts_everything():
 
 
 def _reference_pareto(rng, n, alpha):
-    u = rng.random(n)
-    while True:
-        zero = u == 0.0
-        if not zero.any():
-            break
-        u[zero] = rng.random(int(zero.sum()))
-    return (1.0 - u) ** (-1.0 / alpha)
+    return (1.0 - rng.random(n)) ** (-1.0 / alpha)
 
 
 def _reference_z(sampler, k):
@@ -235,12 +230,19 @@ class _ZeroAt:
 @pytest.mark.parametrize("coeffs", [(1.0, 1.0, 1.0), (1.0, 2.0, 0.5), (0.0, 1.0, 1.0)])
 def test_zero_uniforms_are_redrawn_in_stream_order(coeffs):
     # U = 0 at the first, a middle and the last Pareto uniform of the
-    # first batch, at its first redraw (so it is redrawn again) and at a
-    # uniform of B
+    # first batch, each kept as Y_0 = 1.0, and at two uniforms of B
     spec, k = ModelSpec.mma1(*coeffs), 2000
     batch = max(1024, int(1.3 * k / ZSampler(spec, 0).theta))
     zeros = (0, batch // 2, batch - 1, batch, batch + 4)
     _assert_same_z(spec, k, lambda: _ZeroAt(11, zeros))
+
+
+@pytest.mark.parametrize("alpha", [0.01, 1.0, 1.5])
+def test_a_zero_uniform_is_kept_as_one(monkeypatch, alpha):
+    # U = 0 gives xi = (1 - 0)^(-1/alpha) = 1.0 exactly, and no other draw moves
+    monkeypatch.setattr(models, "_rng", lambda seed: _ZeroAt(seed, (0, 7)))
+    x = gen_series(ModelSpec.iid_pareto(alpha), 10, seed=3).values
+    assert x[0] == x[7] == 1.0 and (np.delete(x, [0, 7]) > 1.0).all()
 
 
 @pytest.mark.parametrize("alpha", [0.1, 0.25, 1 / 3, 0.5, 0.7, 1.0, 1.5, 2.0, 3.0, 4.0,
