@@ -21,12 +21,15 @@ exceedance-time fast path, which `internal_cluster_stat` and
 by definition), which runs only in `path_deviations`, once per event.
 Reports carry the maximal deviation between routes.  The fast path reads
 nothing but the exceedance times: every IC and BC term is H on a piece
-t_a..t_b of one event's times, and H of a pattern-backed functional is
-evaluated by its evaluator once per distinct (count, length) of a piece
-of one statistic.  An event's times are a slice of the sorted positions,
-found by one binary search per event kind and bookkeeping.  A piece, and
-every event block or merged window the reference route reads, holds an
-exceedance by construction, so the evaluator is called on it directly.
+t_a..t_b of one event's times, and a pattern-backed H is its
+`pattern_value` of the piece's (count, length), once per distinct key of
+one statistic, so that route reads no magnitude for it.  The reference
+route evaluates windows of magnitudes: the two find (count, length)
+independently and share only H's one definition.  An event's times are a
+slice of the sorted positions, found by one binary search per event kind
+and bookkeeping.  A piece, and every event block or merged window the
+reference route reads, holds an exceedance by construction, so the
+evaluator is called on it directly.
 
 Cost: one O(n) pass to build the bookkeeping (`blocks.model_bookkeeping`
 over a model's uniform stream, computing X only on the blocks an
@@ -71,7 +74,7 @@ from .blocks import (BlockBookkeeping, BlockConfig, active_block_values,
                      block_bookkeeping, block_sum, model_bookkeeping, window_sum,
                      window_values_at)
 from .errors import ConfigError, FunctionalContractError
-from .functionals import ClusterFunctional
+from .functionals import ClusterFunctional, gap_split_sum
 from .models import MagnitudeSeries, ModelSpec, _mask_seed, gen_series
 
 log = logging.getLogger("clusterblocks")
@@ -149,43 +152,33 @@ class _Pieces:
     The piece (a, b) is the scaled series from the exceedance pos[a] to
     pos[b] (0-based indices into `pos`, a <= b), which by hypothesis (iii)
     H sees as it sees any window holding exactly those exceedances.  A
-    pattern-backed H is a function of the piece's (count, length), so it
-    is evaluated on the first piece of each key and read back for the
-    others; any other H is evaluated on every piece.
+    pattern-backed H is `pattern_value` of the piece's (count, length),
+    computed once per key and read back for the others, without reading a
+    magnitude; any other H is evaluated on every piece.
     """
 
     def __init__(self, book: BlockBookkeeping, h: ClusterFunctional):
         self.pos = book.pos_list
         self.window = book.window
         self.evaluator = h.evaluator
-        self.memo = {} if h.pattern_value is not None else None
+        self.pattern = h.pattern_value
+        self.memo = {}
 
     def value(self, a: int, b: int) -> float:
-        # A piece holds its end exceedances: the evaluator is called directly.
         pos = self.pos
-        if self.memo is None:
+        if self.pattern is None:
+            # A piece holds its end exceedances: the evaluator is called directly.
             return float(self.evaluator(self.window(pos[a], pos[b])))
         key = (b - a + 1, pos[b] - pos[a] + 1)
         v = self.memo.get(key)
         if v is None:
-            v = self.memo[key] = float(self.evaluator(self.window(pos[a], pos[b])))
+            v = self.memo[key] = float(self.pattern(*key))
         return v
 
     def ic_sum(self, a: int, b: int) -> float:
-        """The induced internal-cluster value of the times pos[a..b]:
-
-            sum_i (t_{i+1} - t_i) * (H(t_a..t_i) + H(t_{i+1}..t_b) - H(t_a..t_b)),
-
-        added in the order of `functionals.induced_ic`; 0 below two times.
-        """
-        if b <= a:
-            return 0.0
-        pos, value = self.pos, self.value
-        total = value(a, b)
-        acc = 0.0
-        for i in range(a, b):
-            acc += (pos[i + 1] - pos[i]) * (value(a, i) + value(i + 1, b) - total)
-        return acc
+        """The induced internal-cluster value of the times pos[a..b]
+        (`functionals.gap_split_sum`); 0 below two times."""
+        return gap_split_sum(self.pos, self.value, a, b)
 
 
 # -- internal clusters --------------------------------------------------------

@@ -55,10 +55,11 @@ class ClusterFunctional:
 
     evaluator consumes a 1-d array of scaled magnitudes (entries are x/u)
     and must treat only relative positions as meaningful.  pattern_value,
-    when set, recomputes the same value from (exceedance count, cluster
+    when set, gives exactly the same value from (exceedance count, cluster
     length) alone and unlocks the vectorized block/window paths; it must
-    accept scalars or numpy arrays.  induced_from is the base functional of
-    an induced IC/BC form.
+    accept scalars or numpy arrays.  A built-in is defined by its
+    pattern_value, from which `_from_pattern` derives its evaluator.
+    induced_from is the base functional of an induced IC/BC form.
     """
 
     name: str
@@ -94,24 +95,32 @@ def eval_functional(h: ClusterFunctional, window) -> float:
     return float(h.evaluator(w))
 
 
+def gap_split_sum(times, value, a: int, b: int) -> float:
+    """sum_{i=a}^{b-1} (t_{i+1} - t_i) * (H(t_a..t_i) + H(t_{i+1}..t_b) - H(t_a..t_b))
+    in ascending i, with value(i, j) H on the piece from the exceedance t_i
+    to t_j; 0 below two times.  The internal-cluster sum of both
+    `induced_ic` and `expansion`'s exceedance-time route."""
+    if b <= a:
+        return 0.0
+    total = value(a, b)
+    acc = 0.0
+    for i in range(a, b):
+        acc += (times[i + 1] - times[i]) * (value(a, i) + value(i + 1, b) - total)
+    return acc
+
+
 def induced_ic(h: ClusterFunctional, window) -> float:
     """Internal-cluster functional: sum over internal gaps i of
 
-        gap_i * { H(x up to T(i)) + H(x from T(i+1)) - H(x) }.
+        gap_i * { H(x up to T(i)) + H(x from T(i+1)) - H(x) },
 
-    Zero when the window has fewer than two exceedances.
+    each H read on the piece between its end exceedances, all that H sees
+    of the window by (iii).  Zero below two exceedances.
     """
     w = np.asarray(window, dtype=float)
-    pat = exceedance_pattern(w)
-    if pat.count <= 1:
-        return 0.0
-    total = eval_functional(h, w)
-    acc = 0.0
-    for i in range(pat.count - 1):
-        left = eval_functional(h, w[: pat.times[i]])
-        right = eval_functional(h, w[pat.times[i + 1] - 1:])
-        acc += pat.gaps[i] * (left + right - total)
-    return acc
+    t = exceedance_pattern(w).times
+    # a piece holds its end exceedances: the evaluator is called directly
+    return gap_split_sum(t, lambda a, b: float(h.evaluator(w[t[a] - 1:t[b]])), 0, len(t) - 1)
 
 
 def induced_bc(h: ClusterFunctional, window, p="signed") -> float:
@@ -180,49 +189,39 @@ def induced_functional(h: ClusterFunctional, kind: str, p: float | None = None) 
 # -- built-ins and the registry ---------------------------------------------
 
 
-def _indicator(w: np.ndarray) -> float:
-    return 1.0 if (w > 1.0).any() else 0.0
-
-
-def _length(w: np.ndarray) -> float:
-    pos = (w > 1.0).nonzero()[0]
-    if pos.size == 0:
-        return 0.0
-    return float(pos[-1] - pos[0] + 1)
-
-
-def _count(w: np.ndarray) -> float:
-    return float(np.count_nonzero(w > 1.0))
-
-
-def _length_pow(g: float):
-    def ev(w: np.ndarray) -> float:
-        return _power(f"length^{g:g}", _length(w), g) if (w > 1.0).any() else 0.0
-    return ev
+def _from_pattern(pattern):
+    """The evaluator of a pattern-backed H: pattern(count, length) of the
+    window's exceedances, 0.0 without one."""
+    def evaluator(w: np.ndarray) -> float:
+        pos = (w > 1.0).nonzero()[0]
+        return pattern(pos.size, int(pos[-1] - pos[0]) + 1) if pos.size else 0.0
+    return evaluator
 
 
 def _pat_indicator(n, length):
-    return (np.asarray(n) > 0).astype(float)
+    return (n > 0) * 1.0
 
 
 def _pat_length(n, length):
-    return np.asarray(length, dtype=float)
+    return length * 1.0
 
 
 def _pat_count(n, length):
-    return np.asarray(n, dtype=float)
+    return n * 1.0
 
 
 def _pat_length_pow(g: float):
-    def pv(n, length):
-        length = np.asarray(length, dtype=float)
-        with np.errstate(over="ignore"):
-            out = np.where(np.asarray(n) > 0, length ** g, 0.0)
-        if not np.isfinite(out).all():
-            raise FunctionalContractError(
-                f"length^{g:g}: {length.max():g} ** {g:g} overflows a float")
-        return out
-    return pv
+    """length ** g by Python's float power (libm pow), once per distinct
+    length: no numpy power, whose bits depend on its SIMD kernels."""
+    name = f"length^{g:g}"
+
+    def pattern(n, length):
+        if not isinstance(length, np.ndarray):
+            return _power(name, float(length), g) if n > 0 else 0.0
+        distinct, at = np.unique(length, return_inverse=True)
+        powers = np.array([_power(name, float(v), g) for v in distinct.tolist()])
+        return np.where(n > 0, powers[at], 0.0)
+    return pattern
 
 
 _REGISTRY: dict[str, ClusterFunctional] = {}
@@ -241,11 +240,12 @@ def _probe_windows(rng: np.random.Generator, k: int = 64):
 def validate_functional(h: ClusterFunctional) -> None:
     """Probe hypotheses (ii) and (iii) on random windows.
 
-    A functional with a pattern_value must also match it and, since
-    Monte Carlo groups Z windows by exceedance mask, keep its value when
-    the exceedances grow and the rest shrinks towards 0.  Continuity with
-    respect to the tail-process law is not machine checkable and remains
-    a caller obligation.
+    A functional with a pattern_value must also match it exactly (the
+    exceedance-time route reads the pattern, the reference route the
+    evaluator) and, since Monte Carlo groups Z windows by exceedance mask,
+    keep its value when the exceedances grow and the rest shrinks towards
+    0.  Continuity with respect to the tail-process law is not machine
+    checkable and remains a caller obligation.
     """
     rng = np.random.default_rng(_PROBE_SEED)
     for w in _probe_windows(rng):
@@ -269,7 +269,7 @@ def validate_functional(h: ClusterFunctional) -> None:
                 f"{h.name}: growth bound C*L^gamma violated ({val} > {bound})")
         if h.pattern_value is not None:
             pv = float(h.pattern_value(pat.count, pat.length))
-            if not math.isclose(val, pv, rel_tol=1e-12):
+            if pv != val:
                 raise FunctionalContractError(
                     f"{h.name}: pattern_value {pv} differs from the evaluator's {val}")
         if h.exceedance_only:
@@ -303,18 +303,18 @@ def get_functional(name: str) -> ClusterFunctional:
         if not (math.isfinite(g) and g >= 0):
             raise FunctionalContractError(
                 f"length exponent must be a finite number >= 0, got {name!r}")
+        pattern = _pat_length_pow(g)
         h = ClusterFunctional(name=name, gamma=g, growth_constant=1.0,
-                              evaluator=_length_pow(g),
-                              pattern_value=_pat_length_pow(g),
+                              evaluator=_from_pattern(pattern), pattern_value=pattern,
                               integer_valued=float(g).is_integer())
         _REGISTRY[name] = h
         return h
     raise FunctionalContractError(f"unknown functional {name!r}")
 
 
-register_functional("indicator", _indicator, gamma=0.0, growth_constant=1.0,
-                    pattern_value=_pat_indicator, integer_valued=True)
-register_functional("length", _length, gamma=1.0, growth_constant=1.0,
-                    pattern_value=_pat_length, integer_valued=True)
-register_functional("count", _count, gamma=1.0, growth_constant=1.0,
-                    pattern_value=_pat_count, integer_valued=True)
+register_functional("indicator", _from_pattern(_pat_indicator), gamma=0.0,
+                    growth_constant=1.0, pattern_value=_pat_indicator, integer_valued=True)
+register_functional("length", _from_pattern(_pat_length), gamma=1.0,
+                    growth_constant=1.0, pattern_value=_pat_length, integer_valued=True)
+register_functional("count", _from_pattern(_pat_count), gamma=1.0,
+                    growth_constant=1.0, pattern_value=_pat_count, integer_valued=True)

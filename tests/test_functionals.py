@@ -1,3 +1,7 @@
+import os
+import pathlib
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -188,7 +192,70 @@ def test_registry_probes_the_pattern_contract():
         register_functional("bad_pattern", _REGISTRY["length"].evaluator, gamma=1.0,
                             growth_constant=1.0,
                             pattern_value=lambda n, length: np.asarray(n, dtype=float))
-    assert "bad_mask" not in _REGISTRY and "bad_pattern" not in _REGISTRY
+    # one ulp off is a disagreement between the two routes
+    with pytest.raises(FunctionalContractError, match="pattern_value"):
+        register_functional("ulp_pattern", _REGISTRY["length"].evaluator, gamma=1.0,
+                            growth_constant=1.0,
+                            pattern_value=lambda n, length: np.nextafter(length, np.inf))
+    assert not {"bad_mask", "bad_pattern", "ulp_pattern"} & _REGISTRY.keys()
+
+
+@pytest.mark.parametrize("g", [0.5, 1.5, 2.7])
+def test_length_power_evaluator_equals_its_pattern_bit_for_bit(g):
+    # both are libm pow of the float length: numpy's power differs from it
+    # at 2 of these lengths for g = 0.5 (its sqrt path) and, under its
+    # AVX-512 kernels, at hundreds for g = 1.5 and 2.7
+    h = get_functional(f"length^{g:g}")
+    lengths = np.arange(1, 5001)
+    exceeding = np.full(lengths.size, 2.0)
+    window = np.array([h.evaluator(exceeding[:n]) for n in lengths.tolist()])
+    assert window.tobytes() == h.pattern_value(lengths, lengths).tobytes()
+    assert window.tolist() == [h.pattern_value(n, n) for n in lengths.tolist()]
+
+
+# the pinned rows that read a power only through length^1.5, and the test above
+DISPATCH_GATED = [
+    f"tests/test_{module}.py::test_{test}[{model}-length^1.5]"
+    for module, test, models in (
+        ("blocks", "block_statistics_bytes_are_pinned", ("mma1:1,1,1", "mma1:1,2,1.5")),
+        ("expansion", "verbose_report_bytes_are_pinned", ("mma1:1,1,1", "mma1:1,2,1.5")),
+        ("harness", "rates_csv_bytes_are_pinned",
+         ("mma1:1,1,1", "mma1:1,2,1.5", "piecewise(mma1:1,1,1):r")))
+    for model in models
+] + ["tests/test_functionals.py::test_length_power_evaluator_equals_its_pattern_bit_for_bit"]
+
+
+def _dispatches_x86_v4() -> bool:
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:
+        return False
+    return bool(__cpu_features__.get("X86_V4"))
+
+
+@pytest.mark.skipif(not _dispatches_x86_v4(), reason="numpy has no X86_V4 kernels to turn off")
+def test_length_power_bytes_do_not_depend_on_simd_dispatch():
+    """The DISPATCH_GATED tests pass in a process whose numpy runs its
+    baseline kernels instead of AVX-512, as they pass here.
+
+    The other ten digests that depend on numpy's SIMD dispatch stay
+    outside this gate until the Pareto transform takes libm pow as well:
+    six rows of test_series_bytes_are_pinned (mma1:1,2,1.5 and
+    mmaq:0.5,0,3,2 at n = 35, 91 and 100000), test_z_draws_are_pinned
+    [coeffs0] and [coeffs3] (alpha = 0.7 and 1.5), and the two
+    mma1:1,2,1.5 log_sum rows of test_block_statistics_bytes_are_pinned
+    and test_verbose_report_bytes_are_pinned (np.log).
+    """
+    root = pathlib.Path(__file__).resolve().parent.parent
+    code = ("import sys, pytest\n"
+            "from numpy._core._multiarray_umath import __cpu_features__\n"
+            "assert not __cpu_features__['X86_V4']\n"
+            "sys.exit(pytest.main(['-q', '-p', 'no:cacheprovider', *sys.argv[1:]]))")
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR")
+    out = subprocess.run([sys.executable, "-c", code, *DISPATCH_GATED], cwd=root, env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stdout + out.stderr
+    assert "10 passed" in out.stdout             # 7 rows and 3 exponents
 
 
 def test_overflowing_exponents_fail_closed():
@@ -199,7 +266,7 @@ def test_overflowing_exponents_fail_closed():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(FunctionalContractError, match="overflows"):
-            h.pattern_value(np.array([0, 1, 2]), np.array([0, 1, 3]))  # numpy power
+            h.pattern_value(np.array([0, 1, 2]), np.array([0, 1, 3]))  # Python power
         book = block_bookkeeping(MagnitudeSeries(values=window), BlockConfig(r=3, u=1.0, w=0.5))
         with pytest.raises(FunctionalContractError, match="overflows"):
             window_values_at(book, book.pos, np.array([1]), 3, h)

@@ -324,14 +324,15 @@ def test_pair_rate_equals_the_mean_over_a_block_mask(r, m, tail, kind, drawn):
 
 
 # sha256 of csv_text for all ten targets on a two-point grid (8 replicates,
-# seed 2024), recorded before the bookkeeping kept only pos and active
+# seed 2024), recorded before the bookkeeping kept only pos and active; the
+# length^1.5 rows since length^g takes libm pow on every CPU
 GOLDEN_RATES = {
     ("mma1:1,1,1", "indicator"): "747f0b5e328334c291981e1f5b7095582089c34b1f4f9e197c78f0a819580b61",
-    ("mma1:1,1,1", "length^1.5"): "fe6f4b79ee94bd8ae35e223e6ffdf035760b510857770318e40228d2df419681",
+    ("mma1:1,1,1", "length^1.5"): "3509d97c5eac6da894539d193fd11933e32b020571ffcd36a2b902f1aced4026",
     ("mma1:1,2,1.5", "indicator"): "4efc2664e1d740a4530e851a347b5452ab6db6d4beafdff08eb703d70e038154",
-    ("mma1:1,2,1.5", "length^1.5"): "347c7abc12d6c895943b60ffb5e4e64172b48cf9023ea3c441e0f53a86d0620c",
+    ("mma1:1,2,1.5", "length^1.5"): "9a1a0376e4da2c0791aceecc0d66d6445aead5a67ae1dbced67160bda98eabf4",
     ("piecewise(mma1:1,1,1):r", "indicator"): "a9c65477976340296a83431d6e0111a8e53db4cd31502528908d1e2d433b3cbc",
-    ("piecewise(mma1:1,1,1):r", "length^1.5"): "224578086d4dac763ee883a0a898b13ce901d58ad5f371cb26471728c3bbf337",
+    ("piecewise(mma1:1,1,1):r", "length^1.5"): "6757ade2228f3f6238eb9de85d055ab235041e737188f22f642b45e02345e3ed",
 }
 ALL_TARGETS = ("disjoint_stat", "sliding_stat", "scaled_gap", "ic_norm", "bc_norm",
                "ic_large_norm", "pa1a2_small", "pa1a2_large", "clm_large(0)",

@@ -228,7 +228,7 @@ class _ZeroAt:
 
 
 @pytest.mark.parametrize("coeffs", [(1.0, 1.0, 1.0), (1.0, 2.0, 0.5), (0.0, 1.0, 1.0)])
-def test_zero_uniforms_are_redrawn_in_stream_order(coeffs):
+def test_zero_uniforms_keep_the_stream_order(coeffs):
     # U = 0 at the first, a middle and the last Pareto uniform of the
     # first batch, each kept as Y_0 = 1.0, and at two uniforms of B
     spec, k = ModelSpec.mma1(*coeffs), 2000
