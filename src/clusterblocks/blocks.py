@@ -24,9 +24,10 @@ with the same constructor.
 What the readers derive from the positions, the active blocks and r
 alone (the runs of window starts, the exceedance count and cluster
 length of every window they read, the block lists of the reference
-route and the event rows) the bookkeeping computes once, on first use,
-and shares with every functional evaluated on it, in O(k r) time and
-memory.
+route and the IC/BC event rows) the bookkeeping computes once, on first
+use, and shares with every functional evaluated on it, in O(k r) time
+and memory.  Only this module fills that cache; per functional it keeps
+a pattern-backed H's values over a key table alone.
 """
 
 from __future__ import annotations
@@ -84,8 +85,10 @@ class _once:
 
     def __init__(self, func):
         self.func = func
-        self.name = func.__name__
         self.__doc__ = func.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
 
     def __get__(self, book, owner=None):
         if book is None:
@@ -117,9 +120,10 @@ class BlockBookkeeping:
     `expansion.reference_sums` its DB blocks, at `reference`'s offsets.
 
     What the readers derive from `pos`, `active` and r (the `_once`
-    values, `segments`, the window keys and the dicts below) is kept in
-    O(k r) time and memory, filled on first use and shared by every
-    functional evaluated on the bookkeeping.  The window keys come in key
+    values, the IC/BC event rows among them, `segments`, the window keys
+    and the dicts below) is kept in O(k r) time and memory, filled on
+    first use and shared by every functional evaluated on the
+    bookkeeping.  The window keys come in key
     tables: each `key` call searches `pos` once for all the start arrays
     it is given, and a pattern-backed H is evaluated once per table and
     functional, each start array reading back its own slice.  Nothing is
@@ -137,8 +141,6 @@ class BlockBookkeeping:
     active: np.ndarray       # the blocks j <= m that hold an exceedance, 1-based, sorted
     blocks: np.ndarray       # the stored blocks, 1-based, sorted
     values: np.ndarray       # their X/u, block after block
-    sums: dict = _cache()       # id(h): (h, reference_sums)
-    events: dict = _cache()     # kind: event rows
     _segments: dict = _cache()  # (lo, hi): window_segments(pos, r, lo, hi)
     _keys: dict = _cache()      # id(starts): (starts, key table, slice of starts in it)
 
@@ -195,6 +197,30 @@ class BlockBookkeeping:
         return [(j, j - 1 in on, j + 2 in on) for j in self.active_list
                 if 1 < j < m - 1 and j + 1 in on and (j - 1 in on or j + 2 in on)]
 
+    def _event_rows(self, kind: str) -> list:
+        """Rows [j, a, b], or [j, a, s, b] for "boundary", ascending: the
+        event's first block j, which is active and in 2..m-1, with the
+        numbers of exceedances in blocks 1..j-1, 1..j (and 1..j+1), so that
+        pos[a:b] are the event's times and pos[a:s] block j's; one binary
+        search of `pos`.  A "standard" block and a "boundary" pair j, j+1
+        have no active neighbour; a "piecewise" block may."""
+        on, m = self.active_set, self.m
+        if kind == "boundary":
+            j = [j for j in self.active_list
+                 if 1 < j < m - 1 and j - 1 not in on and j + 1 in on and j + 2 not in on]
+        else:
+            j = [j for j in self.active_list if 1 < j < m and (
+                kind == "piecewise" or j - 1 not in on and j + 1 not in on)]
+        if not j:           # most tiny series have no event of a kind: skip the search
+            return []
+        j = np.array(j)[:, None]
+        edges = (j + np.arange(-1, 2 if kind == "boundary" else 1)) * self.r
+        return np.concatenate((j, self.pos.searchsorted(edges, side="right")), axis=1).tolist()
+
+    standard_events = _once(lambda book: book._event_rows("standard"))
+    piecewise_events = _once(lambda book: book._event_rows("piecewise"))
+    boundary_events = _once(lambda book: book._event_rows("boundary"))
+
     def segments(self, lo: int, hi: int) -> tuple:
         """`window_segments(pos, r, lo, hi)`, computed once per (lo, hi)."""
         if (lo, hi) not in self._segments:
@@ -244,7 +270,8 @@ class BlockBookkeeping:
         """H over the windows of `starts` for a pattern-backed h, from one
         `pattern_value` call per key table and functional."""
         _, (counts, lengths, values), at = self._entry(starts)
-        # Keyed by id, as `expansion.reference_sums` keys; the entry holds h.
+        # Keyed by id: evaluators need not be hashable.  The entry holds h,
+        # so the id cannot be reused while the entry exists.
         entry = values.get(id(h))
         if entry is None:
             entry = values[id(h)] = (h, np.asarray(h.pattern_value(counts, lengths), dtype=float))

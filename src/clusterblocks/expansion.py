@@ -20,42 +20,42 @@ exceedance-time fast path, which `internal_cluster_stat` and
 `boundary_cluster_stat` take, and direct window summation (ground truth
 by definition), which runs only in `path_deviations`, once per event.
 Reports carry the maximal deviation between routes.  The fast path reads
-nothing but the exceedance times: every IC and BC term is H on a piece
-t_a..t_b of one event's times, and a pattern-backed H is its
-`pattern_value` of the piece's (count, length), once per distinct key of
-one statistic, so that route reads no magnitude for it.  The reference
+the exceedance times: every IC and BC term is H on a piece t_a..t_b of
+one event's times, and a pattern-backed H is its `pattern_value` of the
+piece's (count, length), once per distinct key of one statistic, so that
+route reads no magnitude for it.  Only a long boundary pair's bc2, for
+which no gap formula is stated, is a direct sum on both routes, the fast
+one over the windows of the pair's own three blocks.  The reference
 route evaluates windows of magnitudes: the two find (count, length)
-independently and share only H's one definition.  An event's times are a
-slice of the sorted positions, found by one binary search per event kind
-and bookkeeping.  A piece, and every event block or merged window the
-reference route reads, holds an exceedance by construction, so the
-evaluator is called on it directly.
+independently and share only H's one definition.  An event's times are
+a slice of the sorted positions, given by the bookkeeping's event rows.
+A piece, and every event block or merged window the reference route
+reads, holds an exceedance by construction, so the evaluator is called
+on it directly.
 
 Cost: one O(n) pass to build the bookkeeping (`blocks.model_bookkeeping`
 over a model's uniform stream, computing X only on the blocks an
 exceedance can reach, or `blocks.block_bookkeeping` over a given series),
 which keeps X/u in O(k r) memory next to the exceedances only, then
-O(k r) work and memory.  Magnitudes are read through
-`BlockBookkeeping.window`, or at `reference`'s offsets for the DB blocks
-of `reference_sums`.  SB is summed over the at most 2k + 1 runs of window
-starts that see the same exceedances and DB over the active blocks'
-values, both by `blocks.padded_sum`, which gives the bits of the
+O(k r) work and memory.  SB is summed over the at most 2k + 1 runs of
+window starts that see the same exceedances and DB over the active
+blocks' values, both by `blocks.padded_sum`, which gives the bits of the
 dense reduction: a real-valued H (values not integral) still falls back
-to that reduction and its per-start (SB) or per-block (DB) vector.  The
-raw sums share nothing with the reference sums SB_j, DB_j, which are
-evaluated and kept, keyed by block, only for the blocks an exceedance
-can reach, once per functional, for the reference routes and the
-remainder only.  `decompose` reads everything from one bookkeeping, so
-several functionals share one pass and what the bookkeeping derives from
-its positions alone (window runs and keys, reference blocks, event rows;
-see `blocks.BlockBookkeeping`).  It keys the three start sets its routes
-read (the SB runs, the active blocks' starts and the reference windows'
-starts) in one binary search of the positions.  Each functional then
-evaluates H on them: a pattern-backed H in one `pattern_value` call over
-that key table, of which each start set reads its own slice, any other
-H on every window that holds an exceedance.  The two routes read
-separate entries, and no value of H passes from one route, or one
-functional, to another.
+to that reduction and its per-start (SB) or per-block (DB) vector.
+`decompose` computes the reference sums SB_j, DB_j once per call, keyed
+by block and only for the blocks an exceedance can reach, and passes
+them to `path_deviations` and `remainder_stat`; nothing keeps them, and
+neither the raw sums nor the fast route reads them.  Everything else
+`decompose` reads from one bookkeeping, so several functionals share one
+pass and what `blocks` derives from its positions alone (window runs and
+keys, reference blocks, event rows; see `blocks.BlockBookkeeping`).  It
+keys the three start sets its routes read (the SB runs, the active
+blocks' starts and the reference windows' starts) in one binary search
+of the positions.  Each functional then evaluates H on them: a
+pattern-backed H in one `pattern_value` call over that key table, of
+which each start set reads its own slice, any other H on every window
+that holds an exceedance.  The two routes read separate entries, and no
+value of H passes from one route, or one functional, to another.
 """
 
 from __future__ import annotations
@@ -97,32 +97,28 @@ class ReferenceSums(NamedTuple):
     db: dict             # DB_j = r * H(block j), by the evaluator
 
 
-def reference_sums(book: BlockBookkeeping, h: ClusterFunctional) -> ReferenceSums:
-    """SB_j and DB_j for every block an exceedance reaches, once per functional.
+def _sb_rows(book: BlockBookkeeping, h: ClusterFunctional, blocks, starts: np.ndarray) -> dict:
+    """SB_j of the blocks j in `blocks` from `starts`, their r window starts
+    each, block after block: one batched call, each row of r values reduced."""
+    vals = window_values_at(book, book.pos, starts, book.r, h).reshape(len(blocks), book.r)
+    return dict(zip(blocks, np.add.reduce(vals, axis=1).tolist()))
 
-    SB_j reads blocks j and j+1, so its windows are evaluated (in one
-    batched call, each row summed over its r windows) only where one of
-    them is active; DB_j only on active blocks.  Those blocks and starts
-    are the bookkeeping's `reference`.  `path_deviations` and the
-    remainder enumeration share the result through the bookkeeping;
-    `raw_sums` never reads it.
+
+def reference_sums(book: BlockBookkeeping, h: ClusterFunctional) -> ReferenceSums:
+    """SB_j and DB_j for every block an exceedance reaches.
+
+    SB_j reads blocks j and j+1, so its windows are evaluated only where
+    one of them is active; DB_j only on active blocks.  Those blocks and
+    starts are the bookkeeping's `reference`.  Nothing is kept: `decompose`
+    computes them once per call and passes them to `path_deviations` and
+    `remainder_stat`; the fast route and `raw_sums` never read them.
     """
-    # Keyed by id: evaluators need not be hashable.  The entry holds h,
-    # so the id cannot be reused while the entry exists.
-    entry = book.sums.get(id(h))
-    if entry is not None:
-        return entry[1]
-    r = book.r
     sb_blocks, starts, db_blocks, db_at = book.reference
-    vals = window_values_at(book, book.pos, starts, r, h).reshape(len(sb_blocks), r)
-    sb = dict(zip(sb_blocks, np.add.reduce(vals, axis=1).tolist()))
+    sb = _sb_rows(book, h, sb_blocks, starts)
     # eval_functional without its exceedance test: these blocks exceed.
     # Block k's window, `book.block_window(k)`, starts at its offset.
-    ev, x = h.evaluator, book.values
-    db = {k: r * float(ev(x[a:a + r])) for k, a in zip(db_blocks, db_at)}
-    sums = ReferenceSums(sb, db)
-    book.sums[id(h)] = (h, sums)
-    return sums
+    r, ev, x = book.r, h.evaluator, book.values
+    return ReferenceSums(sb, {k: r * float(ev(x[a:a + r])) for k, a in zip(db_blocks, db_at)})
 
 
 def raw_sums(book: BlockBookkeeping, h: ClusterFunctional,
@@ -184,64 +180,26 @@ class _Pieces:
 # -- internal clusters --------------------------------------------------------
 
 
-def _event_starts(book: BlockBookkeeping, kind: str) -> list:
-    """The active blocks j, ascending, where an event of the kind holds."""
-    blocks, on, m = book.active_list, book.active_set, book.m
-    if kind == "piecewise":
-        return [j for j in blocks if 1 < j < m]
-    if kind == "standard":
-        return [j for j in blocks if 1 < j < m and j - 1 not in on and j + 1 not in on]
-    return [j for j in blocks                                         # "boundary"
-            if 1 < j < m - 1 and j - 1 not in on and j + 1 in on and j + 2 not in on]
-
-
-def _event_blocks(book: BlockBookkeeping, kind: str) -> list:
-    """The event blocks of one kind with their spans, once per bookkeeping.
-
-    Row [j, a, b] of an internal kind, or [j, a, s, b] of "boundary",
-    holds the event block j and the numbers of exceedances in blocks
-    1..j-1, 1..j (and 1..j+1): pos[a:b] are the event's times and pos[a:s]
-    block j's.  The rows depend on `book.active` and `book.pos` alone, so
-    every functional decomposed on the same bookkeeping reads them from
-    its `events`; the spans of a kind are one binary search of `pos`.
-    """
-    rows = book.events.get(kind)
-    if rows is None:
-        j = _event_starts(book, kind)
-        rows = []
-        if j:               # most tiny series have no event of a kind: skip the search
-            j = np.array(j)[:, None]
-            edges = (j + np.arange(-1, 2 if kind == "boundary" else 1)) * book.r
-            rows = np.concatenate((j, book.pos.searchsorted(edges, side="right")), axis=1).tolist()
-        book.events[kind] = rows
-    return rows
-
-
-def internal_event_blocks(book: BlockBookkeeping, mode: str = "standard") -> list:
-    """Rows [j, a, b]: the 1-based blocks j in 2..m-1 where the
-    internal-cluster event holds, with block j's times pos[a:b]."""
-    if mode not in ("standard", "piecewise"):
-        raise ConfigError(f"unknown internal-cluster mode {mode!r}")
-    return _event_blocks(book, mode)
-
-
-def _ic_reference(book: BlockBookkeeping, h: ClusterFunctional, j: int) -> float:
-    sb, db = reference_sums(book, h)
-    return sb.get(j - 1, 0.0) + sb.get(j, 0.0) - db.get(j, 0.0)
-
-
 def internal_cluster_stat(book: BlockBookkeeping, h: ClusterFunctional,
                           mode: str = "standard"):
     """Internal clusters statistic and its per-block values.
 
-    Each event block contributes the induced internal-cluster functional
-    of its exceedance times, read from the bookkeeping's positions alone;
-    `path_deviations` checks it against the direct sums
-    SB_{j-1} + SB_j - DB_j.
+    Each event block (`BlockBookkeeping.standard_events` or, in the
+    "piecewise" mode, `piecewise_events`) contributes the induced
+    internal-cluster functional of its exceedance times, read from the
+    bookkeeping's positions alone; `path_deviations` checks it against
+    the direct sums SB_{j-1} + SB_j - DB_j.  The total adds the values
+    left to right in ascending j.
     """
+    if mode not in ("standard", "piecewise"):
+        raise ConfigError(f"unknown internal-cluster mode {mode!r}")
     pieces = _Pieces(book, h)
-    per_block = {j: pieces.ic_sum(a, b - 1) for j, a, b in internal_event_blocks(book, mode)}
-    return float(sum(per_block.values())), per_block
+    rows = book.standard_events if mode == "standard" else book.piecewise_events
+    per_block = {j: pieces.ic_sum(a, b - 1) for j, a, b in rows}
+    total = 0.0
+    for v in per_block.values():    # not the builtin sum: Python 3.12's compensates
+        total += v
+    return total, per_block
 
 
 # -- boundary clusters --------------------------------------------------------
@@ -259,13 +217,6 @@ class BoundaryParts:
         return self.bc1 + self.bc2_tilde + self.bc2_overline
 
 
-def boundary_event_blocks(book: BlockBookkeeping) -> list:
-    """Rows [j, a, s, b]: the 1-based blocks j in 2..m-2 starting a
-    boundary-cluster event, with block j's times pos[a:s] and block j+1's
-    pos[s:b]."""
-    return _event_blocks(book, "boundary")
-
-
 def _bc1(book: BlockBookkeeping, h: ClusterFunctional, merged, left, right) -> float:
     """r * (H(merged) - H(left) - H(right)) for a pair's windows, each of
     which holds an exceedance, so the evaluator is called directly."""
@@ -273,11 +224,11 @@ def _bc1(book: BlockBookkeeping, h: ClusterFunctional, merged, left, right) -> f
     return book.r * (float(ev(merged)) - float(ev(left)) - float(ev(right)))
 
 
-def _bc2_reference(book: BlockBookkeeping, h: ClusterFunctional, j: int) -> float:
-    sb = reference_sums(book, h).sb
-    # blocks j and j+1 of a pair are active: the evaluator is called directly
-    return ((sb.get(j - 1, 0.0) + sb.get(j, 0.0) + sb.get(j + 1, 0.0))
-            - book.r * float(h.evaluator(book.merged_window(j))))
+def _bc2_direct(book: BlockBookkeeping, h: ClusterFunctional, j: int, sb: dict) -> float:
+    """bc2 of the pair j, j+1 by direct summation: SB_{j-1} + SB_j + SB_{j+1},
+    read from `sb`, minus r * H(blocks j and j+1), both of which are
+    active, so the evaluator is called directly."""
+    return (sb[j - 1] + sb[j] + sb[j + 1]) - book.r * float(h.evaluator(book.merged_window(j)))
 
 
 def boundary_cluster_stat(book: BlockBookkeeping, h: ClusterFunctional) -> BoundaryParts:
@@ -290,50 +241,51 @@ def boundary_cluster_stat(book: BlockBookkeeping, h: ClusterFunctional) -> Bound
     {L_{j,j+1} < r} is the merged-time gap expansion, which coincides with
     the induced internal-cluster form of the pair's times; the overline
     part is computed by direct summation, since the gap formula is only
-    stated below r.
+    stated below r: the pair sums its own three blocks' windows,
+    SB_{j-1} + SB_j + SB_{j+1}, and reads nothing of `reference_sums`.
     """
     parts = BoundaryParts(0.0, 0.0, 0.0)
     pieces = _Pieces(book, h)
-    for j, a, split, b in boundary_event_blocks(book):
+    r = book.r
+    for j, a, split, b in book.boundary_events:
         b -= 1              # pos[a..split-1] are block j's times, pos[split..b] block j+1's
-        bc1_j = book.r * (pieces.value(a, b) - pieces.value(a, split - 1)
-                          - pieces.value(split, b))
+        bc1_j = r * (pieces.value(a, b) - pieces.value(a, split - 1) - pieces.value(split, b))
         joint = pieces.pos[b] - pieces.pos[a] + 1
-        short = joint < book.r
+        short = joint < r
         parts.bc1 += bc1_j
         if short:
             bc2_j = pieces.ic_sum(a, b)
             parts.bc2_tilde += bc2_j
         else:
-            bc2_j = _bc2_reference(book, h, j)
+            starts = np.arange((j - 2) * r + 1, (j + 1) * r + 1, dtype=np.int64)
+            bc2_j = _bc2_direct(book, h, j, _sb_rows(book, h, (j - 1, j, j + 1), starts))
             parts.bc2_overline += bc2_j
         parts.per_pair.append({"j": j, "bc1": bc1_j, "bc2": bc2_j,
                                "joint_length": joint, "short": short})
     return parts
 
 
-def path_deviations(book: BlockBookkeeping, h: ClusterFunctional,
+def path_deviations(book: BlockBookkeeping, h: ClusterFunctional, ref: ReferenceSums,
                     per_ic: dict, per_pair: list) -> tuple[float, float]:
     """(max |delta ic|, max |delta bc1| + |delta bc2|) of the fast values
-    against the reference route.
+    against the reference route, which reads `ref`, h's `reference_sums`.
 
     The reference route runs here only, once per event: SB_{j-1} + SB_j -
     DB_j for an internal block (standard mode), bc1 on the whole blocks
-    instead of the cluster windows and, on short pairs, bc2 by direct
-    summation.  A long pair's bc2 is a direct sum on both routes.  per_ic
-    and per_pair are the per-event values of `internal_cluster_stat` and
-    `boundary_cluster_stat`.
+    instead of the cluster windows and bc2 by direct summation, on every
+    pair.  A long pair's bc2 is a direct sum on both routes, each from
+    its own SB.  per_ic and per_pair are the per-event values of
+    `internal_cluster_stat` and `boundary_cluster_stat`.
     """
-    ic_dev = max((abs(v - _ic_reference(book, h, j)) for j, v in per_ic.items()),
+    sb, db = ref
+    ic_dev = max((abs(v - (sb[j - 1] + sb[j] - db[j])) for j, v in per_ic.items()),
                  default=0.0)
 
     def bc_dev(pair: dict) -> float:
         j = pair["j"]
-        dev = abs(pair["bc1"] - _bc1(book, h, book.merged_window(j),
-                                     book.block_window(j), book.block_window(j + 1)))
-        if pair["short"]:
-            dev += abs(pair["bc2"] - _bc2_reference(book, h, j))
-        return dev
+        return (abs(pair["bc1"] - _bc1(book, h, book.merged_window(j),
+                                       book.block_window(j), book.block_window(j + 1)))
+                + abs(pair["bc2"] - _bc2_direct(book, h, j, sb)))
 
     return ic_dev, max(map(bc_dev, per_pair), default=0.0)
 
@@ -341,9 +293,10 @@ def path_deviations(book: BlockBookkeeping, h: ClusterFunctional,
 # -- remainder ----------------------------------------------------------------
 
 
-def remainder_stat(book: BlockBookkeeping, h: ClusterFunctional,
+def remainder_stat(book: BlockBookkeeping, ref: ReferenceSums,
                    sb: float, db: float, ic: float, bc: float):
-    """(r_op, r_ic, r_bc, r_nc).
+    """(r_op, r_ic, r_bc, r_nc), the three last from `ref`, the functional's
+    `reference_sums`.
 
     r_op is the operational remainder (sb - db) - ic - bc.  The other
     three re-derive the remainder from its event enumeration by direct
@@ -355,7 +308,7 @@ def remainder_stat(book: BlockBookkeeping, h: ClusterFunctional,
     m = book.m
     if m < 3:
         raise ConfigError(f"need at least 3 blocks, got m={m}")
-    sb_j, db_j = reference_sums(book, h)
+    sb_j, db_j = ref
 
     def s(j):
         return sb_j.get(j, 0.0)
@@ -462,9 +415,10 @@ def decompose(book: BlockBookkeeping, h: ClusterFunctional, w_source: str = "sup
         # the piecewise variant of IC is a rate target, not part of it.
         ic, per_ic = internal_cluster_stat(book, h)
         bc_parts = boundary_cluster_stat(book, h)
-        ic_dev, bc_dev = path_deviations(book, h, per_ic, bc_parts.per_pair)
+        ref = reference_sums(book, h)
+        ic_dev, bc_dev = path_deviations(book, h, ref, per_ic, bc_parts.per_pair)
         bc = bc_parts.total
-        r_op, r_ic, r_bc, r_nc = remainder_stat(book, h, sb, db, ic, bc)
+        r_op, r_ic, r_bc, r_nc = remainder_stat(book, ref, sb, db, ic, bc)
     residual_identity = (sb - db) - ic - bc - r_op
     residual_paper = r_op - (r_ic + r_bc + r_nc)
 

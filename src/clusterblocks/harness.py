@@ -26,7 +26,7 @@ from .blocks import (MEMORY_BUDGET, BlockConfig, active_block_values, block_sum,
 from .errors import ConfigError, FunctionalContractError, PersistError
 from .expansion import boundary_cluster_stat, internal_cluster_stat, raw_sums
 from .functionals import get_functional
-from .limits import LimitTable
+from .limits import LimitTable, cluster_length_moment
 from .models import ModelSpec, threshold_for_w
 
 CSV_HEADER = "model,alpha,c0,c1,n,r,w,replicates,target,mean,sd,se"
@@ -134,7 +134,7 @@ TARGETS = {
     "pa1a2_large": Target(_pair_rate, _quantity, lambda n, r, w, g: r ** 2 * w ** 2,
                           lambda lt, g: lt.large_block_pa1a2, reads=("large_block_pa1a2",)),
     "clm_large": Target(None, _length_moment, lambda n, r, w, g: r ** (g + 2.0) * w ** 2,
-                        lambda lt, g: lt.theta ** 2 / ((g + 1.0) * (g + 2.0)),
+                        lambda lt, g: cluster_length_moment(lt.theta, g),
                         reads=("theta",), exponent=True),
     "ecm": Target(_block_sums, lambda s, b, h, g: _block_mean(b, s[2]), lambda n, r, w, g: r * w,
                   _indicator_theta, reads=("theta",)),
@@ -179,6 +179,8 @@ class ExperimentConfig:
             raise ConfigError("replicates must be >= 1")
         if self.threads < 1:
             raise ConfigError(f"threads must be >= 1, got {self.threads}")
+        if not self.grid:
+            raise ConfigError("grid has no n:r_rule:w_rule point")
         ns = [int(g[0]) for g in self.grid]
         if ns != sorted(ns):
             raise ConfigError("grid must be sorted by n")

@@ -76,6 +76,12 @@ def expected_l_z_minus_one(c0: float, c1: float, alpha: float) -> float:
     return p_y1 / theta
 
 
+def cluster_length_moment(theta: float, g: float) -> float:
+    """The large-block limit of the block cluster length's g-th moment,
+    theta^2 / ((g + 1)(g + 2)): `limit_table`'s and `clm_large(g)`'s."""
+    return theta ** 2 / ((g + 1.0) * (g + 2.0))
+
+
 @dataclass(frozen=True)
 class LimitTable:
     """All limit constants for one (model, functional, gamma) choice."""
@@ -135,7 +141,7 @@ def limit_table(spec: ModelSpec, h: ClusterFunctional, gamma: float = 1.0,
     c0, c1 = spec.mma1_coeffs()
     alpha = spec.base.alpha
     theta, p_y1 = mma1_constants(c0, c1, alpha)
-    moment = theta ** 2 / ((g + 1.0) * (g + 2.0))
+    moment = cluster_length_moment(theta, g)
     try:
         joint = (2.0 ** (g + 2.0) - 1.0) / ((g + 1.0) * (g + 2.0)) * theta ** 2
     except OverflowError:

@@ -311,7 +311,10 @@ def threshold_for_w(spec: ModelSpec, w: float) -> float:
         if len(positive) == 1:
             return float(positive[0] * w ** (-1.0 / base.alpha))
         lo = max(positive)                  # marginal_tail(lo) = 1 > w
-        hi = (sum(c ** base.alpha for c in positive) / w) ** (1.0 / base.alpha)
+        mass = 0.0
+        for c in positive:                  # not the builtin sum: Python 3.12's compensates
+            mass += c ** base.alpha
+        hi = (mass / w) ** (1.0 / base.alpha)
     except OverflowError:                   # a float power past the largest float
         raise ModelError(f"the threshold for w={w!r} overflows a float") from None
     hi = max(hi, lo * 2.0)                  # union bound: marginal_tail(hi) <= w

@@ -17,7 +17,8 @@ from clusterblocks import (BlockConfig, ExperimentConfig, MagnitudeSeries,
                            read_series, run_experiment, summarize,
                            threshold_for_w, write_series)
 from clusterblocks.expansion import (block_bookkeeping, boundary_cluster_stat,
-                                     internal_cluster_stat, path_deviations)
+                                     internal_cluster_stat, path_deviations,
+                                     reference_sums)
 from clusterblocks.functionals import validate_functional
 from clusterblocks.harness import csv_text
 from clusterblocks.verify import identity_reports, mask_bookkeepings, z_acceptance_runs
@@ -66,7 +67,7 @@ def test_criterion_2_case_analysis_equivalence(identity_runs):
     for _, book in mask_bookkeepings(4, 4):
         for h in hs:
             _, per_ic = internal_cluster_stat(book, h)
-            ic_dev, bc_dev = path_deviations(book, h, per_ic,
+            ic_dev, bc_dev = path_deviations(book, h, reference_sums(book, h), per_ic,
                                              boundary_cluster_stat(book, h).per_pair)
             if ic_dev != 0.0 or bc_dev != 0.0:
                 bad_masks += 1

@@ -307,7 +307,6 @@ def test_raw_sums_leave_the_reference_batch_unbuilt():
     assert book.active.size
     for h in SEGMENT_FUNCTIONALS:
         raw_sums(book, h)
-    assert book.sums == {}
     # nor are the reference windows built or keyed: only `decompose` reads them
     assert "reference" not in vars(book)
     assert set(book._keys) == {id(book.sb_runs), id(book.active_starts)}
@@ -362,8 +361,6 @@ def test_a_key_table_gives_each_start_array_its_own_windows():
 ])
 def test_block_index_equals_searchsorted_over_block_edges(n, r, positions):
     # the active blocks and the event spans are those of the block edges
-    from clusterblocks.expansion import _event_blocks
-
     values = np.full(n, 0.5)
     values[np.asarray(positions, dtype=int) - 1] = 2.0
     book = block_bookkeeping(MagnitudeSeries(values=values), BlockConfig(r=r, u=1.0, w=0.1))
@@ -372,8 +369,8 @@ def test_block_index_equals_searchsorted_over_block_edges(n, r, positions):
     assert book.active.tolist() == [j for j in range(1, book.m + 1)
                                     if any((j - 1) * r < p <= j * r for p in positions)]
     before = np.searchsorted(book.pos, np.arange(book.m + 2, dtype=np.int64) * r + 1)
-    for j, a, b in _event_blocks(book, "piecewise"):
+    for j, a, b in book.piecewise_events:
         assert (a, b) == (before[j - 1], before[j])
     if book.m >= 4:
-        for j, a, s, b in _event_blocks(book, "boundary"):
+        for j, a, s, b in book.boundary_events:
             assert (a, s, b) == (before[j - 1], before[j], before[j + 1])

@@ -407,6 +407,13 @@ def no_replicate(*args):
      None, 1, "config"),
     (["simulate", "--model", "piecewise(mma1:1,1,1):r", "--n", "100", "--out", os.devnull],
      None, 1, "model"),
+    # a grid with no point, given as a flag or in a config file
+    (["rates", "--model", "mma1:1,1,1", "--grid", ""], None, 1, "config"),
+    (["rates", "--model", "mma1:1,1,1", "--grid", " "], None, 1, "config"),
+    (["rates", "--model", "mma1:1,1,1", "--grid", ";"], None, 1, "config"),
+    (["rates", "--model", "mma1:1,1,1", "--grid", ";;"], None, 1, "config"),
+    (["rates", "--config", os.path.join(os.path.dirname(__file__), "empty_grid.conf")],
+     None, 1, "config"),
 ])
 def test_parse_errors_fail_closed(capsys, monkeypatch, argv, env, code, category):
     if env is not None:

@@ -13,8 +13,7 @@ from clusterblocks import (BlockConfig, ClusterFunctional, ConfigError,
                            internal_cluster_stat, parse_model,
                            remainder_stat, threshold_for_w)
 from clusterblocks.blocks import model_bookkeeping, window_values_at
-from clusterblocks.expansion import (_bc1, boundary_event_blocks, decompose,
-                                     internal_event_blocks, path_deviations,
+from clusterblocks.expansion import (_bc1, decompose, path_deviations, raw_sums,
                                      reference_sums)
 from clusterblocks.functionals import eval_functional, induced_ic
 from clusterblocks.verify import mask_bookkeepings
@@ -159,7 +158,41 @@ def test_boundary_long_joint_cluster_uses_direct_path():
     # (t3(N3)-t2(1)) - (gap - r)_+ = 11 - 1 = 10
     assert pair["bc2"] == 10.0
     # the reference route (bc1 on whole blocks) agrees
-    assert path_deviations(book, IND, {}, parts.per_pair) == (0.0, 0.0)
+    assert path_deviations(book, IND, reference_sums(book, IND), {}, parts.per_pair) == (0.0, 0.0)
+
+
+def test_a_long_pairs_bc2_is_checked_against_the_reference_route(monkeypatch):
+    # both routes sum a long pair's bc2 directly, each from its own SB, so
+    # a perturbed fast value shows in bc_path_deviation
+    import clusterblocks.expansion as expansion
+
+    s = place(50, [12, 23], hi=3.0)     # one pair, joint length 12 >= r = 10
+    cfg = BlockConfig(r=10, u=1.0, w=0.01)
+    for h in (IND, LEN):
+        assert decompose(block_bookkeeping(s, cfg), h).bc_path_deviation == 0.0
+    real = expansion.boundary_cluster_stat
+
+    def perturbed(book, h):
+        parts = real(book, h)
+        [pair] = parts.per_pair
+        assert not pair["short"]
+        pair["bc2"] += 0.5
+        return parts
+
+    monkeypatch.setattr(expansion, "boundary_cluster_stat", perturbed)
+    for h in (IND, LEN):
+        assert decompose(block_bookkeeping(s, cfg), h).bc_path_deviation == 0.5
+
+
+def test_the_fast_route_builds_no_reference_table():
+    # a long pair sums its own three blocks: the fast route and the raw
+    # sums neither build nor key the reference route's windows
+    book = _random_book(np.random.default_rng(5), 9, 400, 0.08)
+    for h in (IND, get_functional("length^1.5"), LOG_SUM):
+        internal_cluster_stat(book, h)
+        assert any(not p["short"] for p in boundary_cluster_stat(book, h).per_pair)
+        raw_sums(book, h)
+    assert "reference" not in vars(book)
 
 
 def test_remainder_examples():
@@ -191,7 +224,7 @@ def test_remainder_operational_identity():
         for h in (IND, LEN, CNT, LOG_SUM):
             rep = expansion_report(s, cfg, h)
             r_op, r_ic, r_bc, r_nc = remainder_stat(
-                book, h, rep.sb, rep.db, rep.ic, rep.bc)
+                book, reference_sums(book, h), rep.sb, rep.db, rep.ic, rep.bc)
             assert r_op == rep.r_op
             assert (r_ic, r_bc, r_nc) == (rep.r_ic, rep.r_bc, rep.r_nc)
             if h.integer_valued:
@@ -311,7 +344,7 @@ def test_merged_pair_fast_path_forced_events():
         for h in hs:
             [pair] = boundary_cluster_stat(book, h).per_pair
             # max |delta bc1| + |delta bc2| against the direct window sums
-            _, bc_dev = path_deviations(book, h, {}, [pair])
+            _, bc_dev = path_deviations(book, h, reference_sums(book, h), {}, [pair])
             assert bc_dev == 0.0 if h.integer_valued else bc_dev <= 1e-9
             hits += 1
     assert hits == 800
@@ -325,7 +358,7 @@ def test_path_deviations_zero():
         book = block_bookkeeping(s, cfg)
         for h in (IND, LEN, CNT, get_functional("length^1.5")):
             _, per_ic = internal_cluster_stat(book, h)
-            ic_dev, bc_dev = path_deviations(book, h, per_ic,
+            ic_dev, bc_dev = path_deviations(book, h, reference_sums(book, h), per_ic,
                                              boundary_cluster_stat(book, h).per_pair)
             assert ic_dev <= 1e-12 and bc_dev <= 1e-12
 
@@ -483,7 +516,7 @@ def test_exceedance_time_route_skips_window_scans(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("window read on the exceedance-time route")
 
-    evaluations, patterns = [], []
+    evaluations, patterns, tables = [], [], []
     base = get_functional("length^1.5")
 
     def evaluator(window):
@@ -491,7 +524,11 @@ def test_exceedance_time_route_skips_window_scans(monkeypatch):
         return base.evaluator(window)
 
     def pattern_value(n, length):
-        patterns.append((n, length))
+        # a piece's (count, length) is scalar, a key table's array-valued
+        if isinstance(n, np.ndarray):
+            tables.append(n.size)
+        else:
+            patterns.append((n, length))
         return base.pattern_value(n, length)
 
     monkeypatch.setattr(functionals, "exceedance_pattern", forbidden)
@@ -513,14 +550,9 @@ def test_exceedance_time_route_skips_window_scans(monkeypatch):
     _, per = internal_cluster_stat(book, h, "piecewise")
     monkeypatch.setattr(blocks.BlockBookkeeping, "window", window)
     keys = set().union(*(piece_keys(block_times(book, j).tolist()) for j in per))
-    assert len(per) > 150 and not evaluations
+    assert len(per) > 150 and not evaluations and not tables
     assert 0 < len(patterns) == len(set(patterns)) <= len(keys) and set(patterns) <= keys
 
-    # a long pair's bc2 reads the reference sums, whose SB_j are one
-    # array-valued pattern_value call and whose DB_j evaluate the active
-    # blocks: computed here, before the count, as they are no piece
-    reference_sums(book, h)
-    evaluations.clear()
     patterns.clear()
     pairs = boundary_cluster_stat(book, h).per_pair
     keys = set()
@@ -535,25 +567,26 @@ def test_exceedance_time_route_skips_window_scans(monkeypatch):
     long_pairs = sum(not p["short"] for p in pairs)
     assert pairs and 0 < len(patterns) == len(set(patterns)) <= len(keys)
     assert set(patterns) <= keys
-    # a long pair's bc2 is the direct sum, which evaluates its merged window once
+    # a long pair's bc2 is the direct sum of its own three blocks' 3r
+    # windows, one key table, and evaluates its merged window once; no
+    # reference sum is built
     assert long_pairs and len(evaluations) <= long_pairs
+    assert tables == [3 * book.r] * long_pairs and "reference" not in vars(book)
 
 
 def test_event_blocks_are_computed_once_per_bookkeeping(monkeypatch):
-    # the event masks depend on the active blocks alone: three functionals
+    # the event rows depend on the active blocks alone: three functionals
     # decomposed on one bookkeeping compute each kind once
-    import clusterblocks.expansion as expansion
-
-    from clusterblocks.expansion import decompose
+    import clusterblocks.blocks as blocks
 
     kinds = []
-    real = expansion._event_starts
+    real = blocks.BlockBookkeeping._event_rows
 
     def counting(book, kind):
         kinds.append(kind)
         return real(book, kind)
 
-    monkeypatch.setattr(expansion, "_event_starts", counting)
+    monkeypatch.setattr(blocks.BlockBookkeeping, "_event_rows", counting)
     spec = ModelSpec.mma1(1.0, 1.0, 1.0)
     cfg = BlockConfig(r=5, u=threshold_for_w(spec, 0.05), w=0.05)
     book = block_bookkeeping(gen_series(spec, 3000, 4), cfg)
@@ -562,9 +595,9 @@ def test_event_blocks_are_computed_once_per_bookkeeping(monkeypatch):
     internal_cluster_stat(book, IND, "piecewise")
     internal_cluster_stat(book, LEN, "piecewise")
     assert sorted(kinds) == ["boundary", "piecewise", "standard"]
-    assert len(internal_event_blocks(book)) and len(boundary_event_blocks(book))
+    assert len(book.standard_events) and len(book.boundary_events)
     with pytest.raises(ConfigError):
-        internal_event_blocks(book, "neither")
+        internal_cluster_stat(book, IND, "neither")
 
 
 def test_position_work_is_done_once_per_bookkeeping(monkeypatch):
@@ -612,10 +645,14 @@ def test_position_work_is_done_once_per_bookkeeping(monkeypatch):
 
     for h in (counted_pattern(IND), counted_pattern(get_functional("length^1.5")), LOG_SUM):
         decompose(book, h)
+    long_pairs = sum(int(book.pos[b - 1] - book.pos[a]) + 1 >= book.r
+                     for _, a, _, b in book.boundary_events)
     assert runs == [(1, (book.m - 1) * book.r)]
-    # SB runs, the active blocks' starts and the reference windows, together
-    assert passes == [3]
-    assert patterns == ["indicator", "length^1.5"]
+    # SB runs, the active blocks' starts and the reference windows,
+    # together; then each long pair keys its own three blocks' windows
+    # (the fast route reads no reference window), once per functional
+    assert long_pairs and passes == [3] + [1] * (3 * long_pairs)
+    assert patterns == (["indicator"] * (1 + long_pairs) + ["length^1.5"] * (1 + long_pairs))
     assert set(scalars) == {"indicator", "length^1.5"}
     assert lists == [1]
 
