@@ -17,9 +17,13 @@ built in O(k r) by one constructor that two routes share:
 `block_bookkeeping` scans a given series, and `model_bookkeeping` (what
 `rates` and `decompose --model` use) makes one O(n) pass over a model's
 uniform stream and computes X only on the blocks an exceedance can
-reach.  Both give equal bookkeepings, and so does `verify`'s exhaustive
-enumeration, which builds each mask's bookkeeping from the mask's bits
-with the same constructor.
+reach.  That pass can be cut into contiguous ranges of blocks scanned on
+threads, each from the generator jumped ahead to its first uniform:
+`decompose --model` takes one range per CPU (`pool_size`), a `rates`
+replicate one, since the replicates run in parallel.  Both routes give
+equal bookkeepings, at any worker count, and so does `verify`'s
+exhaustive enumeration, which builds each mask's bookkeeping from the
+mask's bits with the same constructor.
 
 What the readers derive from the positions, the active blocks and r
 alone (the runs of window starts, the exceedance count and cluster
@@ -33,6 +37,8 @@ a pattern-backed H's values over a key table alone.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from bisect import bisect_left
 from dataclasses import dataclass, field
 
@@ -71,6 +77,7 @@ def truncated_length(n: int, r: int) -> tuple[int, int]:
 
 
 _PAST = np.iinfo(np.int64).max
+_NO_STARTS = np.empty(0, dtype=np.int64)       # shared by every bookkeeping, never written
 
 
 def _cache():
@@ -120,10 +127,10 @@ class BlockBookkeeping:
     `expansion.reference_sums` its DB blocks, at `reference`'s offsets.
 
     What the readers derive from `pos`, `active` and r (the `_once`
-    values, the IC/BC event rows among them, `segments`, the window keys
-    and the dicts below) is kept in O(k r) time and memory, filled on
-    first use and shared by every functional evaluated on the
-    bookkeeping.  The window keys come in key
+    values, the IC/BC event rows and the long pairs' window starts among
+    them, `segments`, the window keys and the dicts below) is kept in
+    O(k r) time and memory, filled on first use and shared by every
+    functional evaluated on the bookkeeping.  The window keys come in key
     tables: each `key` call searches `pos` once for all the start arrays
     it is given, and a pattern-backed H is evaluated once per table and
     functional, each start array reading back its own slice.  Nothing is
@@ -187,6 +194,19 @@ class BlockBookkeeping:
         starts = np.array(sb, dtype=np.int64)[:, None] * r + np.arange(1 - r, 1)
         db = self.active[:self.active.searchsorted(m)]
         return sb, starts.ravel(), db.tolist(), (self.blocks.searchsorted(db) * r).tolist()
+
+    @_once
+    def long_pairs(self) -> tuple:
+        """(blocks, starts) of the long boundary pairs j, j+1, those whose
+        joint cluster length is at least r: the blocks j-1, j, j+1 whose SB
+        the pair's bc2 sums, pair after pair, and their r window starts
+        each, (j-2)r+1 .. (j+1)r."""
+        r, pos = self.r, self.pos_list
+        j = [j for j, a, _, b in self.boundary_events if pos[b - 1] - pos[a] >= r - 1]
+        if not j:           # most bookkeepings have none: skip the array work
+            return [], _NO_STARTS
+        blocks = (np.array(j)[:, None] + np.arange(-1, 2)).ravel()
+        return blocks.tolist(), (blocks[:, None] * r + np.arange(1 - r, 1)).ravel()
 
     @_once
     def block_runs(self) -> list:
@@ -344,11 +364,45 @@ def block_bookkeeping(series: MagnitudeSeries, cfg: BlockConfig) -> BlockBookkee
     return _bookkeeping(cfg, scaled.size, pos, lambda p: scaled[p])
 
 
-_CHUNK = 1 << 17        # uniforms drawn per step of model_bookkeeping
+_CHUNK = 1 << 17        # uniforms drawn per step of model_bookkeeping, all its ranges together
 _DELTA = 1e-9           # relative margin of its candidate cut
 
 
-def model_bookkeeping(spec: ModelSpec, n: int, seed: int, cfg: BlockConfig) -> BlockBookkeeping:
+def pool_size(requested: int, jobs: int) -> int:
+    """The workers that run `jobs` jobs: min(requested, jobs, CPU count), >= 1."""
+    return max(1, min(requested, jobs, os.cpu_count() or 1))
+
+
+def _in_threads(fn, args: list) -> list:
+    """[fn(*a) for a in args]: the last on the calling thread, each other on
+    a thread of its own, every one joined before this returns or raises.
+    An error is re-raised after the joins, the earliest in `args` order."""
+    out = [None] * len(args)
+
+    def run(i):
+        try:
+            out[i] = fn(*args[i])
+        except BaseException as exc:        # re-raised below, on the calling thread
+            out[i] = exc
+
+    threads = []
+    try:
+        for i in range(len(args) - 1):
+            thread = threading.Thread(target=run, args=(i,))
+            thread.start()
+            threads.append(thread)
+        run(len(args) - 1)
+    finally:
+        for thread in threads:
+            thread.join()
+    for result in out:
+        if isinstance(result, BaseException):
+            raise result
+    return out
+
+
+def model_bookkeeping(spec: ModelSpec, n: int, seed: int, cfg: BlockConfig,
+                      workers: int = 1) -> BlockBookkeeping:
     """`block_bookkeeping(gen_series(spec, n, seed), cfg)`, without the series.
 
     The uniforms of `gen_series` are drawn from the same generator in
@@ -366,6 +420,24 @@ def model_bookkeeping(spec: ModelSpec, n: int, seed: int, cfg: BlockConfig) -> B
     `pos` is every touched position with X/u > 1, and the stored blocks
     (see `BlockBookkeeping`) are touched blocks, kept with their values.
 
+    Ranges: the nb blocks (the tail block counted) are cut into parts =
+    min(workers, steps) contiguous ranges, steps being those of a scan in
+    one range.  Each range is scanned as above, in steps of
+    `_CHUNK // (r parts)` blocks, so that all ranges' buffers together
+    hold what one range's holds, on a generator of its own: `_rng(seed)`
+    advanced (PCG64 jumps ahead in O(log k) time) to the lag-0 innovation
+    of the first position of the block before the range's first, which
+    then draws the very uniforms one generator draws there.  The calling
+    thread scans the last range, a thread of its own each other one; the
+    draws and comparisons release the GIL.  Every thread is joined before
+    the call returns or raises, and an error is the earliest failing
+    range's, the one a scan in one range meets first.  Merge: the ranges'
+    touched positions and X/u in range order, dropping each position not
+    above the largest one kept.  Only the two blocks at a range boundary
+    can be touched by two ranges, and then with equal bits, as the
+    uniforms and the elementwise transform are equal.  So the bookkeeping
+    does not depend on `workers`, bit for bit.
+
     Correctness: for U < t the true xi = (1 - U)^(-1/alpha) lies below
     u / (c_max (1 + delta)), so every c_k xi / u < 1 / (1 + delta).  The
     few ulp of rounding in the transform, the product and the division
@@ -378,10 +450,10 @@ def model_bookkeeping(spec: ModelSpec, n: int, seed: int, cfg: BlockConfig) -> B
     candidate, so the check of `MagnitudeSeries` is made on the touched
     values.
 
-    An n whose nb blocks (the tail block counted) plus a pad block on each
-    side exceed `MEMORY_BUDGET` is refused with ConfigError before anything
-    is drawn.  Nothing is allocated per block: the cap bounds time, as the
-    pass over the uniforms would not end in useful time.
+    An n whose nb blocks plus a pad block on each side exceed
+    `MEMORY_BUDGET` is refused with ConfigError before anything is drawn.
+    Nothing is allocated per block: the cap bounds time, as the pass over
+    the uniforms would not end in useful time.
     """
     nb = -(-n // cfg.r)                 # blocks, the partial tail block included
     if nb + 2 > MEMORY_BUDGET:
@@ -394,6 +466,8 @@ def model_bookkeeping(spec: ModelSpec, n: int, seed: int, cfg: BlockConfig) -> B
     ratio = max(base.coeffs) * (1.0 + _DELTA) / u
     t = 1.0 - ratio ** base.alpha - 2.0 ** -50 if ratio < 1.0 else -math.inf
     lags = np.arange(q + 1)
+    parts = max(1, min(workers, -(-nb // max(1, _CHUNK // r))))     # a step per range at least
+    step = max(1, _CHUNK // (r * parts))
 
     def innovation(j):                  # innovation of position j at lag 0
         return j + q * (j // size)
@@ -401,47 +475,59 @@ def model_bookkeeping(spec: ModelSpec, n: int, seed: int, cfg: BlockConfig) -> B
     def block_end(b):                   # one past block b's last innovation
         return innovation(min((b + 1) * r, n) - 1) + q + 1
 
-    rng = _rng(seed)
-    at, xs = [np.empty(0, dtype=np.int64)], [np.empty(0)]   # touched positions and X/u, ascending
-    done = -1                           # the last touched block computed
-    buf = np.empty(0)
-    lo = hi = 0                         # buf[:hi - lo] holds the uniforms lo .. hi - 1
-    step = max(1, _CHUNK // r)
-    for b0 in range(0, nb, step):
-        b1 = min(b0 + step, nb)         # this step owns blocks b0 .. b1 - 1
-        # Uniforms from the left neighbour's first to the right neighbour's
-        # last; drawn into one reused buffer (fresh arrays cost page faults).
-        keep, need = innovation(max(b0 - 1, 0) * r), block_end(min(b1, nb - 1))
-        kept = buf[keep - lo: hi - lo]
-        if need - keep > buf.size:
-            buf = np.empty(min(2 * (need - keep), rows * width))
-        buf[:kept.size] = kept
-        fresh = buf[hi - keep: need - keep]
-        rng.random(out=fresh)
-        lo, hi = keep, need
-        a = innovation(b0 * r)
-        cand = np.flatnonzero(buf[a - lo: block_end(b1 - 1) - lo] >= t) + a
-        if not cand.size:
-            continue
-        row, off = np.divmod(cand, width)
-        off = off[:, None] - lags       # candidate i feeds position row*size + off
-        fed = (row[:, None] * size + off)[(off >= 0) & (off < size)] // r
-        fed = fed[(fed >= b0) & (fed < b1)]
-        touched = np.unique(np.concatenate((fed - 1, fed, fed + 1)))
-        # Drop the blocks a step before computed (its right neighbour is b0);
-        # a step whose candidates feed only such blocks adds nothing.
-        touched = touched[(touched > done) & (touched < nb)]
-        if not touched.size:
-            continue
-        done = int(touched[-1])
-        p = _positions(touched, r, n)
-        with np.errstate(over="ignore"):    # an infinite X or X/u is refused, not warned of
-            xi = _pareto_from_uniforms(buf[innovation(p)[:, None] + lags - lo], base.alpha)
-            x = _moving_maxima(xi, base.coeffs, 1)
-            if not np.isfinite(x).all():
-                raise ModelError("magnitudes must be finite")
-            at.append(p)
-            xs.append(x / u)
+    def scan(first, last):
+        """(touched positions, their X/u), ascending, of blocks first .. last - 1."""
+        lo = hi = innovation(max(first - 1, 0) * r)     # buf[:hi - lo] holds uniforms lo .. hi - 1
+        rng = _rng(seed)
+        rng.bit_generator.advance(lo)
+        at, xs = [np.empty(0, dtype=np.int64)], [np.empty(0)]
+        done = -1                       # the last touched block computed
+        buf = np.empty(0)
+        for b0 in range(first, last, step):
+            b1 = min(b0 + step, last)   # this step owns blocks b0 .. b1 - 1
+            # Uniforms from the left neighbour's first to the right neighbour's
+            # last; drawn into one reused buffer (fresh arrays cost page faults).
+            keep, need = innovation(max(b0 - 1, 0) * r), block_end(min(b1, nb - 1))
+            kept = buf[keep - lo: hi - lo]
+            if need - keep > buf.size:
+                buf = np.empty(min(2 * (need - keep), rows * width))
+            buf[:kept.size] = kept
+            fresh = buf[hi - keep: need - keep]
+            rng.random(out=fresh)
+            lo, hi = keep, need
+            a = innovation(b0 * r)
+            cand = np.flatnonzero(buf[a - lo: block_end(b1 - 1) - lo] >= t) + a
+            if not cand.size:
+                continue
+            row, off = np.divmod(cand, width)
+            off = off[:, None] - lags   # candidate i feeds position row*size + off
+            fed = (row[:, None] * size + off)[(off >= 0) & (off < size)] // r
+            fed = fed[(fed >= b0) & (fed < b1)]
+            touched = np.unique(np.concatenate((fed - 1, fed, fed + 1)))
+            # Drop the blocks a step before computed (its right neighbour is b0);
+            # a step whose candidates feed only such blocks adds nothing.
+            touched = touched[(touched > done) & (touched < nb)]
+            if not touched.size:
+                continue
+            done = int(touched[-1])
+            p = _positions(touched, r, n)
+            with np.errstate(over="ignore"):    # an infinite X or X/u is refused, not warned of
+                xi = _pareto_from_uniforms(buf[innovation(p)[:, None] + lags - lo], base.alpha)
+                x = _moving_maxima(xi, base.coeffs, 1)
+                if not np.isfinite(x).all():
+                    raise ModelError("magnitudes must be finite")
+                at.append(p)
+                xs.append(x / u)
+        return np.concatenate(at), np.concatenate(xs)
+
+    at, xs, last = [], [], -1           # last: the largest position kept
+    for p, x in _in_threads(scan, [(nb * i // parts, nb * (i + 1) // parts)
+                                   for i in range(parts)]):
+        i = p.searchsorted(last, side="right")      # a boundary block the range before touched
+        at.append(p[i:])
+        xs.append(x[i:])
+        if i < p.size:
+            last = p[-1]
     at, x = np.concatenate(at), np.concatenate(xs)
     return _bookkeeping(cfg, n, at[x > 1.0] + 1, lambda p: x[at.searchsorted(p)])
 

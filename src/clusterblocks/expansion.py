@@ -35,7 +35,8 @@ on it directly.
 
 Cost: one O(n) pass to build the bookkeeping (`blocks.model_bookkeeping`
 over a model's uniform stream, computing X only on the blocks an
-exceedance can reach, or `blocks.block_bookkeeping` over a given series),
+exceedance can reach, on one thread per CPU in `expansion_report`, or
+`blocks.block_bookkeeping` over a given series),
 which keeps X/u in O(k r) memory next to the exceedances only, then
 O(k r) work and memory.  SB is summed over the at most 2k + 1 runs of
 window starts that see the same exceedances and DB over the active
@@ -49,12 +50,12 @@ neither the raw sums nor the fast route reads them.  Everything else
 `decompose` reads from one bookkeeping, so several functionals share one
 pass and what `blocks` derives from its positions alone (window runs and
 keys, reference blocks, event rows; see `blocks.BlockBookkeeping`).  It
-keys the three start sets its routes read (the SB runs, the active
-blocks' starts and the reference windows' starts) in one binary search
-of the positions.  Each functional then evaluates H on them: a
-pattern-backed H in one `pattern_value` call over that key table, of
-which each start set reads its own slice, any other H on every window
-that holds an exceedance.  The two routes read separate entries, and no
+keys the four start sets its routes read (the SB runs, the active
+blocks' starts, the reference windows' starts and the long pairs' three
+blocks' starts) in one binary search of the positions.  Each functional
+then evaluates H on them: a pattern-backed H in one `pattern_value` call
+over that key table, of which each start set reads its own slice, any
+other H on every window that holds an exceedance.  The two routes read separate entries, and no
 value of H passes from one route, or one functional, to another.
 """
 
@@ -71,8 +72,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .blocks import (BlockBookkeeping, BlockConfig, active_block_values,
-                     block_bookkeeping, block_sum, model_bookkeeping, window_sum,
-                     window_values_at)
+                     block_bookkeeping, block_sum, model_bookkeeping, pool_size,
+                     window_sum, window_values_at)
 from .errors import ConfigError, FunctionalContractError
 from .functionals import ClusterFunctional, gap_split_sum
 from .models import MagnitudeSeries, ModelSpec, _mask_seed, gen_series
@@ -243,10 +244,13 @@ def boundary_cluster_stat(book: BlockBookkeeping, h: ClusterFunctional) -> Bound
     part is computed by direct summation, since the gap formula is only
     stated below r: the pair sums its own three blocks' windows,
     SB_{j-1} + SB_j + SB_{j+1}, and reads nothing of `reference_sums`.
+    Those SB rows come from one batched call over every long pair's
+    windows (`BlockBookkeeping.long_pairs`).
     """
     parts = BoundaryParts(0.0, 0.0, 0.0)
     pieces = _Pieces(book, h)
     r = book.r
+    long_sb = None          # SB of every long pair's three blocks, in one batched call
     for j, a, split, b in book.boundary_events:
         b -= 1              # pos[a..split-1] are block j's times, pos[split..b] block j+1's
         bc1_j = r * (pieces.value(a, b) - pieces.value(a, split - 1) - pieces.value(split, b))
@@ -257,8 +261,9 @@ def boundary_cluster_stat(book: BlockBookkeeping, h: ClusterFunctional) -> Bound
             bc2_j = pieces.ic_sum(a, b)
             parts.bc2_tilde += bc2_j
         else:
-            starts = np.arange((j - 2) * r + 1, (j + 1) * r + 1, dtype=np.int64)
-            bc2_j = _bc2_direct(book, h, j, _sb_rows(book, h, (j - 1, j, j + 1), starts))
+            if long_sb is None:
+                long_sb = _sb_rows(book, h, *book.long_pairs)
+            bc2_j = _bc2_direct(book, h, j, long_sb)
             parts.bc2_overline += bc2_j
         parts.per_pair.append({"j": j, "bc1": bc1_j, "bc2": bc2_j,
                                "joint_length": joint, "short": short})
@@ -407,8 +412,8 @@ def decompose(book: BlockBookkeeping, h: ClusterFunctional, w_source: str = "sup
     m, r, w, n_eff = book.m, book.r, book.w, book.n_eff
     if m < 3:
         raise ConfigError(f"need at least 3 blocks, got m={m}")
-    # the three start sets the two routes read, in one pass
-    book.key(book.sb_runs, book.active_starts, book.reference[1])
+    # the four start sets the two routes read, in one pass
+    book.key(book.sb_runs, book.active_starts, book.reference[1], book.long_pairs[1])
     with np.errstate(over="ignore", invalid="ignore"):
         sb, db = raw_sums(book, h)
         # The pathwise identity always uses the neighbour-excluded events;
@@ -451,14 +456,18 @@ def expansion_report(series: MagnitudeSeries | tuple[ModelSpec, int, int], cfg: 
     """`decompose` on the series' bookkeeping, plus the counterexample check.
 
     `series` is a series or the (spec, n, seed) that `gen_series` would
-    generate it from; the latter is decomposed through `model_bookkeeping`
-    and generated only for a counterexample's values, kept at n <= 5000.
+    generate it from; the latter is decomposed through `model_bookkeeping`,
+    its scan on one thread per CPU, and generated only for a
+    counterexample's values, kept at n <= 5000.
     A residual_paper beyond the tolerance (0 for integer-valued H, else
     relative 1e-9) is reported and optionally dumped as a counterexample
     artifact with the model and seed, never patched over.
     """
     dense = isinstance(series, MagnitudeSeries)
-    book = block_bookkeeping(series, cfg) if dense else model_bookkeeping(*series, cfg)
+    if dense:
+        book = block_bookkeeping(series, cfg)
+    else:               # the uniform scan on up to one thread per CPU
+        book = model_bookkeeping(*series, cfg, workers=pool_size(series[1], series[1]))
     report = decompose(book, h, w_source, verbose)
     scale = max(abs(report.sb - report.db), abs(report.ic), abs(report.bc))
     tol = 0.0 if h.integer_valued else 1e-9 * max(1.0, scale)

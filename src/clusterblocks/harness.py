@@ -12,7 +12,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import os
 import re
 import time
 from dataclasses import dataclass, field
@@ -22,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .blocks import (MEMORY_BUDGET, BlockConfig, active_block_values, block_sum,
-                     model_bookkeeping)
+                     model_bookkeeping, pool_size)
 from .errors import ConfigError, FunctionalContractError, PersistError
 from .expansion import boundary_cluster_stat, internal_cluster_stat, raw_sums
 from .functionals import get_functional
@@ -293,7 +292,9 @@ def _replicate_values(model: ModelSpec, point: GridPoint, functional: str,
     n = point.n
     if spec.kind == "piecewise":
         n = (n // point.r) * point.r       # block copies must tile the sample
-    book = model_bookkeeping(spec, n, seed, BlockConfig(r=point.r, u=point.u, w=point.w))
+    # one scan thread: the replicates already run in parallel
+    book = model_bookkeeping(spec, n, seed, BlockConfig(r=point.r, u=point.u, w=point.w),
+                             workers=1)
     parsed = [(TARGETS[name], g) for name, g in map(parse_target, targets)]
     # Sums of finite values may overflow; run_experiment rejects the rows.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -308,11 +309,6 @@ def _worker(args):
 
 
 # -- process pool --------------------------------------------------------------
-
-
-def pool_size(requested: int, jobs: int) -> int:
-    """The workers that run `jobs` jobs: min(requested, jobs, CPU count), >= 1."""
-    return max(1, min(requested, jobs, os.cpu_count() or 1))
 
 
 def pool_map(fn: Callable, jobs: list, workers: int, chunksize: int = 1) -> list:

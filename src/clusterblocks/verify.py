@@ -24,10 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import BlockConfig, _bookkeeping
+from .blocks import BlockConfig, _bookkeeping, pool_size
 from .expansion import decompose, expansion_report
 from .functionals import get_functional
-from .harness import ConvergenceTable, TableRow, load, persist, pool_map, pool_size
+from .harness import ConvergenceTable, TableRow, load, persist, pool_map
 from .models import (ModelSpec, ZSampler, _mask_seed, gen_series, marginal_tail,
                      read_series, threshold_for_w, write_series)
 

@@ -568,10 +568,10 @@ def test_exceedance_time_route_skips_window_scans(monkeypatch):
     assert pairs and 0 < len(patterns) == len(set(patterns)) <= len(keys)
     assert set(patterns) <= keys
     # a long pair's bc2 is the direct sum of its own three blocks' 3r
-    # windows, one key table, and evaluates its merged window once; no
-    # reference sum is built
-    assert long_pairs and len(evaluations) <= long_pairs
-    assert tables == [3 * book.r] * long_pairs and "reference" not in vars(book)
+    # windows, all long pairs' in one key table, and evaluates its merged
+    # window once; no reference sum is built
+    assert long_pairs > 1 and len(evaluations) <= long_pairs
+    assert tables == [3 * book.r * long_pairs] and "reference" not in vars(book)
 
 
 def test_event_blocks_are_computed_once_per_bookkeeping(monkeypatch):
@@ -648,11 +648,11 @@ def test_position_work_is_done_once_per_bookkeeping(monkeypatch):
     long_pairs = sum(int(book.pos[b - 1] - book.pos[a]) + 1 >= book.r
                      for _, a, _, b in book.boundary_events)
     assert runs == [(1, (book.m - 1) * book.r)]
-    # SB runs, the active blocks' starts and the reference windows,
-    # together; then each long pair keys its own three blocks' windows
-    # (the fast route reads no reference window), once per functional
-    assert long_pairs and passes == [3] + [1] * (3 * long_pairs)
-    assert patterns == (["indicator"] * (1 + long_pairs) + ["length^1.5"] * (1 + long_pairs))
+    # SB runs, the active blocks' starts, the reference windows and the
+    # long pairs' three blocks' windows (the fast route reads no reference
+    # window), together, once per bookkeeping
+    assert long_pairs > 1 and passes == [4]
+    assert patterns == ["indicator", "length^1.5"]
     assert set(scalars) == {"indicator", "length^1.5"}
     assert lists == [1]
 

@@ -282,6 +282,23 @@ def test_block_values_are_evaluated_once_per_replicate(monkeypatch):
     assert len(calls) == 1
 
 
+def test_a_replicate_scans_on_one_thread(monkeypatch):
+    # the replicates run in parallel already: each scans its uniforms alone
+    import clusterblocks.blocks as blocks
+
+    workers = []
+
+    def recorded(*args, **kw):
+        workers.append(kw["workers"])
+        return blocks.model_bookkeeping(*args, **kw)
+
+    monkeypatch.setattr(harness, "model_bookkeeping", recorded)
+    point = small_config().resolve_grid()[0]
+    harness._replicate_values(MMA1, point, "indicator", ("ic_norm",), 7)
+    run_experiment(small_config(replicates=2))
+    assert workers == [1] * 5
+
+
 @pytest.mark.parametrize("m", [3, 4, 5, 2500, 125001])
 def test_pair_rate_equals_the_fancy_indexed_form(m):
     # the count over the active blocks gives the float of the mean over a

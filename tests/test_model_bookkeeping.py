@@ -1,12 +1,13 @@
 """The model route (`blocks.model_bookkeeping`) against the dense route.
 
-`model_bookkeeping(spec, n, seed, cfg)` must equal
+`model_bookkeeping(spec, n, seed, cfg, workers)` must equal
 `block_bookkeeping(gen_series(spec, n, seed), cfg)` bit for bit, whole:
 the positions, the active blocks and the magnitude store (the stored
-blocks and the bytes of their X/u).
+blocks and the bytes of their X/u), at every worker count.
 """
 
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -41,13 +42,35 @@ def both_routes(spec, n, seed, cfg):
     return model_bookkeeping(spec, n, seed, cfg), block_bookkeeping(gen_series(spec, n, seed), cfg)
 
 
+WORKERS = (1, 2, 3, 5)
+SPLIT_CHUNK = 1 << 8        # a `_CHUNK` of a few steps on the series here, so that workers split
+
+
+def assert_same_at_every_worker_count(monkeypatch, spec, n, seed, cfg):
+    """The model route at each of `WORKERS` equals the dense route, which
+    is returned; the scan was cut into more than one range at some count."""
+    parts, real = [], blocks._in_threads
+
+    def counted(fn, args):
+        parts.append(len(args))
+        return real(fn, args)
+
+    monkeypatch.setattr(blocks, "_in_threads", counted)
+    want = block_bookkeeping(gen_series(spec, n, seed), cfg)
+    for workers in WORKERS:
+        assert_same_bookkeeping(model_bookkeeping(spec, n, seed, cfg, workers), want)
+    monkeypatch.setattr(blocks, "_in_threads", real)
+    assert parts[0] == 1 and max(parts) > 1
+    return want
+
+
 def _spec(text, r):
     spec = parse_model(text)
     return spec.with_block_size(r) if spec.block_size is None else spec
 
 
 @pytest.mark.parametrize("text", MODELS + ["piecewise(mma1:1,1,1):r", "piecewise(mmaq:2,1,1,0.5,3):r"])
-def test_model_route_equals_dense_route(text):
+def test_model_route_equals_dense_route(monkeypatch, text):
     for n, r, w in ((2400, 6, 0.03), (30000, 8, 0.002), (1200, 3, 0.2), (600, 12, 0.5)):
         spec = _spec(text, r)
         if n % (spec.block_size or 1):
@@ -55,6 +78,9 @@ def test_model_route_equals_dense_route(text):
         cfg = BlockConfig(r=r, u=threshold_for_w(spec, w), w=w)
         for seed in range(3):
             assert_same_bookkeeping(*both_routes(spec, n, seed, cfg))
+            with monkeypatch.context() as patch:
+                patch.setattr(blocks, "_CHUNK", SPLIT_CHUNK)
+                assert_same_at_every_worker_count(patch, spec, n, seed, cfg)
 
 
 def test_block_size_other_than_r():
@@ -73,12 +99,24 @@ def test_clusters_straddling_step_edges(monkeypatch, text, chunk_blocks):
     n -= n % (spec.block_size or 1)
     monkeypatch.setattr(blocks, "_CHUNK", chunk_blocks * r)
     cfg = BlockConfig(r=r, u=threshold_for_w(spec, w), w=w)
-    got, want = both_routes(spec, n, 8, cfg)
-    assert_same_bookkeeping(got, want)
+    want = assert_same_at_every_worker_count(monkeypatch, spec, n, 8, cfg)
     # a pair of consecutive exceedances lies in two different steps
     step = chunk_blocks * r
     pos = want.pos - 1
     assert np.any(pos[1:] // step != pos[:-1] // step) and np.any(np.diff(pos) == 1)
+    # A range boundary inside a cluster: exceedances at p, p + 1 with p + 1
+    # the first position of block b (0-based, p 1-based).  A series of
+    # parts * b blocks, whose first values are this one's, is cut into
+    # `parts` ranges of b blocks, so p and p + 1 lie in two ranges.
+    p = next(int(p) for p in want.pos[:-1][np.diff(want.pos) == 1]
+             if p % r == 0 and p // r >= 3)
+    b = p // r
+    for parts in (2, 3):
+        cut = parts * b * r
+        want = block_bookkeeping(gen_series(spec, cut, 8), cfg)
+        assert np.isin([p, p + 1], want.pos).all()
+        for workers in WORKERS:
+            assert_same_bookkeeping(model_bookkeeping(spec, cut, 8, cfg, workers), want)
 
 
 def test_exceedances_in_the_discarded_tail():
@@ -110,13 +148,16 @@ def test_threshold_on_a_value_of_the_series(text):
 
 
 @pytest.mark.parametrize("text", ["iid:0.7", "mma1:1,2,1.5", "mmaq:2,1,1,0.5,3"])
-def test_threshold_below_the_support(text):
+def test_threshold_below_the_support(monkeypatch, text):
     # u at or below max c: every uniform is a candidate
     spec = parse_model(text)
     cmax = max(spec.coeffs)
     for u in (0.5 * cmax, cmax, cmax * (1 + 1e-10)):
         cfg = BlockConfig(r=4, u=u, w=0.5)
         assert_same_bookkeeping(*both_routes(spec, 999, 2, cfg))
+        with monkeypatch.context() as patch:
+            patch.setattr(blocks, "_CHUNK", SPLIT_CHUNK)
+            assert_same_at_every_worker_count(patch, spec, 999, 2, cfg)
 
 
 @pytest.mark.parametrize("chunk_blocks", [1, 3])
@@ -127,7 +168,7 @@ def test_a_last_step_whose_blocks_were_all_touched_before(monkeypatch, chunk_blo
     spec = parse_model("mma1:1,2,1.5")
     monkeypatch.setattr(blocks, "_CHUNK", chunk_blocks * 4)
     cfg = BlockConfig(r=4, u=0.5, w=0.5)
-    assert_same_bookkeeping(*both_routes(spec, 999, 2, cfg))
+    assert_same_at_every_worker_count(monkeypatch, spec, 999, 2, cfg)
 
 
 def test_blocks_as_long_as_a_step():
@@ -140,16 +181,24 @@ def test_blocks_as_long_as_a_step():
     assert want.m == 3 and np.all(np.isin([3, 4], (want.pos - 1) // r + 1))
 
 
-class _ZeroAt:
-    """A generator that returns 0.0 as its `at`-th uniform, else the real stream."""
+class _UniformAt:
+    """A generator that returns `value` as its `at`-th uniform, else the
+    real stream; its `bit_generator.advance` jumps both."""
 
-    def __init__(self, seed, at):
-        self.rng, self.at, self.drawn = np.random.default_rng(np.random.SeedSequence(seed)), at, 0
+    def __init__(self, seed, at, value=0.0):
+        self.rng = np.random.default_rng(np.random.SeedSequence(seed))
+        self.at, self.value, self.drawn = at, value, 0
+        self.bit_generator = self
+
+    def advance(self, k):
+        self.rng.bit_generator.advance(k)
+        self.drawn += k
+        return self
 
     def random(self, size=None, out=None):
         u = self.rng.random(size) if out is None else self.rng.random(out=out)
         if 0 <= self.at - self.drawn < u.size:
-            u[self.at - self.drawn] = 0.0
+            u[self.at - self.drawn] = self.value
         self.drawn += u.size
         return u
 
@@ -160,11 +209,11 @@ def test_a_zero_uniform_takes_no_dense_route(monkeypatch, at):
     spec = parse_model("mma1:1,1,1")
     n, seed = 2403, 5               # n + q = 2404 uniforms
     cfg = BlockConfig(r=6, u=threshold_for_w(spec, 0.05), w=0.05)
-    monkeypatch.setattr(models, "_rng", lambda s: _ZeroAt(s, at))
-    monkeypatch.setattr(blocks, "_rng", lambda s: _ZeroAt(s, at))
+    monkeypatch.setattr(models, "_rng", lambda s: _UniformAt(s, at))
+    monkeypatch.setattr(blocks, "_rng", lambda s: _UniformAt(s, at))
     monkeypatch.setattr(blocks, "_CHUNK", 600)
     assert not hasattr(blocks, "gen_series")
-    assert_same_bookkeeping(*both_routes(spec, n, seed, cfg))
+    assert_same_at_every_worker_count(monkeypatch, spec, n, seed, cfg)
 
 
 @pytest.mark.parametrize("text", ["mma1:1,1,1", "mmaq:0.5,0,3,2", "piecewise(mma1:1,1,1):40"])
@@ -185,8 +234,8 @@ def test_a_zero_uniform_inside_a_stored_block(monkeypatch, text):
     free = (terms.argmax(axis=1) == 0) & (xi[lag0] * max(base.coeffs) < cfg.u)
     k = np.flatnonzero(free)[free.sum() // 2]
     p, at = int(stored[k]), int(lag0[k])
-    monkeypatch.setattr(models, "_rng", lambda s: _ZeroAt(s, at))
-    monkeypatch.setattr(blocks, "_rng", lambda s: _ZeroAt(s, at))
+    monkeypatch.setattr(models, "_rng", lambda s: _UniformAt(s, at))
+    monkeypatch.setattr(blocks, "_rng", lambda s: _UniformAt(s, at))
     monkeypatch.setattr(blocks, "_CHUNK", 600)
     got, want = both_routes(spec, n, seed, cfg)
     assert_same_bookkeeping(got, want)
@@ -207,6 +256,100 @@ def test_non_finite_values_fail_like_the_dense_route():
             model_bookkeeping(spec, 400, 1, cfg)
 
 
+def test_a_split_scan_under_frequent_thread_switches(monkeypatch):
+    # more ranges than CPUs, the threads switched every microsecond: the
+    # ranges share nothing that a lost update could change
+    import sys
+
+    spec = parse_model("mmaq:2,1,1,0.5,3")
+    cfg = BlockConfig(r=5, u=threshold_for_w(spec, 0.05), w=0.05)
+    monkeypatch.setattr(blocks, "_CHUNK", 40)
+    want = block_bookkeeping(gen_series(spec, 20000, 3), cfg)
+    before, interval = threading.active_count(), sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for workers in (4, 8):
+            assert_same_bookkeeping(model_bookkeeping(spec, 20000, 3, cfg, workers), want)
+    finally:
+        sys.setswitchinterval(interval)
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_non_finite_values_fail_inside_a_later_range(monkeypatch, workers):
+    # Every range overflows at iid:0.001; at iid:0.05 only the largest
+    # uniform, 1 - 2^-53, does (xi = 2^1060), planted in the last range.
+    # Each fails as the dense route does, and no thread outlives the call.
+    monkeypatch.setattr(blocks, "_CHUNK", 16)
+    cfg = BlockConfig(r=4, u=1e300, w=0.5)
+    before = threading.active_count()
+    for text, at in (("iid:0.001", None), ("iid:0.05", 390)):
+        spec = parse_model(text)
+        if at is not None:
+            top = float(np.nextafter(1.0, 0.0))
+            monkeypatch.setattr(models, "_rng", lambda s: _UniformAt(s, at, top))
+            monkeypatch.setattr(blocks, "_rng", lambda s: _UniformAt(s, at, top))
+        with np.errstate(over="ignore"):
+            with pytest.raises(ModelError) as dense:
+                gen_series(spec, 400, 1)
+            with pytest.raises(ModelError) as split:
+                model_bookkeeping(spec, 400, 1, cfg, workers)
+        assert str(split.value) == str(dense.value) == "magnitudes must be finite"
+        assert threading.active_count() == before
+    assert model_bookkeeping(spec, 380, 1, cfg, workers).pos.size == 0     # the uniform 390 unread
+
+
+def test_the_earliest_ranges_error_is_raised_after_every_join():
+    # ranges 1 and 3 fail, range 1 last of all; the last range runs on the
+    # calling thread and fails first
+    import time
+
+    before = threading.active_count()
+    done = []
+
+    def scan(i, delay):
+        time.sleep(delay)
+        done.append(i)
+        if i in (1, 3):
+            raise ValueError(f"range {i}")
+        return i
+
+    with pytest.raises(ValueError, match="range 1"):
+        blocks._in_threads(scan, [(0, 0.01), (1, 0.1), (2, 0.0), (3, 0.0)])
+    assert sorted(done) == [0, 1, 2, 3] and done[-1] == 1
+    assert threading.active_count() == before
+    assert blocks._in_threads(scan, [(0, 0.0), (2, 0.0)]) == [0, 2]
+    assert blocks._in_threads(scan, [(2, 0.0)]) == [2] and threading.active_count() == before
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 2 ** 63 + 5])
+def test_advance_equals_a_sliced_draw(seed):
+    # uniforms k .. k + m - 1 of one undivided draw, from a generator
+    # advanced by k, as the scan's ranges start
+    m = 1000
+    whole = models._rng(seed).random((1 << 17) + 3 + m)
+    for k in (0, 1, (1 << 17) - 1, (1 << 17) + 3):
+        rng = models._rng(seed)
+        rng.bit_generator.advance(k)
+        assert rng.random(m).tobytes() == whole[k:k + m].tobytes()
+    # a piecewise model's rows start at multiples of size + q
+    spec = parse_model("piecewise(mmaq:0.5,0,3,2):5")
+    size, rows = models.series_layout(spec, 400)
+    width = size + spec.order
+    stream = models._rng(seed).random(rows * width).reshape(rows, width)
+    for row in (1, 2, 37, rows - 1):
+        rng = models._rng(seed)
+        rng.bit_generator.advance(row * width)
+        assert rng.random(width).tobytes() == stream[row].tobytes()
+    # two jumps are one
+    a, b = (1 << 40) + 12345, 987654321
+    one, two = models._rng(seed), models._rng(seed)
+    one.bit_generator.advance(a).advance(b)
+    two.bit_generator.advance(a + b)
+    assert one.bit_generator.state == two.bit_generator.state
+    assert one.random(8).tobytes() == two.random(8).tobytes()
+
+
 @pytest.mark.parametrize("text", ["mma1:1,1,1", "mma1:1,2,1.5", "mmaq:0.5,0,3,2", "iid:0.7",
                                   "piecewise(mma1:1,1,1):40"])
 def test_decompose_reports_are_identical(text):
@@ -220,6 +363,30 @@ def test_decompose_reports_are_identical(text):
             assert got.to_json(verbose=True) == expansion_report(
                 series, cfg, h, "exact", verbose=True).to_json(verbose=True)
             assert decompose(book, h, "exact", True).to_json(True) == got.to_json(True)
+
+
+def test_verbose_blocks_do_not_depend_on_the_worker_count(monkeypatch, capsys):
+    # `decompose --model` scans on pool_size(n, n) threads, one per CPU; its
+    # JSON is the same on one CPU as on three
+    import os
+
+    monkeypatch.setattr(blocks, "_CHUNK", SPLIT_CHUNK)
+    real, workers = expansion.model_bookkeeping, []
+
+    def recorded(*args, **kw):
+        workers.append(kw["workers"])
+        return real(*args, **kw)
+
+    monkeypatch.setattr(expansion, "model_bookkeeping", recorded)
+    argv = ["decompose", "--model", "mma1:1,2,1.5", "--n", "6003", "--seed", "5", "--r", "6",
+            "--w", "0.05", "--functional", "length", "--verbose-blocks"]
+    outs = []
+    for cpus in (1, 3):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert main(argv) == 0
+        outs.append(capsys.readouterr().out)
+    assert workers == [1, 3]
+    assert outs[0] == outs[1] and json.loads(outs[0])["per_block"]["pairs"]
 
 
 @pytest.mark.parametrize("n", [1500, 6000])
@@ -288,26 +455,42 @@ def test_model_route_memory_is_that_of_the_store():
     assert book[0].pos.size > 300 and book[0].values.size <= 3 * 12 * book[0].pos.size
 
 
-def test_a_bookkeeping_of_1e8_values_holds_nothing_of_size_m():
-    # m = 8.3 million blocks of r = 12 and about 1000 exceedances: the
-    # bookkeeping is its positions, active blocks and stored blocks, so it
-    # holds O(k r) bytes; the peak is the uniform buffer and the steps'
-    # candidates
+def _held_and_peak_of_1e8_values(workers):
+    """(exceedances, bytes the bookkeeping holds, traced peak) at n = 1e8."""
     import tracemalloc
 
     spec, n, w = parse_model("mma1:1,1,1"), 10 ** 8, 1e-5
     cfg = BlockConfig(r=12, u=threshold_for_w(spec, w), w=w)
     tracemalloc.start()
     try:
-        book = model_bookkeeping(spec, n, 0, cfg)
+        book = model_bookkeeping(spec, n, 0, cfg, workers)
         held, peak = tracemalloc.get_traced_memory()
         size = book.pos.size
         del book
         held -= tracemalloc.get_traced_memory()[0]     # what dropping the bookkeeping frees
     finally:
         tracemalloc.stop()
+    return size, held, peak
+
+
+def test_a_bookkeeping_of_1e8_values_holds_nothing_of_size_m():
+    # m = 8.3 million blocks of r = 12 and about 1000 exceedances: the
+    # bookkeeping is its positions, active blocks and stored blocks, so it
+    # holds O(k r) bytes; the peak is the uniform buffer and the steps'
+    # candidates
+    size, held, peak = _held_and_peak_of_1e8_values(1)
     assert size > 500
     assert held < 1e6 and peak < 6e6
+
+
+def test_a_split_scan_holds_what_one_range_holds():
+    # two ranges share the one buffer budget, `_CHUNK` uniforms in all: a
+    # buffer of that budget per range would add about 2 MB to the peak
+    _, _, one = _held_and_peak_of_1e8_values(1)
+    size, held, peak = _held_and_peak_of_1e8_values(2)
+    assert size > 500
+    assert held < 1e6 and peak < 6e6
+    assert peak < one + 0.5e6
 
 
 def test_a_block_longer_than_the_series_costs_no_memory_of_r():
